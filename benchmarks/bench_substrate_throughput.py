@@ -80,44 +80,27 @@ def test_simulator_throughput_burstlink(benchmark):
     print(f"\n{result.stats.windows} windows simulated")
 
 
-def test_simulator_scalar_engine(benchmark):
-    """The scalar window loop, pinned — the batch engine's baseline."""
+def test_simulator_unique_frames(benchmark):
+    """Unique-frame video at ``retain="summary"``: every new-frame
+    window plans fresh, so planning and the summary fold dominate."""
     config = skylake_tablet(FHD).with_drfb()
     frames = AnalyticContentModel().frames(FHD, _SIM_FRAMES)
 
     def run():
         with cache_disabled():
             return FrameWindowSimulator(config, BurstLinkScheme()).run(
-                frames, 60.0, retain="summary", engine="scalar"
+                frames, 60.0, retain="summary"
             )
 
     result = benchmark(run)
     rate = result.stats.windows / benchmark.stats["mean"]
     print(f"\n{result.stats.windows} windows simulated "
-          f"({rate:,.0f} windows/s, scalar engine)")
+          f"({rate:,.0f} windows/s, unique frames)")
 
 
-def test_simulator_batch_engine(benchmark):
-    """The vectorized batch engine on the same run as the scalar bench
-    above — the before/after pair behind the README table."""
-    config = skylake_tablet(FHD).with_drfb()
-    frames = AnalyticContentModel().frames(FHD, _SIM_FRAMES)
-
-    def run():
-        with cache_disabled():
-            return FrameWindowSimulator(config, BurstLinkScheme()).run(
-                frames, 60.0, retain="summary", engine="batch"
-            )
-
-    result = benchmark(run)
-    rate = result.stats.windows / benchmark.stats["mean"]
-    print(f"\n{result.stats.windows} windows simulated "
-          f"({rate:,.0f} windows/s, batch engine)")
-
-
-def test_simulator_batch_engine_standby(benchmark):
-    """The batch engine's best case: a repeating ambient frame where
-    nearly every window replays one cached plan."""
+def test_simulator_standby(benchmark):
+    """The walker's best case: a repeating ambient frame where nearly
+    every window replays one plan."""
     from repro.core.burstlink import BurstLinkScheme as _BL
     from repro.workloads.standby import (
         AmbientStandbyWorkload,

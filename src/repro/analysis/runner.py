@@ -381,7 +381,7 @@ class CacheStats:
     #: Refresh windows actually simulated (cache misses only) — the
     #: work the cache did *not* avoid.
     windows_simulated: int = 0
-    #: Cross-run plan cache traffic (batch engine lookups).
+    #: Cross-run plan cache traffic (cadence walker lookups).
     plan_hits: int = 0
     plan_misses: int = 0
     plan_disk_hits: int = 0
@@ -401,7 +401,7 @@ class SimulationCache:
     processes may share one directory).  Eviction never touches disk —
     delete the directory to reclaim space or force cold runs.
 
-    The same object doubles as the batch engine's cross-run **plan
+    The same object doubles as the cadence walker's cross-run **plan
     cache** (:meth:`load_plan` / :meth:`store_plan`): individual window
     plans keyed by scheme fingerprint, kept in their own LRU (plans are
     orders of magnitude smaller than runs) and persisted as

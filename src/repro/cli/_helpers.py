@@ -2,7 +2,7 @@
 
 Every command module resolves user-facing names (resolutions, display
 schemes) through the same two tables, and every batch-style command
-applies the engine flags through :func:`_apply_engine_flags` so a flag
+applies ``--plan-cache`` through :func:`_apply_plan_cache_flag` so a flag
 observed by the parent process is also observed (via the environment)
 by any worker processes a fan-out spawns.
 """
@@ -49,9 +49,9 @@ def _config_for(resolution, needs_drfb):
     return config.with_drfb() if needs_drfb else config
 
 
-def _apply_engine_flags(args: argparse.Namespace) -> None:
-    """Apply ``--plan-cache`` / ``--engine`` for this process *and*
-    (via the environment) any worker processes a fan-out spawns."""
+def _apply_plan_cache_flag(args: argparse.Namespace) -> None:
+    """Apply ``--plan-cache`` for this process *and* (via the
+    environment) any worker processes a fan-out spawns."""
     import os
 
     from ..pipeline import sim
@@ -59,15 +59,11 @@ def _apply_engine_flags(args: argparse.Namespace) -> None:
     if getattr(args, "plan_cache", False):
         os.environ["REPRO_PLAN_CACHE"] = "1"
         sim.set_plan_cache(True)
-    engine = getattr(args, "engine", None)
-    if engine is not None:
-        os.environ["REPRO_SIM_ENGINE"] = engine
-        sim.set_default_engine(engine)
 
 
 __all__ = [
     "_RESOLUTIONS",
     "_SCHEMES",
-    "_apply_engine_flags",
+    "_apply_plan_cache_flag",
     "_config_for",
 ]

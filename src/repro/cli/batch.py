@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 
-from ._helpers import _apply_engine_flags
+from ._helpers import _apply_plan_cache_flag
 
 
 def cmd_figures(args: argparse.Namespace) -> str:
@@ -19,7 +19,7 @@ def cmd_figures(args: argparse.Namespace) -> str:
     from ..analysis.svg import write_figures
     from ..errors import ConfigurationError
 
-    _apply_engine_flags(args)
+    _apply_plan_cache_flag(args)
     if args.seeds > 1 and args.format == "svg":
         raise ConfigurationError(
             "--seeds needs the Vega-Lite emitter (error bands); use "
@@ -96,7 +96,7 @@ def cmd_stats_run(args: argparse.Namespace) -> str:
     from ..stats import variance_table
     from ..stats.replicate import replicate_exhibits
 
-    _apply_engine_flags(args)
+    _apply_plan_cache_flag(args)
     progress = None
     if args.progress:
         import sys
@@ -207,7 +207,7 @@ def cmd_bench_all(args: argparse.Namespace) -> tuple[str, int]:
     baseline."""
     from ..analysis.runner import run_exhibits, metrics_table
 
-    _apply_engine_flags(args)
+    _apply_plan_cache_flag(args)
     if args.repeat < 1:
         from ..errors import ConfigurationError
 

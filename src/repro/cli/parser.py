@@ -161,14 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     figures.add_argument(
         "--plan-cache", action="store_true",
-        help="enable the cross-run plan cache (batch engine window "
-             "plans persist beside simulation-cache entries and warm "
+        help="enable the cross-run plan cache (window plans "
+             "persist beside simulation-cache entries and warm "
              "runs with different cadences or durations)",
-    )
-    figures.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default=None,
-        help="simulator window engine (default auto: batch when "
-             "untraced and collapsing is legal, scalar otherwise)",
     )
     figures.set_defaults(handler=cmd_figures)
 
@@ -321,10 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache", action="store_true",
         help="enable the cross-run plan cache for the fleet batch",
     )
-    fleet_run.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default=None,
-        help="simulator window engine for the fleet batch",
-    )
     fleet_run.set_defaults(handler=cmd_fleet_run)
     fleet_report = fleet_commands.add_parser(
         "report", help=cmd_fleet_report.__doc__
@@ -403,10 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--plan-cache", action="store_true",
         help="enable the cross-run plan cache for the replication",
     )
-    stats_run.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default=None,
-        help="simulator window engine for the replication",
-    )
     stats_run.set_defaults(handler=cmd_stats_run)
 
     bench_all = commands.add_parser(
@@ -449,10 +436,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_all.add_argument(
         "--plan-cache", action="store_true",
         help="enable the cross-run plan cache for the bench batch",
-    )
-    bench_all.add_argument(
-        "--engine", choices=("auto", "batch", "scalar"), default=None,
-        help="simulator window engine for the bench batch",
     )
     bench_all.set_defaults(handler=cmd_bench_all)
 

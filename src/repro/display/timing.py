@@ -15,6 +15,7 @@ window.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -62,6 +63,11 @@ class RefreshTiming:
     video_fps: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.refresh_hz)
+                and math.isfinite(self.video_fps)):
+            raise ConfigurationError(
+                "refresh rate and video frame rate must be finite"
+            )
         if self.refresh_hz <= 0:
             raise ConfigurationError("refresh rate must be positive")
         if self.video_fps <= 0:
@@ -129,11 +135,11 @@ class RefreshTiming:
 
         Computes the same quantities as :meth:`windows` — identical
         float expression, truncation, and epsilon — in one vectorized
-        pass, so the batch window engine can group windows without
+        pass, so the cadence walker can group windows without
         constructing ``count`` :class:`WindowPlan` objects.  Each
         element depends only on its own absolute index, so chunked
         calls with increasing ``start`` tile into exactly the single
-        full-length table (the engine walks long cadences this way to
+        full-length table (the walker reads long cadences this way to
         keep memory flat in run length).  Window start times are not
         materialized; they are ``index * duration`` exactly, which
         callers compute on the rare windows they touch.

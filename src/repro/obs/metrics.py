@@ -266,7 +266,7 @@ class Histogram:
     def observe_many(self, value: float, count: int) -> None:
         """Record ``count`` identical observations in O(1).
 
-        The batch window engine lands thousands of equal window
+        The cadence walker lands thousands of equal window
         durations per run; folding them in one update keeps metrics
         overhead independent of window count.  The sum accumulates as
         ``value * count`` (float re-association versus repeated

@@ -484,10 +484,9 @@ class ExhibitProfile:
     span_stats: dict[str, SpanStat]
     windows: WindowStats
     latency_quantiles: dict[str, dict[str, float]]
-    #: Window-engine and plan-cache counters (``sim.collapse.*``,
+    #: Cadence-walker and plan-cache counters (``sim.collapse.*``,
     #: ``sim.batch.*``, ``sim.plan_cache.*``, ``cache.plan_*``) at
-    #: capture time; empty when none fired (e.g. always-traced runs
-    #: fall back to the scalar engine).
+    #: capture time; empty when none fired.
     engine_counters: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -583,7 +582,7 @@ def registry_engine_counters(
     registry: obs_metrics.MetricsRegistry | None = None,
 ) -> dict[str, float]:
     """Window-engine and plan-cache counter values, keyed by metric
-    name — the profiler's view of how much planning the batch engine
+    name — the profiler's view of how much planning the cadence walker
     and the caches avoided."""
     registry = (
         registry if registry is not None else obs_metrics.registry()

@@ -9,14 +9,15 @@ advisor* service:
   newline-delimited JSON, open a (scheme, resolution, fps) stream, and
   push frames (explicit descriptors or analytic stream chunks).  Each
   session advances a :class:`~repro.pipeline.sim.StreamingSimulator`
-  incrementally — exactly the scalar ``retain="summary"`` code path, so
-  the final cumulative summary is byte-identical to the same stream
-  simulated offline.  Live observation never perturbs the simulation.
-* **Rolling metrics** — per-window digests are priced through the
+  incrementally — the same cadence walker an offline
+  ``retain="summary"`` run takes, so the final cumulative summary is
+  byte-identical to the same stream simulated offline.  Live
+  observation never perturbs the simulation.
+* **Rolling metrics** — each window's plan is priced through the
   analytical power model and fed into
   :class:`~repro.obs.metrics.RollingGauge` series windowed over the
   last N *simulated* seconds: panel/DRAM/eDP/total mW, deep C-state
-  residency, effective fps, collapse hit rate — one labelled series
+  residency, effective fps, plan-reuse rate — one labelled series
   per session in the process registry.
 * **An embedded HTTP endpoint** serves ``GET /metrics`` (live
   Prometheus text exposition, correct ``text/plain; version=0.0.4``
@@ -47,7 +48,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..errors import ConfigurationError, ReproError
-from ..pipeline.sim import StreamingSimulator, StreamingWindow
+from ..pipeline.sim import PlanGroup, StreamingSimulator, StreamingWindow
 from ..pipeline.timeline import TimelineSummary
 from ..power.model import PowerModel
 from ..video.source import (
@@ -146,26 +147,33 @@ class EventLog:
 
 
 class _DigestPricer:
-    """Prices one-window digests into (panel, dram, edp, total) mJ.
+    """Prices one window of a plan group into (panel, dram, edp, total)
+    mJ plus its deep-C-state fraction.
 
-    Pricing is a pure read of the digest — it never touches the
-    simulator — and is memoized by digest *object*: collapse hits
-    replay the memo entry's digest object, so a long repeat run prices
-    once.  The digest reference is held alongside the cached price,
-    keeping ``id()`` keys valid for the session's lifetime.
+    Pricing is a pure read of the group's plan — it never touches the
+    simulator.  The one-window digest is built lazily, on the first
+    window of each group, and the price is memoized per group (groups
+    hash by identity), so a long run of replayed windows prices once.
     """
 
     def __init__(self, model: PowerModel, panel: Any) -> None:
         self.model = model
         self.panel = panel
-        self._cache: dict[int, tuple[TimelineSummary, tuple]] = {}
+        self._cache: dict[PlanGroup, tuple] = {}
 
     def price(
-        self, digest: TimelineSummary
-    ) -> tuple[float, float, float, float]:
-        cached = self._cache.get(id(digest))
+        self, window: StreamingWindow
+    ) -> tuple[float, float, float, float, float]:
+        group = window.group
+        cached = self._cache.get(group)
         if cached is not None:
-            return cached[1]  # type: ignore[return-value]
+            return cached
+        digest = group.digest
+        if digest is None:
+            digest = TimelineSummary.window_digest(
+                group.result.timeline, group.effective_kind,
+                window.duration,
+            )
         panel_mj = dram_mj = edp_mj = total_mj = 0.0
         for cls_key, totals in digest.buckets.items():
             energies = self.model.class_component_energies(
@@ -177,8 +185,10 @@ class _DigestPricer:
             )
             edp_mj += energies["edp"]
             total_mj += sum(energies.values())
-        price = (panel_mj, dram_mj, edp_mj, total_mj)
-        self._cache[id(digest)] = (digest, price)
+        price = (
+            panel_mj, dram_mj, edp_mj, total_mj, _deep_fraction(digest)
+        )
+        self._cache[group] = price
         return price
 
 
@@ -232,12 +242,12 @@ class Session:
     def observe_windows(self, windows: list[StreamingWindow]) -> None:
         """Fold freshly advanced windows into the rolling series."""
         for window in windows:
-            duration = window.plan.duration
+            duration = window.duration
             if duration <= 0:
                 continue
-            t = window.plan.start
-            panel_mj, dram_mj, edp_mj, total_mj = self.pricer.price(
-                window.digest
+            t = window.index * duration
+            panel_mj, dram_mj, edp_mj, total_mj, deep = self.pricer.price(
+                window
             )
             # mJ over one window / window seconds = mW.
             self._gauge(
@@ -260,18 +270,19 @@ class Session:
             self._gauge(
                 "serve.win.deep_residency",
                 "rolling fraction of time below package C0",
-            ).observe(t, _deep_fraction(window.digest))
+            ).observe(t, deep)
             self._gauge(
                 "serve.win.fps",
                 "rolling effective frames per second",
             ).observe(
                 t,
-                (1.0 / duration) if window.effective_new_frame else 0.0,
+                (1.0 / duration) if window.group.effective_new else 0.0,
             )
             self._gauge(
                 "serve.win.collapse_hit",
-                "rolling repeat-window collapse hit rate",
-            ).observe(t, 1.0 if window.collapsed else 0.0)
+                "rolling share of windows replayed from an earlier "
+                "plan of the run",
+            ).observe(t, 1.0 if window.replayed else 0.0)
 
     def rolling_values(self) -> dict[str, float]:
         return {
@@ -288,7 +299,7 @@ class Session:
             "fps": self.fps,
             "frames": self.frames_pushed,
             "windows": self.sim.windows_simulated,
-            "simulated_s": self.sim.summary.duration,
+            "simulated_s": self.sim.simulated_s,
             "ended": self.ended,
             "finished": self.sim.finished,
             "stalled": self.sim.stalled,
@@ -552,7 +563,7 @@ class PowerAdvisorService:
             "source.exhausted",
             session=session.sid,
             frames=session.frames_pushed,
-            t=session.sim.summary.end,
+            t=session.sim.result().summary.end,
         )
         return self._advanced(session, windows)
 

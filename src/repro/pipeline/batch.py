@@ -1,9 +1,7 @@
-"""Vectorized plan-group machinery for the batch window engine.
+"""Vectorized plan-group machinery for the cadence walker.
 
-PR 5's repeat-window collapsing showed that nearly every window in a
-long run replays an earlier plan with a time shift.  The batch engine
-(:meth:`repro.pipeline.sim.FrameWindowSimulator.run` with the default
-``engine="auto"``) takes the next step: it groups windows by
+Nearly every window in a long run replays an earlier plan with a time
+shift.  The walker in :mod:`repro.pipeline.sim` groups windows by
 ``(scheme plan_key, window kind, frame, entry state)`` and prices each
 distinct plan **once**, replaying it per group member as a count.
 

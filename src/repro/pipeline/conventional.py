@@ -79,7 +79,7 @@ class ConventionalScheme:
         """What part of the frame *index* affects a new-frame plan.
 
         The conventional pipeline plans from the frame's content alone
-        (sizes are already in the batch engine's window key), so the
+        (sizes are already in the walker's plan-group key), so the
         index is irrelevant: ``None``.  Schemes whose plan branches on
         the index override this — e.g. Zhang's race-to-sleep returns
         ``frame_index % batch_size``.  Returning the raw index is always

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import hashlib
 import os
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Protocol, Sequence
+from typing import Any, Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
 from ..config import SystemConfig
 from ..display.timing import RefreshTiming, WindowKind, WindowPlan
-from ..errors import DeadlineMissError, SimulationError
+from ..errors import ConfigurationError, DeadlineMissError, SimulationError
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..soc.cstates import PackageCState
@@ -34,23 +35,15 @@ from .timeline import PanelMode, Timeline, TimelineSummary
 #: summary (O(1) memory for hours-long traces).
 RETAIN_MODES = ("full", "summary")
 
-#: How the simulator walks the cadence: ``"auto"`` picks the batch
-#: window engine whenever collapsing would be legal (untraced, scheme
-#: exposes ``plan_key()``, collapse not disabled) and falls back to the
-#: scalar loop otherwise; ``"batch"`` requests the engine explicitly
-#: (same safety fallbacks apply); ``"scalar"`` forces the historical
-#: window-by-window loop.
-ENGINE_MODES = ("auto", "batch", "scalar")
-
-#: Segment count at which the batch engine digests a fresh plan through
+#: Segment count at which the walker digests a fresh plan through
 #: :class:`~repro.pipeline.batch.PlanMatrix` instead of the scalar
 #: :meth:`TimelineSummary.window_digest` loop.  Both are bit-identical;
 #: below this, numpy array construction costs more than it saves.
 _MATRIX_MIN_SEGMENTS = 32
 
-#: Windows per cadence chunk in the batch engine.  The engine never
-#: materializes the whole window table — chunks keep its memory flat in
-#: run length (the long-trace memory gate pins this).
+#: Windows per cadence chunk.  The walker never materializes the whole
+#: window table — chunks keep its memory flat in run length (the
+#: long-trace memory gate pins this).
 _CADENCE_CHUNK = 1024
 
 
@@ -161,10 +154,10 @@ class WindowResult:
 class DisplayScheme(Protocol):
     """The strategy interface every display scheme implements.
 
-    Contract relied on by the batch window engine: a scheme plans from
-    the frame's *content* (``frame_type`` and byte sizes) and the
-    window's kind/duration/entry state — never from the frame's stream
-    position.  A scheme whose plan legitimately depends on position
+    Contract relied on by the cadence walker's plan groups: a scheme
+    plans from the frame's *content* (``frame_type`` and byte sizes)
+    and the window's kind/duration/entry state — never from the frame's
+    stream position.  A scheme whose plan legitimately depends on position
     (e.g. Zhang's batch cadence) declares exactly which function of the
     index matters via ``frame_phase(frame_index)``.
     """
@@ -189,27 +182,6 @@ class RunStats:
     psr_windows: int = 0
     bypassed_windows: int = 0
     burst_windows: int = 0
-
-    def record(self, plan: WindowPlan, result: WindowResult,
-               new_frame: bool | None = None) -> None:
-        """Fold one window into the totals.
-
-        ``new_frame``, when given, overrides the plan's own kind: the
-        simulator passes the *effective* kind, so a clamped window that
-        re-presents the exhausted stream's last frame counts as a repeat
-        even though the cadence called for a new frame (otherwise
-        ``effective_fps`` would be inflated).
-        """
-        self.windows += 1
-        if plan.is_new_frame if new_frame is None else new_frame:
-            self.new_frame_windows += 1
-        else:
-            self.repeat_windows += 1
-        self.deadline_misses += int(result.deadline_missed)
-        self.vd_wakes += result.vd_wakes
-        self.psr_windows += int(result.used_psr)
-        self.bypassed_windows += int(result.bypassed_dram)
-        self.burst_windows += int(result.burst)
 
 
 @dataclass
@@ -331,13 +303,8 @@ def freeze(value: Any) -> Any:
         )
     if isinstance(value, (set, frozenset)):
         return ("s", tuple(sorted(repr(freeze(item)) for item in value)))
-    try:
-        import numpy as _np
-
-        if isinstance(value, _np.generic):
-            return freeze(value.item())
-    except ImportError:  # pragma: no cover - numpy is a hard dependency
-        pass
+    if isinstance(value, np.generic):
+        return freeze(value.item())
     if hasattr(value, "__dict__") and not callable(value):
         return (
             "o",
@@ -367,10 +334,9 @@ def run_fingerprint(
     sources are fingerprinted through their ``fingerprint_token`` (O(1)
     for generated streams).  ``retain`` is part of the key so a
     summary-only cached run never serves a full-timeline caller.
-    Collapse state is deliberately *not* part of the key: collapsed and
-    fresh plans agree to float-shift precision (well inside the 1e-9
-    parity budget), and keying on it would make traced runs (collapse
-    off) miss the memo populated by untraced ones.
+    Trace state is deliberately *not* part of the key: a traced run
+    (every window planned fresh) has the same stats and summary as an
+    untraced one, so both may share the memo.
     """
     if isinstance(frames, (list, tuple)):
         frames_token: Any = ("frames/list", tuple(frames))
@@ -455,29 +421,6 @@ def default_retain() -> str:
     return _default_retain
 
 
-#: Process-wide engine override; ``None`` defers to the
-#: ``REPRO_SIM_ENGINE`` environment variable (default ``"auto"``).
-_default_engine: str | None = None
-
-
-def set_default_engine(mode: str | None) -> str | None:
-    """Set the process-wide engine default; returns the previous
-    override (``None`` means "follow ``REPRO_SIM_ENGINE``")."""
-    global _default_engine
-    if mode is not None and mode not in ENGINE_MODES:
-        raise SimulationError(f"unknown engine mode {mode!r}")
-    previous = _default_engine
-    _default_engine = mode
-    return previous
-
-
-def default_engine() -> str:
-    """The engine mode ``run(engine=None)`` resolves to."""
-    if _default_engine is not None:
-        return _default_engine
-    return os.environ.get("REPRO_SIM_ENGINE", "auto").strip() or "auto"
-
-
 #: Process-wide plan-cache override; ``None`` defers to the
 #: ``REPRO_PLAN_CACHE`` environment variable (default off).
 _plan_cache_override: bool | None = None
@@ -494,7 +437,7 @@ def set_plan_cache(enabled: bool | None) -> bool | None:
 
 
 def plan_cache_active() -> bool:
-    """Whether the batch engine consults the cross-run plan cache."""
+    """Whether the cadence walker consults the cross-run plan cache."""
     if _plan_cache_override is not None:
         return _plan_cache_override
     return os.environ.get("REPRO_PLAN_CACHE", "").strip().lower() in (
@@ -506,7 +449,7 @@ class PlanMemo(Protocol):
     """Anything that can memoize single window plans by content key.
 
     ``repro.analysis.runner.SimulationCache`` implements this next to
-    :class:`RunMemo`; the batch engine consults it (when
+    :class:`RunMemo`; the cadence walker consults it (when
     :func:`plan_cache_active`) for plans whose run-level fingerprints
     differ — e.g. the same scheme swept across frame rates or window
     counts."""
@@ -520,36 +463,483 @@ class PlanMemo(Protocol):
         ...  # pragma: no cover - protocol
 
 
-@dataclass
-class _CollapseEntry:
-    """The memoized previous window for repeat-window collapsing."""
+@dataclass(eq=False)
+class PlanGroup:
+    """One distinct window plan in a run, with the windows it covers.
 
-    key: tuple
-    start: float
-    result: WindowResult
-    digest: TimelineSummary
-    final_state: PackageCState
-
-
-@dataclass
-class _BatchEntry:
-    """One distinct plan in a batch-engine run, with its replay count."""
+    The cadence walker files every window under a group keyed by
+    ``(plan_key, kind, frame content, entry state)``; the end-of-run
+    fold prices each group once, scaled by ``count``.  Groups hash by
+    identity, so per-group memos (the serve plane's pricer) key on the
+    object itself.
+    """
 
     start: float
     result: WindowResult
     #: One-window summary for scaled replay.  ``None`` until someone
-    #: needs it — unique windows absorb their segments directly at
-    #: finalization instead, matching the scalar loop's cost.
+    #: needs it — unique windows fold their segments straight into the
+    #: run summary instead.
     digest: TimelineSummary | None
     final_state: PackageCState
-    #: The window kind the digest (or direct absorption) files under.
+    #: The window kind the group files under: a clamped cadence
+    #: new-frame window re-presents the last frame and is a repeat.
     effective_kind: str
-    #: Whether occurrences count as (effective) new-frame windows.
-    effective_new: bool
-    #: False when planning mutated the scheme's ``plan_key()`` — such
-    #: plans are single-use (the run-wide memo must not replay them).
+    #: False when planning mutated the scheme's ``plan_key()`` (or the
+    #: scheme has none) — such plans are single-use and never replayed.
     stored: bool = False
     count: int = 0
+
+    @property
+    def effective_new(self) -> bool:
+        """Whether the group's windows count as new-frame windows."""
+        return self.effective_kind == "new_frame"
+
+
+def _new_frame_windows(timing: RefreshTiming) -> Iterator[tuple[int, int]]:
+    """``(window index, frame index)`` of every new-frame window of the
+    (unbounded) cadence, walked as fixed-size numpy tables so memory
+    stays flat in run length."""
+    base = 0
+    while True:
+        due, new = timing.window_table(_CADENCE_CHUNK, start=base)
+        for offset in np.flatnonzero(new):
+            yield base + int(offset), int(due[offset])
+        base += _CADENCE_CHUNK
+
+
+class _CadenceWalker:
+    """The simulator's one cadence walker.
+
+    Walks refresh windows in order, pulling at most one frame per
+    new-frame window (an exhausted stream clamps to its last frame, and
+    such windows count as repeats), and files each window under its
+    :class:`PlanGroup`.  With the memo on — untraced, and the scheme
+    exposes ``plan_key()`` — a window whose group already exists
+    replays it without planning, a repeat run that re-enters its own
+    entry state is accounted in O(1), and new groups are first looked
+    up in the cross-run plan cache when :func:`plan_cache_active`.  With
+    the memo off every window is planned fresh, in window order, and an
+    active tracer sees a ``sim.window`` span per window; accounting
+    still goes through the same groups, so the run's stats and summary
+    do not depend on the memo.
+
+    :meth:`walk` advances to a window bound and may be called again
+    with a larger one (the streaming front end does); :meth:`finish`
+    folds the groups into the run's stats and summary.
+    """
+
+    def __init__(
+        self,
+        config: SystemConfig,
+        scheme: DisplayScheme,
+        video_fps: float,
+        pull: Callable[[], FrameDescriptor | None],
+        *,
+        vr_work: Iterator[VrWork] | None = None,
+        max_windows: int | None = None,
+        retain_full: bool = False,
+        records: list | None = None,
+    ) -> None:
+        if max_windows is not None and max_windows < 1:
+            raise ConfigurationError(
+                f"max_windows must be >= 1, got {max_windows!r}"
+            )
+        self.config = config
+        self.scheme = scheme
+        self.video_fps = video_fps
+        self.timing = RefreshTiming(config.panel.refresh_hz, video_fps)
+        self.duration = self.timing.frame_window
+        #: The next frame of the stream, or ``None`` when it has run dry.
+        self.pull = pull
+        self.vr_iter = vr_work
+        self.retain_full = retain_full
+        #: When set, every accounted run of windows is appended as
+        #: ``(first index, count, frame index, group, replayed)``.
+        self.records = records
+        self.tracer = obs_trace.active()
+        self.keyed = getattr(scheme, "plan_key", None) is not None
+        self.memo = self.tracer is None and self.keyed
+        self.plan_key = scheme.plan_key() if self.keyed else None
+        self.phase_fn = getattr(scheme, "frame_phase", None)
+
+        self.plan_cache: Any = None
+        self.cache_prefix: Any = None
+        run_memo = _active_memo
+        if (
+            self.memo
+            and run_memo is not None
+            and plan_cache_active()
+            and hasattr(run_memo, "load_plan")
+        ):
+            try:
+                prefix = freeze(
+                    ("plan/v1", config, type(scheme).__qualname__)
+                )
+            except TypeError:
+                prefix = None
+            if prefix is not None:
+                self.plan_cache = run_memo
+                self.cache_prefix = hashlib.sha256(repr(prefix).encode())
+
+        self.starts = _new_frame_windows(self.timing)
+        #: Next window to walk.
+        self.index = 0
+        #: Where :meth:`walk` resumes: entry state, next new-frame
+        #: window and its frame index, current frame and VR work, frames
+        #: pulled, current frame index, current frame-content key.
+        self._cursor: tuple = (
+            PackageCState.C0, *next(self.starts), None, None, 0, 0, None,
+        )
+        self.groups: dict[tuple, PlanGroup] = {}
+        #: Groups awaiting the end-of-run fold, in first-use order.
+        self.order: list[PlanGroup] = []
+        self.timelines: list[Timeline] = []
+        self.stats = RunStats()
+        self.summary = TimelineSummary()
+        self.fresh_plans = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.group_sizes = obs_metrics.registry().histogram(
+            "sim.batch.group_windows",
+            "windows per plan group",
+        )
+
+    # -- walking ------------------------------------------------------------
+
+    def walk(self, limit: int) -> None:
+        """Advance the cadence up to (not including) window ``limit``.
+
+        Each pass of the loop accounts one window to its group — or, on
+        a steady repeat run with the memo on, every window up to the
+        next new-frame window at once.  The walk's state lives in
+        locals and is saved in ``_cursor`` on the way out.
+        """
+        groups = self.groups
+        order = self.order
+        records = self.records
+        replay = self.memo
+        retain_full = self.retain_full
+        duration = self.duration
+        pull = self.pull
+        vr_iter = self.vr_iter
+        phase_fn = self.phase_fn
+        starts = self.starts
+        plan_key = self.plan_key
+        index = self.index
+        (state, next_new, next_frame, frame, vr, pulled, frame_index,
+         frame_token) = self._cursor
+        while index < limit:
+            if index == next_new:
+                frame_index = next_frame
+                next_new, next_frame = next(starts)
+                while pulled <= frame_index:
+                    pulled_frame = pull()
+                    if pulled_frame is None:
+                        break  # the stream ran dry: clamp
+                    frame = pulled_frame
+                    if vr_iter is not None:
+                        vr = next(vr_iter, None)
+                        if vr is None:
+                            raise SimulationError(
+                                "vr_work exhausted before frames "
+                                f"(frame {pulled})"
+                            )
+                    pulled += 1
+                if frame is None:
+                    raise SimulationError(
+                        "cannot simulate an empty frame list"
+                    )
+                # Key on the frame's *content*: sources may re-issue the
+                # same frame under fresh indices (e.g. ambient redraws),
+                # and schemes plan from content alone (see DisplayScheme).
+                frame_token = (frame.frame_type, frame.encoded_bytes,
+                               frame.decoded_bytes, frame.attributes)
+                kind = WindowKind.NEW_FRAME
+                effective_kind = (
+                    "new_frame" if frame_index < pulled else "repeat"
+                )
+                phase = (phase_fn(frame_index) if phase_fn is not None
+                         else frame_index)
+                stop = index + 1
+            else:
+                kind = WindowKind.REPEAT
+                effective_kind = "repeat"
+                phase = None
+                stop = min(next_new, limit)
+            wkey = (plan_key, kind, effective_kind, phase, frame_token, vr,
+                    state)
+            group = groups.get(wkey)
+            result = None
+            if group is None or not replay:
+                result, group = self._plan(
+                    index, frame_index, frame, pulled - 1, wkey, group
+                )
+                plan_key = self.plan_key
+            count = 1
+            if result is not None:
+                if retain_full:
+                    self.timelines.append(result.timeline)
+                state = result.timeline.segments[-1].state
+            else:
+                if retain_full:
+                    delta = index * duration - group.start
+                    timeline = group.result.timeline
+                    self.timelines.append(
+                        timeline
+                        if delta == 0.0
+                        else Timeline(
+                            [segment.shifted(delta) for segment in timeline]
+                        )
+                    )
+                elif group.final_state is state:
+                    # Steady state: the window re-enters its own entry
+                    # state, so every window up to ``stop`` is this same
+                    # plan — account them all at once.
+                    count = stop - index
+                state = group.final_state
+            group.count += count
+            if records is not None:
+                records.append(
+                    (index, count, frame_index, group, result is None)
+                )
+            index += count
+            if not group.stored and len(order) == 1:
+                # A single-use group ahead of every replayable one folds
+                # now, in the order the end-of-run fold would take — runs
+                # that never replay stay O(1) in memory.
+                self._fold(order.pop())
+        self.index = index
+        self._cursor = (state, next_new, next_frame, frame, vr, pulled,
+                        frame_index, frame_token)
+
+    def _plan(
+        self,
+        index: int,
+        frame_index: int,
+        frame: FrameDescriptor,
+        frame_label: int,
+        wkey: tuple,
+        group: PlanGroup | None,
+    ) -> tuple[WindowResult | None, PlanGroup]:
+        """Plan window ``index`` — or load its plan from the cross-run
+        plan cache — opening ``wkey``'s group when ``group`` is None.
+        Returns the fresh result (``None`` for a cache load) and the
+        window's group."""
+        scheme = self.scheme
+        strict = self.config.strict_deadlines
+        _, kind, effective_kind, _, _, vr, state = wkey
+        token = None
+        if self.plan_cache is not None:
+            try:
+                frozen = repr(freeze(wkey + (self.duration,)))
+            except TypeError:
+                frozen = None
+            if frozen is not None:
+                hasher = self.cache_prefix.copy()
+                hasher.update(frozen.encode())
+                token = hasher.hexdigest()
+                cached = self.plan_cache.load_plan(token)
+                if cached is not None:
+                    if cached.result.deadline_missed and strict:
+                        raise DeadlineMissError(
+                            f"{scheme.name}: window {index} missed "
+                            f"its deadline"
+                        )
+                    self.cache_hits += 1
+                    group = PlanGroup(
+                        start=cached.start,
+                        result=cached.result,
+                        digest=cached.digest,
+                        final_state=cached.final_state,
+                        effective_kind=effective_kind,
+                        stored=True,
+                    )
+                    self.groups[wkey] = group
+                    self.order.append(group)
+                    return None, group
+                self.cache_misses += 1
+        plan = WindowPlan(
+            index=index,
+            start=index * self.duration,
+            duration=self.duration,
+            kind=kind,
+            frame_index=frame_index,
+        )
+        tracer = self.tracer
+        if tracer is not None:
+            span = tracer.begin_span(
+                "sim.window",
+                t=plan.start,
+                index=index,
+                kind=kind.value,
+                frame=frame_label,
+                initial_state=state,
+            )
+        result = _stamp_content(
+            scheme.plan_window(
+                WindowContext(
+                    config=self.config,
+                    window=plan,
+                    frame=frame,
+                    vr=vr,
+                    initial_state=state,
+                )
+            ),
+            frame,
+        )
+        timeline = result.timeline
+        if not timeline.segments:
+            raise SimulationError(f"{scheme.name}: window {index} is empty")
+        if abs(timeline.duration - plan.duration) > 1e-7:
+            raise SimulationError(
+                f"{scheme.name}: window {index} covers "
+                f"{timeline.duration:.6f}s, expected {plan.duration:.6f}s"
+            )
+        if result.deadline_missed and strict:
+            raise DeadlineMissError(
+                f"{scheme.name}: window {index} missed its deadline"
+            )
+        self.fresh_plans += 1
+        final_state = timeline.segments[-1].state
+        if tracer is not None:
+            for segment in timeline:
+                tracer.event(
+                    "sim.segment",
+                    t=segment.start,
+                    state=segment.state,
+                    duration=segment.duration,
+                    label=segment.label,
+                    transition=segment.transition,
+                )
+            tracer.end_span(
+                span,
+                t=plan.end,
+                deadline_missed=result.deadline_missed,
+                vd_wakes=result.vd_wakes,
+                used_psr=result.used_psr,
+                bypassed_dram=result.bypassed_dram,
+                burst=result.burst,
+                final_state=final_state,
+            )
+        if group is None:
+            group = PlanGroup(
+                start=plan.start,
+                result=result,
+                digest=None,
+                final_state=final_state,
+                effective_kind=effective_kind,
+            )
+            self.order.append(group)
+            post_key = scheme.plan_key() if self.keyed else None
+            if self.keyed and post_key == self.plan_key:
+                # Planning left the scheme's state untouched, so the
+                # plan is safe to replay anywhere in the run — and in
+                # other runs, via the plan cache.
+                group.stored = True
+                self.groups[wkey] = group
+                if token is not None:
+                    group.digest = _plan_digest(
+                        timeline, effective_kind, self.duration
+                    )
+                    self.plan_cache.store_plan(
+                        token,
+                        CachedPlan(
+                            start=group.start,
+                            result=result,
+                            digest=group.digest,
+                            final_state=final_state,
+                        ),
+                    )
+            else:
+                self.plan_key = post_key
+        return result, group
+
+    # -- finishing ----------------------------------------------------------
+
+    def _fold(self, group: PlanGroup) -> None:
+        """Fold one group's windows into the run's stats and summary."""
+        count = group.count
+        result = group.result
+        stats = self.stats
+        stats.windows += count
+        if group.effective_new:
+            stats.new_frame_windows += count
+        else:
+            stats.repeat_windows += count
+        stats.deadline_misses += count * int(result.deadline_missed)
+        stats.vd_wakes += count * result.vd_wakes
+        stats.psr_windows += count * int(result.used_psr)
+        stats.bypassed_windows += count * int(result.bypassed_dram)
+        stats.burst_windows += count * int(result.burst)
+        summary = self.summary
+        if group.digest is not None:
+            summary.absorb_scaled(group.digest, count)
+        elif count == 1:
+            # Unique window: fold its segments straight into the run
+            # summary — one pass, no digest.
+            timeline = result.timeline
+            kind = group.effective_kind
+            for segment in timeline.segments:
+                summary.add_segment(segment, kind)
+            summary.close_window(kind, self.duration, timeline.duration)
+        else:
+            summary.absorb_scaled(
+                _plan_digest(
+                    result.timeline, group.effective_kind, self.duration
+                ),
+                count,
+            )
+        self.group_sizes.observe(count)
+
+    def finish(self, cache_key: str | None = None) -> RunResult:
+        """Fold every group and publish the run-level counters."""
+        for group in self.order:
+            self._fold(group)
+        stats = self.stats
+        run = RunResult(
+            scheme=self.scheme.name,
+            config=self.config,
+            timeline=(
+                Timeline.concatenate(self.timelines)
+                if self.retain_full
+                else None
+            ),
+            stats=stats,
+            video_fps=self.video_fps,
+            summary=self.summary,
+            cache_key=cache_key,
+        )
+        registry = obs_metrics.registry()
+        registry.histogram(
+            "sim.window_s", "planned refresh-window durations (s)",
+            buckets=obs_metrics.LATENCY_BUCKETS,
+        ).observe_many(self.duration, stats.windows)
+        registry.counter(
+            "sim.runs", "simulator runs completed (cache misses only)"
+        ).inc()
+        registry.counter(
+            "sim.windows", "refresh windows planned"
+        ).inc(stats.windows)
+        registry.counter(
+            "sim.deadline_misses", "windows that missed their deadline"
+        ).inc(stats.deadline_misses)
+        registry.counter(
+            "sim.collapse.hit",
+            "windows replayed from an earlier plan of the run",
+        ).inc(stats.windows - self.fresh_plans)
+        registry.counter(
+            "sim.collapse.miss", "windows planned fresh"
+        ).inc(self.fresh_plans)
+        if self.plan_cache is not None:
+            registry.counter(
+                "sim.plan_cache.hit",
+                "plan groups first served from the cross-run plan cache",
+            ).inc(self.cache_hits)
+            registry.counter(
+                "sim.plan_cache.miss",
+                "plan-cache lookups that fell through to fresh planning",
+            ).inc(self.cache_misses)
+        return run
 
 
 @dataclass
@@ -558,7 +948,6 @@ class FrameWindowSimulator:
 
     config: SystemConfig
     scheme: DisplayScheme
-    _tolerance: float = field(default=1e-9, repr=False)
 
     def run(
         self,
@@ -567,8 +956,6 @@ class FrameWindowSimulator:
         vr_work: list[VrWork] | None = None,
         max_windows: int | None = None,
         retain: str | None = None,
-        collapse: bool | None = None,
-        engine: str | None = None,
     ) -> RunResult:
         """Simulate displaying ``frames`` at ``video_fps``.
 
@@ -577,28 +964,19 @@ class FrameWindowSimulator:
         most one frame per new-frame window, so streaming sources run in
         O(1) frame memory.  ``vr_work`` (parallel to ``frames``) marks a
         VR run.  The run covers every window needed to present all
-        frames, or ``max_windows`` if given (mandatory for length-less
-        sources).
+        frames, or ``max_windows`` (at least 1) if given — mandatory for
+        length-less sources.
 
         ``retain`` selects what the result keeps: ``"full"`` (the
         per-segment timeline, the historical behavior) or ``"summary"``
         (only the online :class:`TimelineSummary`); ``None`` defers to
-        :func:`default_retain`.  ``collapse`` enables repeat-window
-        collapsing — consecutive windows identical in (scheme state,
-        kind, frame, entry state) replay the memoized previous plan,
-        time-shifted — and defaults to on whenever the scheme exposes
-        ``plan_key()``.  Collapsing is always disabled while a tracer is
-        active, keeping golden traces byte-stable.
+        :func:`default_retain`.
 
-        ``engine`` selects the cadence walker (see :data:`ENGINE_MODES`;
-        ``None`` defers to :func:`default_engine`).  The batch engine
-        extends collapsing run-wide: windows group by ``(plan_key, kind,
-        frame, entry state)``, each distinct plan is priced once and
-        replayed as a count, and — when :func:`plan_cache_active` — new
-        groups are first looked up in the cross-run plan cache.  Every
-        condition that disables collapsing (active tracer, no
-        ``plan_key()``, ``collapse=False``) also falls the engine back
-        to the scalar loop, so traced runs stay byte-identical.
+        Windows are grouped by ``(plan_key, kind, frame content, entry
+        state)`` and each distinct plan is priced once (see
+        :class:`_CadenceWalker`).  While a tracer is active every
+        window is planned fresh and traced; the stats and summary are
+        the same either way.
         """
         retain_mode = _default_retain if retain is None else retain
         if retain_mode not in RETAIN_MODES:
@@ -619,12 +997,6 @@ class FrameWindowSimulator:
                 "vr_work must parallel frames "
                 f"({len(vr_work)} vs {frame_count})"
             )
-        tracer = obs_trace.active()
-        collapse_enabled = (
-            tracer is None
-            and getattr(self.scheme, "plan_key", None) is not None
-            and (collapse is None or collapse)
-        )
         memo = _active_memo
         key = None
         if memo is not None:
@@ -637,26 +1009,24 @@ class FrameWindowSimulator:
                 cached = memo.load(key)
                 if cached is not None:
                     return cached
-        timing = RefreshTiming(self.config.panel.refresh_hz, video_fps)
+        walker = _CadenceWalker(
+            self.config, self.scheme, video_fps,
+            functools.partial(next, iter(source), None),
+            vr_work=iter(vr_work) if vr_work is not None else None,
+            max_windows=max_windows,
+            retain_full=retain_mode == "full",
+        )
         if max_windows is not None:
             window_count = max_windows
         elif frame_count is not None:
             window_count = int(
-                round(frame_count * timing.windows_per_frame)
+                round(frame_count * walker.timing.windows_per_frame)
             )
         else:
             raise SimulationError(
                 "a frame source without a length needs max_windows"
             )
-        engine_mode = engine if engine is not None else default_engine()
-        if engine_mode not in ENGINE_MODES:
-            raise SimulationError(f"unknown engine mode {engine_mode!r}")
-        if engine_mode != "scalar" and collapse_enabled:
-            return self._run_batch(
-                source, video_fps, vr_work, retain_mode, memo, key,
-                timing, window_count,
-            )
-        run_span = None
+        tracer = walker.tracer
         if tracer is not None:
             run_span = tracer.begin_span(
                 "sim.run",
@@ -667,188 +1037,13 @@ class FrameWindowSimulator:
                 windows=window_count,
                 vr=vr_work is not None,
             )
-        stats = RunStats()
-        timelines: list[Timeline] = []
-        summary = TimelineSummary()
-        state = PackageCState.C0
-        window_seconds = obs_metrics.registry().histogram(
-            "sim.window_s", "planned refresh-window durations (s)",
-            buckets=obs_metrics.LATENCY_BUCKETS,
-        )
-        frame_iter = iter(source)
-        vr_iter = iter(vr_work) if vr_work is not None else None
-        try:
-            current_frame = next(frame_iter)
-        except StopIteration:
-            raise SimulationError(
-                "cannot simulate an empty frame list"
-            ) from None
-        current_vr = next(vr_iter) if vr_iter is not None else None
-        pulled = 1
-        collapse_entry: _CollapseEntry | None = None
-        collapse_hits = 0
-        collapse_misses = 0
-        for plan in timing.windows(window_count):
-            while pulled <= plan.frame_index:
-                try:
-                    current_frame = next(frame_iter)
-                except StopIteration:
-                    break
-                if vr_iter is not None:
-                    try:
-                        current_vr = next(vr_iter)
-                    except StopIteration:
-                        raise SimulationError(
-                            "vr_work exhausted before frames "
-                            f"(frame {pulled})"
-                        ) from None
-                pulled += 1
-            #: The stream ran out and this window re-presents the last
-            #: frame: effectively a repeat regardless of the cadence.
-            clamped = plan.frame_index > pulled - 1
-            effective_new_frame = plan.is_new_frame and not clamped
-            effective_kind = (
-                "new_frame" if effective_new_frame else "repeat"
-            )
-            ctx = WindowContext(
-                config=self.config,
-                window=plan,
-                frame=current_frame,
-                vr=current_vr,
-                initial_state=state,
-            )
-            window_span = None
-            if tracer is not None:
-                window_span = tracer.begin_span(
-                    "sim.window",
-                    t=plan.start,
-                    index=plan.index,
-                    kind="new_frame" if plan.is_new_frame else "repeat",
-                    frame=pulled - 1,
-                    initial_state=state,
-                )
-            window_seconds.observe(plan.duration)
-            window_key: tuple | None = None
-            if collapse_enabled:
-                window_key = (
-                    self.scheme.plan_key(),
-                    plan.kind,
-                    plan.frame_index if plan.is_new_frame else None,
-                    current_frame,
-                    current_vr,
-                    state,
-                    plan.duration,
-                )
-            if (
-                collapse_entry is not None
-                and window_key is not None
-                and collapse_entry.key == window_key
-            ):
-                collapse_hits += 1
-                result = collapse_entry.result
-                digest = collapse_entry.digest
-                if retain_mode == "full":
-                    delta = plan.start - collapse_entry.start
-                    timelines.append(
-                        Timeline(
-                            [
-                                segment.shifted(delta)
-                                for segment in result.timeline.segments
-                            ]
-                        )
-                    )
-                stats.record(plan, result, new_frame=effective_new_frame)
-                summary.absorb(digest)
-                state = collapse_entry.final_state
-                continue
-            result = _stamp_content(
-                self.scheme.plan_window(ctx), current_frame
-            )
-            self._validate_window(plan, result)
-            if result.deadline_missed and self.config.strict_deadlines:
-                raise DeadlineMissError(
-                    f"{self.scheme.name}: window {plan.index} missed its "
-                    f"deadline"
-                )
-            stats.record(plan, result, new_frame=effective_new_frame)
-            digest = TimelineSummary.window_digest(
-                result.timeline, effective_kind, plan.duration
-            )
-            summary.absorb(digest)
-            if retain_mode == "full":
-                timelines.append(result.timeline)
-            state = result.timeline.segments[-1].state
-            if collapse_enabled:
-                collapse_misses += 1
-                collapse_entry = _CollapseEntry(
-                    key=window_key,  # type: ignore[arg-type]
-                    start=plan.start,
-                    result=result,
-                    digest=digest,
-                    final_state=state,
-                )
-            if tracer is not None:
-                for segment in result.timeline:
-                    tracer.event(
-                        "sim.segment",
-                        t=segment.start,
-                        state=segment.state,
-                        duration=segment.duration,
-                        label=segment.label,
-                        transition=segment.transition,
-                    )
-                assert window_span is not None
-                tracer.end_span(
-                    window_span,
-                    t=plan.end,
-                    deadline_missed=result.deadline_missed,
-                    vd_wakes=result.vd_wakes,
-                    used_psr=result.used_psr,
-                    bypassed_dram=result.bypassed_dram,
-                    burst=result.burst,
-                    final_state=state,
-                )
-        run = RunResult(
-            scheme=self.scheme.name,
-            config=self.config,
-            timeline=(
-                Timeline.concatenate(timelines)
-                if retain_mode == "full"
-                else None
-            ),
-            stats=stats,
-            video_fps=video_fps,
-            summary=summary,
-            cache_key=key,
-        )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(stats.deadline_misses)
-        if collapse_enabled:
-            registry.counter(
-                "sim.collapse.hit",
-                "windows replayed from the repeat-window memo",
-            ).inc(collapse_hits)
-            registry.counter(
-                "sim.collapse.miss",
-                "windows planned fresh with collapsing enabled",
-            ).inc(collapse_misses)
+        walker.walk(window_count)
+        run = walker.finish(cache_key=key)
         if tracer is not None:
-            assert run_span is not None
+            stats = run.stats
             tracer.end_span(
                 run_span,
-                t=(
-                    run.timeline.end
-                    if run.timeline is not None
-                    else summary.end
-                ),
+                t=run.aggregate.end,
                 windows=stats.windows,
                 new_frame_windows=stats.new_frame_windows,
                 repeat_windows=stats.repeat_windows,
@@ -862,452 +1057,39 @@ class FrameWindowSimulator:
             memo.store(key, run)
         return run
 
-    def _run_batch(
-        self,
-        source: FrameSource,
-        video_fps: float,
-        vr_work: list[VrWork] | None,
-        retain_mode: str,
-        memo: RunMemo | None,
-        key: str | None,
-        timing: RefreshTiming,
-        window_count: int,
-    ) -> RunResult:
-        """The batch window engine: price each distinct plan once.
-
-        Windows group by ``(plan_key, kind, frame content, entry
-        state)`` — frame *content*, not the descriptor, because schemes
-        never read ``frame.index`` (index-dependence is declared via
-        ``frame_phase``), so re-indexed copies of one frame share; the
-        cadence is walked as chunked numpy tables so repeat runs
-        between new frames cost O(1) instead of O(windows), at flat
-        memory in run length.  Only reachable
-        untraced with collapsing legal, so its aggregates must (and do)
-        match the scalar loop to the collapse parity budget, with
-        identical :class:`RunStats`.
-        """
-        scheme = self.scheme
-        config = self.config
-        duration = timing.frame_window
-
-        def group_starts():
-            """``(window index, frame index)`` of each new-frame
-            window, walked in fixed-size chunks so memory stays flat
-            in run length."""
-            base = 0
-            while base < window_count:
-                size = min(_CADENCE_CHUNK, window_count - base)
-                due, new = timing.window_table(size, start=base)
-                for offset in np.flatnonzero(new):
-                    yield base + int(offset), int(due[offset])
-                base += size
-
-        frame_iter = iter(source)
-        vr_iter = iter(vr_work) if vr_work is not None else None
-        try:
-            current_frame = next(frame_iter)
-        except StopIteration:
-            raise SimulationError(
-                "cannot simulate an empty frame list"
-            ) from None
-        current_vr = next(vr_iter) if vr_iter is not None else None
-        pulled = 1
-
-        plan_key = scheme.plan_key()
-        phase_fn = getattr(scheme, "frame_phase", None)
-        strict = config.strict_deadlines
-        retain_full = retain_mode == "full"
-
-        plan_cache: Any = None
-        cache_prefix = None
-        if (
-            memo is not None
-            and plan_cache_active()
-            and hasattr(memo, "load_plan")
-        ):
-            try:
-                prefix = freeze(
-                    ("plan/v1", config, type(scheme).__qualname__)
-                )
-            except TypeError:
-                prefix = None
-            if prefix is not None:
-                plan_cache = memo
-                cache_prefix = hashlib.sha256(repr(prefix).encode())
-
-        state = PackageCState.C0
-        stats = RunStats()
-        timelines: list[Timeline] = []
-        summary = TimelineSummary()
-        entries: dict[tuple, _BatchEntry] = {}
-        order: list[_BatchEntry] = []
-        fresh_plans = 0
-        cache_hits = 0
-        cache_misses = 0
-
-        def resolve(
-            index: int,
-            kind: WindowKind,
-            frame_index: int,
-            effective_kind: str,
-            effective_new: bool,
-            wkey: tuple,
-        ) -> _BatchEntry:
-            """Plan (or cache-load) the first occurrence of ``wkey``."""
-            nonlocal plan_key, fresh_plans, cache_hits, cache_misses
-            cache_token = None
-            if plan_cache is not None:
-                try:
-                    frozen = repr(
-                        freeze(
-                            (
-                                plan_key,
-                                kind,
-                                effective_kind,
-                                wkey[3],
-                                wkey[4],
-                                current_vr,
-                                state,
-                                duration,
-                            )
-                        )
-                    )
-                except TypeError:
-                    frozen = None
-                if frozen is not None:
-                    hasher = cache_prefix.copy()
-                    hasher.update(frozen.encode())
-                    cache_token = hasher.hexdigest()
-                    cached = plan_cache.load_plan(cache_token)
-                    if cached is not None:
-                        if cached.result.deadline_missed and strict:
-                            raise DeadlineMissError(
-                                f"{scheme.name}: window {index} missed "
-                                f"its deadline"
-                            )
-                        cache_hits += 1
-                        entry = _BatchEntry(
-                            start=cached.start,
-                            result=cached.result,
-                            digest=cached.digest,
-                            final_state=cached.final_state,
-                            effective_kind=effective_kind,
-                            effective_new=effective_new,
-                            stored=True,
-                        )
-                        entries[wkey] = entry
-                        order.append(entry)
-                        return entry
-                    cache_misses += 1
-            plan = WindowPlan(
-                index=index,
-                start=index * duration,
-                duration=duration,
-                kind=kind,
-                frame_index=frame_index,
-            )
-            ctx = WindowContext(
-                config=config,
-                window=plan,
-                frame=current_frame,
-                vr=current_vr,
-                initial_state=state,
-            )
-            result = _stamp_content(
-                scheme.plan_window(ctx), current_frame
-            )
-            self._validate_window(plan, result)
-            if result.deadline_missed and strict:
-                raise DeadlineMissError(
-                    f"{scheme.name}: window {plan.index} missed its "
-                    f"deadline"
-                )
-            fresh_plans += 1
-            entry = _BatchEntry(
-                start=plan.start,
-                result=result,
-                digest=None,
-                final_state=result.timeline.segments[-1].state,
-                effective_kind=effective_kind,
-                effective_new=effective_new,
-            )
-            order.append(entry)
-            post_key = scheme.plan_key()
-            if post_key == plan_key:
-                # Planning left the scheme's state untouched, so the
-                # plan is safe to replay anywhere in the run — and in
-                # other runs, via the plan cache.
-                entry.stored = True
-                entries[wkey] = entry
-                if cache_token is not None:
-                    entry.digest = _plan_digest(
-                        result.timeline, effective_kind, duration
-                    )
-                    plan_cache.store_plan(
-                        cache_token,
-                        CachedPlan(
-                            start=entry.start,
-                            result=result,
-                            digest=entry.digest,
-                            final_state=entry.final_state,
-                        ),
-                    )
-            else:
-                plan_key = post_key
-            return entry
-
-        def replay(entry: _BatchEntry, index: int) -> None:
-            """Account one occurrence of ``entry`` at window ``index``."""
-            nonlocal state
-            entry.count += 1
-            if retain_full:
-                delta = index * duration - entry.start
-                if delta == 0.0:
-                    timelines.append(entry.result.timeline)
-                else:
-                    timelines.append(
-                        Timeline(
-                            [
-                                segment.shifted(delta)
-                                for segment in
-                                entry.result.timeline.segments
-                            ]
-                        )
-                    )
-            state = entry.final_state
-
-        starts = group_starts()
-        pending = next(starts, None)
-        while pending is not None:
-            i0, frame_index = pending
-            pending = next(starts, None)
-            i1 = pending[0] if pending is not None else window_count
-            while pulled <= frame_index:
-                try:
-                    current_frame = next(frame_iter)
-                except StopIteration:
-                    break
-                if vr_iter is not None:
-                    try:
-                        current_vr = next(vr_iter)
-                    except StopIteration:
-                        raise SimulationError(
-                            "vr_work exhausted before frames "
-                            f"(frame {pulled})"
-                        ) from None
-                pulled += 1
-            clamped = frame_index > pulled - 1
-            effective_new = not clamped
-            effective_kind = "new_frame" if effective_new else "repeat"
-            phase = (
-                phase_fn(frame_index)
-                if phase_fn is not None
-                else frame_index
-            )
-            # Key on the frame's *content*: sources may re-issue the
-            # same frame under fresh indices (e.g. ambient redraws),
-            # and schemes plan from content alone (see DisplayScheme).
-            frame_token = (
-                current_frame.frame_type,
-                current_frame.encoded_bytes,
-                current_frame.decoded_bytes,
-                current_frame.attributes,
-            )
-            wkey = (
-                plan_key,
-                WindowKind.NEW_FRAME,
-                effective_kind,
-                phase,
-                frame_token,
-                current_vr,
-                state,
-                duration,
-            )
-            entry = entries.get(wkey)
-            if entry is None:
-                entry = resolve(
-                    i0, WindowKind.NEW_FRAME, frame_index,
-                    effective_kind, effective_new, wkey,
-                )
-            replay(entry, i0)
-
-            remaining = i1 - i0 - 1
-            index = i0 + 1
-            while remaining > 0:
-                wkey = (
-                    plan_key,
-                    WindowKind.REPEAT,
-                    "repeat",
-                    None,
-                    frame_token,
-                    current_vr,
-                    state,
-                    duration,
-                )
-                entry = entries.get(wkey)
-                if entry is None:
-                    entry = resolve(
-                        index, WindowKind.REPEAT, frame_index,
-                        "repeat", False, wkey,
-                    )
-                if (
-                    not retain_full
-                    and entry.stored
-                    and entry.final_state is state
-                ):
-                    # Steady state: the window re-enters its own entry
-                    # state, so every remaining repeat in the group is
-                    # this same plan — account them all at once.
-                    entry.count += remaining
-                    break
-                replay(entry, index)
-                index += 1
-                remaining -= 1
-
-        for entry in order:
-            count = entry.count
-            result = entry.result
-            stats.windows += count
-            if entry.effective_new:
-                stats.new_frame_windows += count
-            else:
-                stats.repeat_windows += count
-            stats.deadline_misses += count * int(result.deadline_missed)
-            stats.vd_wakes += count * result.vd_wakes
-            stats.psr_windows += count * int(result.used_psr)
-            stats.bypassed_windows += count * int(result.bypassed_dram)
-            stats.burst_windows += count * int(result.burst)
-            if entry.digest is not None:
-                summary.absorb_scaled(entry.digest, count)
-            elif count == 1:
-                # Unique window: fold its segments straight into the
-                # run summary — one pass, exactly the scalar loop.
-                timeline = result.timeline
-                kind = entry.effective_kind
-                for segment in timeline.segments:
-                    summary.add_segment(segment, kind)
-                summary.close_window(kind, duration, timeline.duration)
-            else:
-                summary.absorb_scaled(
-                    _plan_digest(
-                        result.timeline, entry.effective_kind, duration
-                    ),
-                    count,
-                )
-
-        run = RunResult(
-            scheme=scheme.name,
-            config=config,
-            timeline=(
-                Timeline.concatenate(timelines) if retain_full else None
-            ),
-            stats=stats,
-            video_fps=video_fps,
-            summary=summary,
-            cache_key=key,
-        )
-        registry = obs_metrics.registry()
-        registry.histogram(
-            "sim.window_s", "planned refresh-window durations (s)",
-            buckets=obs_metrics.LATENCY_BUCKETS,
-        ).observe_many(duration, stats.windows)
-        registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
-            "sim.batch.runs", "runs executed by the batch window engine"
-        ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(stats.deadline_misses)
-        registry.counter(
-            "sim.collapse.hit",
-            "windows replayed from the repeat-window memo",
-        ).inc(stats.windows - fresh_plans)
-        registry.counter(
-            "sim.collapse.miss",
-            "windows planned fresh with collapsing enabled",
-        ).inc(fresh_plans)
-        group_sizes = registry.histogram(
-            "sim.batch.group_windows",
-            "windows replayed per batch-engine plan group",
-        )
-        for entry in order:
-            group_sizes.observe(entry.count)
-        if plan_cache is not None:
-            registry.counter(
-                "sim.plan_cache.hit",
-                "plan groups first served from the cross-run plan cache",
-            ).inc(cache_hits)
-            registry.counter(
-                "sim.plan_cache.miss",
-                "plan-cache lookups that fell through to fresh planning",
-            ).inc(cache_misses)
-        if memo is not None and key is not None:
-            memo.store(key, run)
-        return run
-
-    def _validate_window(self, plan: WindowPlan,
-                         result: WindowResult) -> None:
-        timeline = result.timeline
-        if not timeline.segments:
-            raise SimulationError(
-                f"{self.scheme.name}: window {plan.index} is empty"
-            )
-        if abs(timeline.duration - plan.duration) > 1e-7:
-            raise SimulationError(
-                f"{self.scheme.name}: window {plan.index} covers "
-                f"{timeline.duration:.6f}s, expected {plan.duration:.6f}s"
-            )
-
 
 # ---------------------------------------------------------------------------
 # Incremental simulation: the push-driven front end for the serve plane
 # ---------------------------------------------------------------------------
-
-#: Effectively-infinite window count for the streaming cadence walker.
-#: ``RefreshTiming.windows`` is a ``range()``-driven generator, so the
-#: huge bound costs nothing and every yielded plan is bit-identical to
-#: the one a finite offline run would compute for the same index.
-_STREAM_HORIZON = 1 << 62
 
 
 @dataclass(frozen=True)
 class StreamingWindow:
     """One refresh window advanced by :class:`StreamingSimulator`.
 
-    Carries what a live observer prices per window: the plan, the
-    *effective* kind (a clamped cadence new-frame counts as a repeat),
-    and the one-window digest.  Collapse hits share the memo entry's
-    digest object, so ``id(digest)``-keyed pricing caches hit for free.
+    Carries what a live observer prices per window: its position, the
+    frame it presents, and the :class:`PlanGroup` the walker filed it
+    under (the group's plan *is* the window's plan, time-shifted).
+    ``replayed`` marks windows served from an earlier plan of the run
+    instead of planned fresh.
     """
 
-    plan: WindowPlan
-    effective_kind: str
-    digest: TimelineSummary
-    final_state: PackageCState
-    collapsed: bool
-    deadline_missed: bool
-
-    @property
-    def effective_new_frame(self) -> bool:
-        return self.effective_kind == "new_frame"
+    index: int
+    frame_index: int
+    duration: float
+    group: PlanGroup
+    replayed: bool
 
 
 class StreamingSimulator:
-    """The scalar simulator loop, inverted: frames are *pushed* in and
-    windows come out as the cadence allows.
+    """The cadence walker with frames *pushed* in: windows come out as
+    the cadence allows.
 
-    ``repro serve`` sessions feed frames as they arrive over the wire;
-    this class advances through exactly the code path of
-    :meth:`FrameWindowSimulator.run` at ``engine="scalar"`` — the same
-    :meth:`RefreshTiming.windows` plans, the same pull/clamp logic, the
-    same repeat-window collapsing, the same
-    :meth:`TimelineSummary.window_digest` absorption order — so the
-    final summary is byte-identical to the offline run of the same
+    ``repro serve`` sessions feed frames as they arrive over the wire
+    into a buffer the walker pulls from (an empty buffer reads as a dry
+    stream until the next push) — the same walker
+    :meth:`FrameWindowSimulator.run` drives, so the final summary is
+    byte-identical to the offline ``retain="summary"`` run of the same
     stream.  Live observation must not perturb the simulation; this is
     the invariant the serve acceptance test pins.
 
@@ -1316,12 +1098,9 @@ class StreamingSimulator:
     round(frames_seen * windows_per_frame)``); a caller that cannot
     advance is *stalled* (backpressure).  :meth:`end` declares the
     stream complete, fixing the total window count the way ``run()``
-    computes it, and drains the remaining windows (re-presenting the
-    last frame, clamped, exactly like an exhausted offline source).
-
-    Tracing and VR work are not supported — serve sessions are
-    untraced planar streams, which is also the precondition for
-    repeat-window collapsing.
+    computes it, drains the remaining windows (re-presenting the last
+    frame, clamped, exactly like an exhausted offline source) and
+    finishes the run.  VR work is not supported.
     """
 
     def __init__(
@@ -1330,41 +1109,18 @@ class StreamingSimulator:
         scheme: DisplayScheme,
         video_fps: float,
         max_windows: int | None = None,
-        collapse: bool | None = None,
     ) -> None:
-        self.config = config
-        self.scheme = scheme
-        self.video_fps = float(video_fps)
         self.max_windows = max_windows
-        self._timing = RefreshTiming(
-            config.panel.refresh_hz, video_fps
-        )
-        self._plans = self._timing.windows(_STREAM_HORIZON)
-        self._collapse_enabled = (
-            obs_trace.active() is None
-            and getattr(scheme, "plan_key", None) is not None
-            and (collapse is None or collapse)
-        )
-        self._window_seconds = obs_metrics.registry().histogram(
-            "sim.window_s", "planned refresh-window durations (s)",
-            buckets=obs_metrics.LATENCY_BUCKETS,
-        )
         self._buffer: "deque[FrameDescriptor]" = deque()
-        self._current_frame: FrameDescriptor | None = None
-        self._pulled = 0
+        self._records: list = []
+        self._walker = _CadenceWalker(
+            config, scheme, video_fps,
+            lambda: self._buffer.popleft() if self._buffer else None,
+            max_windows=max_windows, records=self._records,
+        )
         self.frames_seen = 0
         self._ended = False
-        self._done = False
-        self._next_index = 0
-        self._state = PackageCState.C0
-        self.stats = RunStats()
-        self.summary = TimelineSummary()
-        self._collapse_entry: _CollapseEntry | None = None
-        self._collapse_hits = 0
-        self._collapse_misses = 0
         self._result: RunResult | None = None
-
-    # -- feeding ------------------------------------------------------------
 
     def push(self, frame: FrameDescriptor) -> list[StreamingWindow]:
         """Append one frame and advance every window it unblocks."""
@@ -1372,23 +1128,17 @@ class StreamingSimulator:
             raise SimulationError(
                 "cannot push frames after the stream ended"
             )
-        if self._current_frame is None:
-            # The scalar loop pulls the first frame before any window.
-            self._current_frame = frame
-            self._pulled = 1
-        else:
-            self._buffer.append(frame)
+        self._buffer.append(frame)
         self.frames_seen += 1
         return self.advance()
 
     def end(self) -> list[StreamingWindow]:
-        """Declare the stream complete and drain remaining windows."""
+        """Declare the stream complete, drain remaining windows and
+        finish the run."""
         if self.frames_seen == 0:
             raise SimulationError("cannot simulate an empty frame list")
         self._ended = True
         return self.advance()
-
-    # -- advancing ----------------------------------------------------------
 
     @property
     def _horizon(self) -> int:
@@ -1400,7 +1150,7 @@ class StreamingSimulator:
         ``run()`` would compute for the same inputs.
         """
         natural = int(
-            round(self.frames_seen * self._timing.windows_per_frame)
+            round(self.frames_seen * self._walker.timing.windows_per_frame)
         )
         if self.max_windows is None:
             return natural
@@ -1409,162 +1159,48 @@ class StreamingSimulator:
         return min(natural, self.max_windows)
 
     def advance(self) -> list[StreamingWindow]:
-        """Advance every window currently allowed to run.
-
-        Open streams stop at the conservative horizon (no window may
-        outrun a frame that has not arrived); ended streams stop at
-        the run's total window count.  Returns the windows advanced
-        (possibly empty — the *stalled* case for an open stream).
-        """
-        produced: list[StreamingWindow] = []
-        while not self._done:
-            if self._next_index >= self._horizon:
-                if self._ended:
-                    self._done = True
-                break
-            produced.append(self._step(next(self._plans)))
-            self._next_index += 1
-        return produced
+        """Advance every window currently allowed to run (possibly none
+        — the *stalled* case for an open stream)."""
+        walker = self._walker
+        if self._result is None:
+            walker.walk(self._horizon)
+            if self._ended:
+                self._result = walker.finish()
+        windows = [
+            StreamingWindow(
+                index + offset, frame_index, walker.duration, group,
+                replayed,
+            )
+            for index, count, frame_index, group, replayed
+            in self._records
+            for offset in range(count)
+        ]
+        self._records.clear()
+        return windows
 
     @property
     def stalled(self) -> bool:
         """An open stream that cannot advance until frames arrive."""
-        return (
-            not self._ended and self._next_index >= self._horizon
-        )
+        return not self._ended and self._walker.index >= self._horizon
 
     @property
     def windows_simulated(self) -> int:
-        return self._next_index
+        return self._walker.index
+
+    @property
+    def simulated_s(self) -> float:
+        """Simulated seconds advanced so far."""
+        return self._walker.index * self._walker.duration
 
     @property
     def finished(self) -> bool:
-        return self._done
-
-    def _step(self, plan: WindowPlan) -> StreamingWindow:
-        while self._pulled <= plan.frame_index:
-            if not self._buffer:
-                break
-            self._current_frame = self._buffer.popleft()
-            self._pulled += 1
-        clamped = plan.frame_index > self._pulled - 1
-        effective_new_frame = plan.is_new_frame and not clamped
-        effective_kind = (
-            "new_frame" if effective_new_frame else "repeat"
-        )
-        ctx = WindowContext(
-            config=self.config,
-            window=plan,
-            frame=self._current_frame,  # type: ignore[arg-type]
-            vr=None,
-            initial_state=self._state,
-        )
-        self._window_seconds.observe(plan.duration)
-        window_key: tuple | None = None
-        if self._collapse_enabled:
-            window_key = (
-                self.scheme.plan_key(),
-                plan.kind,
-                plan.frame_index if plan.is_new_frame else None,
-                self._current_frame,
-                None,
-                self._state,
-                plan.duration,
-            )
-        entry = self._collapse_entry
-        if (
-            entry is not None
-            and window_key is not None
-            and entry.key == window_key
-        ):
-            self._collapse_hits += 1
-            self.stats.record(
-                plan, entry.result, new_frame=effective_new_frame
-            )
-            self.summary.absorb(entry.digest)
-            self._state = entry.final_state
-            return StreamingWindow(
-                plan=plan,
-                effective_kind=effective_kind,
-                digest=entry.digest,
-                final_state=self._state,
-                collapsed=True,
-                deadline_missed=entry.result.deadline_missed,
-            )
-        result = _stamp_content(
-            self.scheme.plan_window(ctx), self._current_frame
-        )
-        self._validate_window(plan, result)
-        if result.deadline_missed and self.config.strict_deadlines:
-            raise DeadlineMissError(
-                f"{self.scheme.name}: window {plan.index} missed its "
-                f"deadline"
-            )
-        self.stats.record(plan, result, new_frame=effective_new_frame)
-        digest = TimelineSummary.window_digest(
-            result.timeline, effective_kind, plan.duration
-        )
-        self.summary.absorb(digest)
-        self._state = result.timeline.segments[-1].state
-        if self._collapse_enabled:
-            self._collapse_misses += 1
-            self._collapse_entry = _CollapseEntry(
-                key=window_key,  # type: ignore[arg-type]
-                start=plan.start,
-                result=result,
-                digest=digest,
-                final_state=self._state,
-            )
-        return StreamingWindow(
-            plan=plan,
-            effective_kind=effective_kind,
-            digest=digest,
-            final_state=self._state,
-            collapsed=False,
-            deadline_missed=result.deadline_missed,
-        )
-
-    _validate_window = FrameWindowSimulator._validate_window
-
-    # -- completion ---------------------------------------------------------
+        return self._result is not None
 
     def result(self) -> RunResult:
-        """The completed run (summary retention), with the run-level
-        registry counters incremented exactly once."""
-        if not self._done:
+        """The completed run (summary retention)."""
+        if self._result is None:
             raise SimulationError(
                 "streaming run still has windows pending "
                 "(call end() first)"
             )
-        if self._result is not None:
-            return self._result
-        run = RunResult(
-            scheme=self.scheme.name,
-            config=self.config,
-            timeline=None,
-            stats=self.stats,
-            video_fps=self.video_fps,
-            summary=self.summary,
-            cache_key=None,
-        )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "sim.runs", "simulator runs completed (cache misses only)"
-        ).inc()
-        registry.counter(
-            "sim.windows", "refresh windows planned"
-        ).inc(self.stats.windows)
-        registry.counter(
-            "sim.deadline_misses", "windows that missed their deadline"
-        ).inc(self.stats.deadline_misses)
-        if self._collapse_enabled:
-            registry.counter(
-                "sim.collapse.hit",
-                "windows replayed from the repeat-window memo",
-            ).inc(self._collapse_hits)
-            registry.counter(
-                "sim.collapse.miss",
-                "windows planned fresh with collapsing enabled",
-            ).inc(self._collapse_misses)
-        self._result = run
-        return run
+        return self._result

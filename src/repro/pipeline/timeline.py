@@ -456,11 +456,10 @@ class TimelineSummary:
                       count: int) -> None:
         """Fold ``count`` back-to-back copies of ``other`` in at once.
 
-        The batch window engine replays one memoized window digest for
+        The cadence walker replays one memoized window digest for
         an entire plan-group in O(classes) work instead of ``count``
         :meth:`absorb` passes.  Totals scale linearly, so the result
-        matches repeated absorption up to float re-association (well
-        inside the engine's 1e-9 parity budget).
+        matches repeated absorption up to float re-association.
         """
         if count < 0:
             raise SimulationError("absorb count must be >= 0")

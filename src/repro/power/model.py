@@ -243,7 +243,7 @@ class PowerModel:
         segment class: every term's energy is linear (through the
         origin) in the quantity columns, so probing with unit
         quantities recovers the exact coefficient rows.  Cached per
-        ``(class, panel)`` — the batch engine prices the same handful
+        ``(class, panel)`` — the cadence walker prices the same handful
         of classes across thousands of reports."""
         cache_key = (cls_key, panel)
         coefficients = self._coefficients.get(cache_key)
@@ -279,7 +279,7 @@ class PowerModel:
         :meth:`repro.pipeline.batch.PlanMatrix.quantities`).  Returns
         the ``(classes, components)`` energy matrix in mJ, equal to
         calling :meth:`class_component_energies` per class up to float
-        re-association — the batch-engine backbone behind summary
+        re-association — the plan-group backbone behind summary
         reports.
         """
         columns = len(self.QUANTITY_COLUMNS)

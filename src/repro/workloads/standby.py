@@ -144,7 +144,6 @@ def ambient_standby_run(
     scheme: DisplayScheme,
     with_drfb: bool = False,
     retain: str | None = "summary",
-    collapse: bool | None = None,
 ) -> RunResult:
     """Simulate an ambient-standby session under ``scheme``.
 
@@ -162,7 +161,6 @@ def ambient_standby_run(
         workload.update_fps,
         max_windows=workload.window_count,
         retain=retain,
-        collapse=collapse,
     )
 
 

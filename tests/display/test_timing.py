@@ -28,6 +28,13 @@ class TestBasics:
         with pytest.raises(ConfigurationError):
             RefreshTiming(60, 0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_nonfinite_rates_rejected(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            RefreshTiming(bad, 30)
+        with pytest.raises(ConfigurationError, match="finite"):
+            RefreshTiming(60, bad)
+
 
 class TestCadence:
     def test_30_on_60(self):

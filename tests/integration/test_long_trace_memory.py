@@ -9,8 +9,12 @@ duration blows straight through the bound.
 
 import tracemalloc
 
-from repro.pipeline import ConventionalScheme
-from repro.pipeline.sim import install_run_memo
+from repro.config import FHD, skylake_tablet
+from repro.pipeline import ConventionalScheme, FrameWindowSimulator
+from repro.pipeline.builder import TimelineBuilder
+from repro.pipeline.sim import WindowResult, install_run_memo
+from repro.soc.cstates import PackageCState
+from repro.video.source import AnalyticContentModel, RepeatingFrameSource
 from repro.workloads.standby import (
     AmbientStandbyWorkload,
     ambient_standby_run,
@@ -46,4 +50,50 @@ def test_summary_mode_memory_is_flat_in_duration():
     assert ten_minutes <= one_minute * 1.25, (
         f"10-minute trace peaked at {ten_minutes} bytes, "
         f"1-minute at {one_minute} — summary mode is no longer O(1)"
+    )
+
+
+class _UnkeyedScheme:
+    """A scheme without ``plan_key()``: nothing is ever replayed."""
+
+    name = "unkeyed"
+
+    def plan_window(self, ctx):
+        builder = TimelineBuilder(
+            start=ctx.window.start, initial_state=ctx.initial_state
+        )
+        builder.add(ctx.window.duration, PackageCState.C8)
+        return WindowResult(timeline=builder.build())
+
+
+def _unkeyed_peak_bytes(frame_count):
+    config = skylake_tablet(FHD)
+    frame = AnalyticContentModel().frames(FHD, 1, seed=1)[0]
+    tracemalloc.start()
+    try:
+        run = FrameWindowSimulator(config, _UnkeyedScheme()).run(
+            RepeatingFrameSource(frame, frame_count), 30.0,
+            retain="summary",
+        )
+        assert run.stats.windows == 2 * frame_count
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_unreplayed_windows_fold_as_they_go():
+    """A run that never replays a plan holds no window for the
+    end-of-run fold: its memory is flat in length too."""
+    previous = install_run_memo(None)
+    try:
+        # Past the first cadence chunk, so both runs read the same
+        # chunked tables.
+        _unkeyed_peak_bytes(600)
+        short = _unkeyed_peak_bytes(1_200)
+        long = _unkeyed_peak_bytes(12_000)
+    finally:
+        install_run_memo(previous)
+    assert long <= short * 1.25, (
+        f"{long} bytes at 24,000 windows vs {short} at 2,400"
     )

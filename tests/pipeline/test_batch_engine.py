@@ -1,4 +1,10 @@
-"""The batch window engine and the cross-run plan cache."""
+"""The cadence walker's plan groups and the cross-run plan cache.
+
+Untraced runs replay each distinct plan from its group; a traced run
+plans every window fresh.  Both go through the same groups and the same
+end-of-run fold, so their stats and summaries are equal."""
+
+import json
 
 import dataclasses
 
@@ -6,16 +12,11 @@ import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme, FrameBurstingScheme
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.pipeline.sim import (
-    default_engine,
-    install_run_memo,
-    set_default_engine,
-    set_plan_cache,
-)
+from repro.pipeline.sim import install_run_memo, set_plan_cache
 from repro.power import PowerModel
 from repro.video.source import AnalyticContentModel, RepeatingFrameSource
 
@@ -41,6 +42,18 @@ def _run(config, scheme, frames, fps, **kwargs):
     return FrameWindowSimulator(config, scheme).run(
         frames, fps, **kwargs
     )
+
+
+def _traced(config, scheme, frames, fps, **kwargs):
+    with obs_trace.tracing():
+        return _run(config, scheme, frames, fps, **kwargs)
+
+
+def _assert_same_summary(reference, other):
+    assert other.stats == reference.stats
+    assert json.dumps(
+        other.summary.to_payload(), sort_keys=True
+    ) == json.dumps(reference.summary.to_payload(), sort_keys=True)
 
 
 def _assert_same_aggregates(reference, other, rel=1e-9):
@@ -80,70 +93,56 @@ def _assert_same_power(reference, other, rel=1e-9):
 
 
 class TestEngineSelection:
-    def test_default_engine_round_trip(self):
-        previous = set_default_engine("scalar")
-        try:
-            assert default_engine() == "scalar"
-        finally:
-            set_default_engine(previous)
-
-    def test_unknown_engine_rejected(self, fhd_config, frames):
-        with pytest.raises(SimulationError):
-            _run(
-                fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="bogus",
-            )
-
-    def test_set_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError):
-            set_default_engine("bogus")
+    """One walker; an active tracer is the only thing that turns its
+    plan memo off."""
 
     def test_batch_engine_runs_by_default(self, fhd_config, frames):
-        before = _counter("sim.batch.runs")
-        _run(fhd_config, ConventionalScheme(), frames, 30.0)
-        assert _counter("sim.batch.runs") == before + 1
+        before = _counter("sim.collapse.hit")
+        # 15 FPS on 60 Hz: three repeat windows per frame replay plans.
+        _run(fhd_config, ConventionalScheme(), frames, 15.0)
+        assert _counter("sim.collapse.hit") > before
 
-    def test_collapse_off_forces_scalar(self, fhd_config, frames):
-        before = _counter("sim.batch.runs")
-        _run(
-            fhd_config, ConventionalScheme(), frames, 30.0,
-            collapse=False,
-        )
-        assert _counter("sim.batch.runs") == before
+    @pytest.mark.parametrize("max_windows", [0, -3])
+    def test_bad_window_cap_rejected(self, fhd_config, frames, max_windows):
+        with pytest.raises(ConfigurationError, match="max_windows"):
+            _run(
+                fhd_config, ConventionalScheme(), frames, 30.0,
+                max_windows=max_windows,
+            )
 
 
 class TestTracedFallback:
-    """An active tracer must force the scalar loop even when the batch
-    engine is requested explicitly — golden traces stay byte-exact."""
+    """A traced run plans every window fresh — the spans cover every
+    window — and still lands on the untraced run's stats and summary."""
 
     def test_tracer_forces_scalar(self, fhd_config, frames):
-        before = _counter("sim.batch.runs")
-        with obs_trace.tracing():
-            traced = _run(
-                fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="batch",
-            )
-        assert _counter("sim.batch.runs") == before
+        before_hit = _counter("sim.collapse.hit")
+        before_miss = _counter("sim.collapse.miss")
+        traced = _traced(
+            fhd_config, ConventionalScheme(), frames, 30.0,
+            retain="summary",
+        )
+        assert _counter("sim.collapse.hit") == before_hit
+        assert (
+            _counter("sim.collapse.miss") - before_miss
+            == traced.stats.windows
+        )
         untraced = _run(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            engine="batch",
+            retain="summary",
         )
-        assert _counter("sim.batch.runs") == before + 1
-        _assert_same_aggregates(traced, untraced)
+        _assert_same_summary(traced, untraced)
 
     def test_traced_spans_unchanged_by_engine(self, fhd_config, frames):
         with obs_trace.tracing() as tracer:
-            _run(
-                fhd_config, ConventionalScheme(), frames, 30.0,
-                engine="batch",
-            )
+            run = _run(fhd_config, ConventionalScheme(), frames, 30.0)
         names = [
             event.get("name")
             for event in tracer.events
             if event.get("kind") == "B"
         ]
-        assert "sim.run" in names
-        assert "sim.window" in names
+        assert names.count("sim.run") == 1
+        assert names.count("sim.window") == run.stats.windows
 
 
 class TestBatchParity:
@@ -164,23 +163,22 @@ class TestBatchParity:
         config = (
             fhd_config.with_drfb() if needs_drfb else fhd_config
         )
-        scalar = _run(
-            config, scheme_cls(), frames, 30.0,
-            retain=retain, engine="scalar",
+        traced = _traced(
+            config, scheme_cls(), frames, 30.0, retain=retain
         )
-        batch = _run(
-            config, scheme_cls(), frames, 30.0,
-            retain=retain, engine="batch",
-        )
-        _assert_same_aggregates(scalar, batch)
-        _assert_same_power(scalar, batch)
+        untraced = _run(config, scheme_cls(), frames, 30.0, retain=retain)
+        # The summary is exact either way; a full timeline holds fresh
+        # plans when traced and time-shifted replays when not.
+        _assert_same_summary(traced, untraced)
+        _assert_same_aggregates(traced, untraced)
+        _assert_same_power(traced, untraced)
 
     def test_full_retain_timeline_is_contiguous(
         self, fhd_config, frames
     ):
         run = _run(
             fhd_config, ConventionalScheme(), frames, 15.0,
-            retain="full", engine="batch",
+            retain="full",
         )
         segments = run.timeline.segments
         for previous, current in zip(segments, segments[1:]):
@@ -190,41 +188,38 @@ class TestBatchParity:
 
     def test_clamped_stream_matches_scalar(self, fhd_config):
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
-        scalar = _run(
+        traced = _traced(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            max_windows=40, engine="scalar",
+            max_windows=40,
         )
-        batch = _run(
+        untraced = _run(
             fhd_config, ConventionalScheme(), frames, 30.0,
-            max_windows=40, engine="batch",
+            max_windows=40,
         )
-        assert batch.stats == scalar.stats
-        assert batch.stats.windows == 40
-        _assert_same_aggregates(scalar, batch)
+        assert untraced.stats.windows == 40
+        _assert_same_summary(traced, untraced)
 
     def test_stateful_scheme_matches_scalar(self, fhd_config, frames):
         from repro.baselines import FrameBufferCompressionScheme
 
-        scalar = _run(
-            fhd_config, FrameBufferCompressionScheme(), frames, 30.0,
-            engine="scalar",
+        traced = _traced(
+            fhd_config, FrameBufferCompressionScheme(), frames, 30.0
         )
-        batch = _run(
-            fhd_config, FrameBufferCompressionScheme(), frames, 30.0,
-            engine="batch",
+        untraced = _run(
+            fhd_config, FrameBufferCompressionScheme(), frames, 30.0
         )
-        _assert_same_aggregates(scalar, batch)
-        _assert_same_power(scalar, batch)
+        _assert_same_summary(traced, untraced)
+        _assert_same_power(traced, untraced)
 
     def test_repeating_source_shares_plans(self, fhd_config):
-        """Re-indexed copies of one frame must share a single batch
-        entry: the engine keys on frame content, not the descriptor."""
+        """Re-indexed copies of one frame must share a single plan
+        group: the walker keys on frame content, not the descriptor."""
         frame = AnalyticContentModel().frames(FHD, 1, seed=9)[0]
         source = RepeatingFrameSource(frame, 12)
         before = _counter("sim.collapse.miss")
         run = _run(
             fhd_config, ConventionalScheme(), source, 30.0,
-            max_windows=24, engine="batch",
+            max_windows=24,
         )
         fresh = _counter("sim.collapse.miss") - before
         # One new-frame plan + at most a couple of repeat plans; the
@@ -238,8 +233,7 @@ class TestBatchCounters:
         before_hit = _counter("sim.collapse.hit")
         before_miss = _counter("sim.collapse.miss")
         run = _run(
-            fhd_config, ConventionalScheme(), frames, 15.0,
-            engine="batch",
+            fhd_config, ConventionalScheme(), frames, 15.0
         )
         hits = _counter("sim.collapse.hit") - before_hit
         misses = _counter("sim.collapse.miss") - before_miss
@@ -252,8 +246,7 @@ class TestBatchCounters:
         )
         before = histogram.count
         _run(
-            fhd_config, ConventionalScheme(), frames, 15.0,
-            engine="batch",
+            fhd_config, ConventionalScheme(), frames, 15.0
         )
         assert histogram.count > before
 
@@ -263,8 +256,7 @@ class TestBatchCounters:
         before_hit = _counter("sim.plan_cache.hit")
         before_miss = _counter("sim.plan_cache.miss")
         _run(
-            fhd_config, ConventionalScheme(), frames, 30.0,
-            engine="batch",
+            fhd_config, ConventionalScheme(), frames, 30.0
         )
         assert _counter("sim.plan_cache.hit") == before_hit
         assert _counter("sim.plan_cache.miss") == before_miss
@@ -355,13 +347,12 @@ class TestPlanCache:
         )
         assert plan_cache.stats.plan_hits > 0
         install_run_memo(None)
-        scalar = _run(
+        traced = _traced(
             fhd_config, ConventionalScheme(),
             RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-            engine="scalar",
         )
-        _assert_same_aggregates(scalar, warm)
-        _assert_same_power(scalar, warm)
+        _assert_same_aggregates(traced, warm)
+        _assert_same_power(traced, warm)
 
     def test_strict_deadlines_raise_through_batch(self, plan_cache):
         from repro.errors import DeadlineMissError

@@ -79,6 +79,15 @@ class TestRun:
                 fhd_config, ConventionalScheme()
             ).run([], 30.0)
 
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf")])
+    def test_nonfinite_fps_rejected(self, fhd_config, frames, fps):
+        from repro.errors import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="finite"):
+            FrameWindowSimulator(fhd_config, ConventionalScheme()).run(
+                frames, fps
+            )
+
     def test_broken_scheme_detected(self, fhd_config, frames):
         with pytest.raises(SimulationError):
             FrameWindowSimulator(fhd_config, BrokenScheme()).run(
@@ -178,23 +187,36 @@ class TestWindowContext:
         assert ctx.display_bytes == 2e6
 
 
-class TestRunStats:
-    def test_record_accumulates(self):
-        from repro.display.timing import RefreshTiming
+class FlaggedScheme:
+    """Every window sets every per-window flag the stats count."""
 
-        stats = RunStats()
-        plan = next(iter(RefreshTiming(60, 30).windows(1)))
-        builder = TimelineBuilder(initial_state=PackageCState.C8)
-        builder.add(plan.duration, PackageCState.C8)
-        result = WindowResult(
+    name = "flagged"
+
+    def plan_window(self, ctx):
+        builder = TimelineBuilder(
+            start=ctx.window.start, initial_state=PackageCState.C8
+        )
+        builder.add(ctx.window.duration, PackageCState.C8)
+        return WindowResult(
             timeline=builder.build(),
             used_psr=True,
             vd_wakes=3,
             bypassed_dram=True,
             burst=True,
         )
-        stats.record(plan, result)
-        assert stats.psr_windows == 1
-        assert stats.vd_wakes == 3
-        assert stats.bypassed_windows == 1
-        assert stats.burst_windows == 1
+
+
+class TestRunStats:
+    def test_record_accumulates(self, fhd_config, frames):
+        stats = FrameWindowSimulator(fhd_config, FlaggedScheme()).run(
+            frames[:2], 30.0
+        ).stats
+        assert stats == RunStats(
+            windows=4,
+            new_frame_windows=2,
+            repeat_windows=2,
+            vd_wakes=12,
+            psr_windows=4,
+            bypassed_windows=4,
+            burst_windows=4,
+        )

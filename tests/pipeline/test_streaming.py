@@ -1,10 +1,10 @@
-"""Streaming retention modes and repeat-window collapsing."""
+"""Streaming retention modes, plan replay, and the push front end."""
 
 import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
@@ -32,6 +32,14 @@ def frames():
 
 def _counter(name):
     return obs_metrics.registry().counter(name, "").value
+
+
+def _fresh(config, scheme, frames, fps, **kwargs):
+    """The run with every window planned fresh (a tracer is active)."""
+    with obs_trace.tracing():
+        return FrameWindowSimulator(config, scheme).run(
+            frames, fps, **kwargs
+        )
 
 
 def _assert_same_aggregates(reference, other, rel=1e-9):
@@ -133,22 +141,18 @@ class TestRetainModes:
 
 class TestCollapse:
     def test_collapse_matches_fresh_plans(self, fhd_config, frames):
-        fresh = FrameWindowSimulator(
-            fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, collapse=False)
+        fresh = _fresh(fhd_config, ConventionalScheme(), frames, 30.0)
         collapsed = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, collapse=True)
+        ).run(frames, 30.0)
         _assert_same_aggregates(fresh, collapsed)
         _assert_same_power(fresh, collapsed)
 
     def test_collapse_matches_for_burstlink(self, fhd_config, frames):
         config = fhd_config.with_drfb()
-        fresh = FrameWindowSimulator(config, BurstLinkScheme()).run(
-            frames, 30.0, collapse=False
-        )
+        fresh = _fresh(config, BurstLinkScheme(), frames, 30.0)
         collapsed = FrameWindowSimulator(config, BurstLinkScheme()).run(
-            frames, 30.0, collapse=True
+            frames, 30.0
         )
         _assert_same_aggregates(fresh, collapsed)
         _assert_same_power(fresh, collapsed)
@@ -160,33 +164,25 @@ class TestCollapse:
         # collapsible back-to-back windows.
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 15.0, collapse=True)
+        ).run(frames, 15.0)
         hits = _counter("sim.collapse.hit") - before_hit
         misses = _counter("sim.collapse.miss") - before_miss
         assert hits + misses == run.stats.windows
         assert hits > 0
 
-    def test_collapse_off_leaves_counters(self, fhd_config, frames):
-        before_hit = _counter("sim.collapse.hit")
-        before_miss = _counter("sim.collapse.miss")
-        FrameWindowSimulator(fhd_config, ConventionalScheme()).run(
-            frames, 15.0, collapse=False
-        )
-        assert _counter("sim.collapse.hit") == before_hit
-        assert _counter("sim.collapse.miss") == before_miss
-
     def test_tracer_disables_collapse(self, fhd_config, frames):
         before_hit = _counter("sim.collapse.hit")
         before_miss = _counter("sim.collapse.miss")
-        with obs_trace.tracing():
-            traced = FrameWindowSimulator(
-                fhd_config, ConventionalScheme()
-            ).run(frames, 15.0, collapse=True)
+        traced = _fresh(fhd_config, ConventionalScheme(), frames, 15.0)
+        # Every window planned fresh: no replays, one miss per window.
         assert _counter("sim.collapse.hit") == before_hit
-        assert _counter("sim.collapse.miss") == before_miss
+        assert (
+            _counter("sim.collapse.miss") - before_miss
+            == traced.stats.windows
+        )
         untraced = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 15.0, collapse=True)
+        ).run(frames, 15.0)
         _assert_same_aggregates(traced, untraced)
 
 
@@ -200,7 +196,7 @@ class TestExhaustedStreamClamp:
         # for 40 and the last 32 re-present frame 3.
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        ).run(frames, 30.0, max_windows=40)
         assert run.stats.windows == 40
         assert run.stats.new_frame_windows == 4
         assert run.stats.repeat_windows == 36
@@ -209,7 +205,7 @@ class TestExhaustedStreamClamp:
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
         run = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        ).run(frames, 30.0, max_windows=40)
         # Only 4 frames were ever presented over 40/60 s.
         assert run.effective_fps == pytest.approx(4 / run.duration)
         assert run.effective_fps < 30.0
@@ -220,19 +216,19 @@ class TestExhaustedStreamClamp:
             fhd_config, ConventionalScheme()
         ).run(
             frames, 30.0, max_windows=40, retain="summary",
-            collapse=False,
         )
         assert run.summary.window_counts["new_frame"] == 4
         assert run.summary.window_counts["repeat"] == 36
 
     def test_clamp_identical_with_collapse(self, fhd_config):
         frames = AnalyticContentModel().frames(FHD, 4, seed=2)
-        fresh = FrameWindowSimulator(
-            fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=False)
+        fresh = _fresh(
+            fhd_config, ConventionalScheme(), frames, 30.0,
+            max_windows=40,
+        )
         collapsed = FrameWindowSimulator(
             fhd_config, ConventionalScheme()
-        ).run(frames, 30.0, max_windows=40, collapse=True)
+        ).run(frames, 30.0, max_windows=40)
         _assert_same_aggregates(fresh, collapsed)
 
 
@@ -276,7 +272,7 @@ class TestStreamingSimulator:
 
     def _offline(self, config, scheme, frames, **kw):
         return FrameWindowSimulator(config, scheme).run(
-            frames, 30.0, retain="summary", engine="scalar", **kw
+            frames, 30.0, retain="summary", **kw
         )
 
     def _payload(self, run):
@@ -336,9 +332,7 @@ class TestStreamingSimulator:
         for frame in frames:
             windows = streaming.push(frame)
             for window in windows:
-                assert not window.plan.is_new_frame or (
-                    window.plan.frame_index < streaming.frames_seen
-                )
+                assert window.frame_index < streaming.frames_seen
             advanced += len(windows)
         assert streaming.stalled
         advanced += len(streaming.end())
@@ -401,8 +395,7 @@ class TestStreamingSimulator:
 
         config = skylake_tablet(FHD)
         # 10 fps video on the 60 Hz panel: five consecutive repeat
-        # windows per frame, and consecutive repeats share a collapse
-        # key (the collapse cache holds exactly the previous window).
+        # windows per frame, replayed from the run's earlier plans.
         streaming = StreamingSimulator(
             config, ConventionalScheme(), 10.0
         )
@@ -417,7 +410,17 @@ class TestStreamingSimulator:
                 )
             )
         windows += streaming.end()
-        assert sum(w.collapsed for w in windows) > 0
+        assert sum(w.replayed for w in windows) > 0
         run = streaming.result()
         assert run.stats.windows == streaming.windows_simulated
         assert run.stats.windows == len(windows)
+
+    @pytest.mark.parametrize("max_windows", [0, -3])
+    def test_bad_window_cap_rejected(self, max_windows):
+        from repro.pipeline import StreamingSimulator
+
+        with pytest.raises(ConfigurationError, match="max_windows"):
+            StreamingSimulator(
+                skylake_tablet(FHD), ConventionalScheme(), 30.0,
+                max_windows=max_windows,
+            )

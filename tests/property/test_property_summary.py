@@ -6,22 +6,39 @@ Two families of properties gate the streaming core:
   analysis layer reads from a materialized :class:`Timeline` — duration,
   residencies, transition count/time, DRAM/eDP byte totals — to 1e-12
   relative, for arbitrary builder-generated segment streams; and
-* repeat-window collapsing is invisible: collapse-on and collapse-off
-  runs produce identical :class:`RunStats` and matching per-component
-  power breakdowns for randomized scheme/fps/frame-count combinations.
+* plan-group replay is invisible: an untraced run (the walker's memo
+  on) and a traced run (every window planned fresh) produce equal
+  :class:`RunStats` and byte-equal summaries for randomized
+  scheme/resolution/fps/frame-count/window-cap combinations, and so
+  does pushing the same frames, in random chunks, through the
+  :class:`StreamingSimulator`.
 """
+
+import json
+
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import FHD, skylake_tablet
+from repro.baselines import (
+    FrameBufferCompressionScheme,
+    VipScheme,
+    ZhangScheme,
+)
+from repro.config import FHD, QHD, skylake_tablet
 from repro.core import (
     BurstLinkScheme,
     FrameBufferBypassScheme,
     FrameBurstingScheme,
+    WindowedVideoScheme,
 )
-from repro.pipeline import ConventionalScheme, FrameWindowSimulator
+from repro.obs.trace import tracing
+from repro.pipeline import (
+    ConventionalScheme,
+    FrameWindowSimulator,
+    StreamingSimulator,
+)
 from repro.pipeline.builder import TimelineBuilder
 from repro.pipeline.sim import install_run_memo
 from repro.pipeline.timeline import TimelineSummary
@@ -140,35 +157,96 @@ scheme_specs = st.sampled_from(
 )
 
 
-@given(
-    scheme_specs,
-    st.integers(min_value=2, max_value=6),
-    st.sampled_from([10.0, 15.0, 30.0]),
-    st.integers(min_value=0, max_value=4),
+#: Every scheme family the walker treats differently: stateless,
+#: stateful (``plan_key()`` changes as it plans), index-dependent
+#: (``frame_phase``), and one without ``plan_key()`` (memo always off).
+walker_schemes = st.sampled_from(
+    [
+        (ConventionalScheme, False),
+        (BurstLinkScheme, True),
+        (FrameBurstingScheme, True),
+        (FrameBufferBypassScheme, False),
+        (FrameBufferCompressionScheme, False),
+        (VipScheme, False),
+        (ZhangScheme, False),
+        (WindowedVideoScheme, True),
+    ]
 )
-@settings(max_examples=25, deadline=None)
-def test_collapse_is_invisible(spec, frame_count, fps, seed):
+frame_rates = st.sampled_from([10.0, 15.0, 24.0, 30.0, 60.0])
+window_caps = st.one_of(st.none(), st.integers(min_value=1, max_value=40))
+
+
+def _case(spec, resolution, frame_count, seed):
     factory, needs_drfb = spec
-    config = skylake_tablet(FHD)
+    config = skylake_tablet(resolution)
     if needs_drfb:
         config = config.with_drfb()
-    frames = AnalyticContentModel().frames(FHD, frame_count, seed=seed)
-    fresh = FrameWindowSimulator(config, factory()).run(
-        frames, fps, collapse=False
+    frames = AnalyticContentModel().frames(
+        resolution, frame_count, seed=seed
     )
-    collapsed = FrameWindowSimulator(config, factory()).run(
-        frames, fps, collapse=True
+    return factory, config, frames
+
+
+def _payload(run) -> str:
+    return json.dumps(run.summary.to_payload(), sort_keys=True)
+
+
+@given(
+    walker_schemes,
+    st.sampled_from([FHD, QHD]),
+    st.integers(min_value=1, max_value=10),
+    frame_rates,
+    window_caps,
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_collapse_is_invisible(
+    spec, resolution, frame_count, fps, max_windows, seed
+):
+    """Traced (memo off) and untraced runs are equal, not just close."""
+    factory, config, frames = _case(spec, resolution, frame_count, seed)
+    untraced = FrameWindowSimulator(config, factory()).run(
+        frames, fps, max_windows=max_windows, retain="summary"
     )
-    assert collapsed.stats == fresh.stats
-    reference = PowerModel().report(fresh)
-    replayed = PowerModel().report(collapsed)
-    assert replayed.total_energy_mj == pytest.approx(
-        reference.total_energy_mj, rel=1e-9
-    )
-    for component, mj in reference.by_component_mj.items():
-        assert replayed.by_component_mj[component] == pytest.approx(
-            mj, rel=1e-9, abs=1e-9
+    with tracing():
+        traced = FrameWindowSimulator(config, factory()).run(
+            frames, fps, max_windows=max_windows, retain="summary"
         )
+    assert traced.stats == untraced.stats
+    assert _payload(traced) == _payload(untraced)
+
+
+@given(
+    walker_schemes,
+    st.integers(min_value=1, max_value=10),
+    frame_rates,
+    window_caps,
+    st.lists(st.integers(min_value=1, max_value=4), max_size=10),
+    st.integers(min_value=0, max_value=2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_pushed_stream_matches_offline(
+    spec, frame_count, fps, max_windows, chunks, seed
+):
+    """Any chunking of a pushed stream gives the offline run's bytes."""
+    factory, config, frames = _case(spec, FHD, frame_count, seed)
+    offline = FrameWindowSimulator(config, factory()).run(
+        frames, fps, max_windows=max_windows, retain="summary"
+    )
+    streaming = StreamingSimulator(
+        config, factory(), fps, max_windows=max_windows
+    )
+    pushed = 0
+    advanced = 0
+    for size in chunks + [len(frames)]:
+        for frame in frames[pushed:pushed + size]:
+            advanced += len(streaming.push(frame))
+        pushed = min(pushed + size, len(frames))
+    advanced += len(streaming.end())
+    live = streaming.result()
+    assert advanced == live.stats.windows
+    assert live.stats == offline.stats
+    assert _payload(live) == _payload(offline)
 
 
 @given(
