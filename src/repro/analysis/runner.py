@@ -38,11 +38,7 @@ import os
 import tempfile
 import time
 from collections import OrderedDict
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
+from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -993,7 +989,7 @@ def run_exhibits(
         namespace="exhibits",
     )
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with dist.process_pool(workers) as pool:
             futures = [
                 pool.submit(
                     _exhibit_task,

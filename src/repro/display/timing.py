@@ -27,6 +27,9 @@ from ..errors import ConfigurationError
 class WindowKind(enum.Enum):
     """What a refresh window has to display."""
 
+    #: Identity hashing (see :class:`~repro.soc.cstates.PackageCState`).
+    __hash__ = object.__hash__
+
     #: A new video frame must be decoded and brought to the panel.
     NEW_FRAME = "new_frame"
     #: The previous frame is shown again (PSR-eligible).

@@ -20,11 +20,7 @@ exposition.
 from __future__ import annotations
 
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
+from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -330,7 +326,7 @@ def run_fleet(
         )
         spec_payload = spec.to_payload()
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with dist.process_pool(workers) as pool:
                 futures = {
                     pool.submit(
                         _fleet_shard_task,

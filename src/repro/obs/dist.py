@@ -35,7 +35,10 @@ import json
 import os
 import shutil
 import tempfile
+import threading
+import time
 import uuid
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable
@@ -357,6 +360,39 @@ def run_worker_task(
         done.update(summarize(result))
     _emit_heartbeat(context, worker_id, done)
     return result
+
+
+#: How often a pool worker checks that its parent is still alive (s).
+PARENT_POLL_S = 0.5
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Pool-worker initializer: exit once ``parent_pid`` is gone.
+
+    A SIGKILLed parent never shuts its pool down, and an idle worker
+    blocked on the task queue never sees EOF (forked siblings hold the
+    queue's write end), so it would wait forever under init.  A daemon
+    thread watches for the re-parenting instead.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    threading.Thread(
+        target=watch, name="exit-with-parent", daemon=True
+    ).start()
+
+
+def process_pool(workers: int) -> ProcessPoolExecutor:
+    """A process pool for fan-out work whose workers exit when this
+    process dies, however it dies."""
+    return ProcessPoolExecutor(
+        max_workers=workers,
+        initializer=_exit_with_parent,
+        initargs=(os.getpid(),),
+    )
 
 
 def record_fanout(

@@ -36,18 +36,44 @@ from .timeline import PanelMode, Segment, Timeline
 DEFAULT_MAX_EXCURSION_FRACTION = 0.2
 
 
-def _shallower(a: PackageCState, b: PackageCState) -> PackageCState:
-    return a if a.depth <= b.depth else b
+#: ``(current, target)`` -> latency of switching ``current`` ->
+#: ``target``: the target's entry latency when moving deeper, the
+#: current state's exit latency when moving shallower, zero when equal.
+_EXCURSION_LATENCY: dict[tuple[PackageCState, PackageCState], float] = {
+    (current, target): (
+        0.0 if current is target
+        else transition_cost(target).entry_latency
+        if target.depth > current.depth
+        else transition_cost(current).exit_latency
+    )
+    for current in PackageCState
+    for target in PackageCState
+}
+
+#: ``(current, target)`` -> ``(attributed state, label)`` of the
+#: excursion segment: the shallower of the two states, and the
+#: ``"C8->C2"`` transition label.
+_EXCURSION: dict[
+    tuple[PackageCState, PackageCState], tuple[PackageCState, str]
+] = {
+    (current, target): (
+        current if current.depth <= target.depth else target,
+        f"{current.label}->{target.label}",
+    )
+    for current in PackageCState
+    for target in PackageCState
+}
+
+#: Exit latency per state (the return leg of an idle round trip).
+_EXIT_LATENCY: dict[PackageCState, float] = {
+    state: transition_cost(state).exit_latency for state in PackageCState
+}
 
 
 def excursion_latency(current: PackageCState,
                       target: PackageCState) -> float:
     """Latency of switching ``current`` -> ``target`` (zero if equal)."""
-    if current is target:
-        return 0.0
-    if target.depth > current.depth:
-        return transition_cost(target).entry_latency
-    return transition_cost(current).exit_latency
+    return _EXCURSION_LATENCY[current, target]
 
 
 @dataclass
@@ -95,18 +121,19 @@ class TimelineBuilder:
         if duration == 0:
             return
         requested = duration
-        latency = excursion_latency(self._state, state)
+        latency = _EXCURSION_LATENCY[self._state, state]
         if latency > 0:
             excursion = min(latency, duration)
             if excursion >= duration:
                 self.squeezed_phases += 1
             panel = attrs.get("panel_mode", PanelMode.SELF_REFRESH)
+            shallower, transition_label = _EXCURSION[self._state, state]
             self.timeline.append(
                 Segment(
                     start=self._now,
                     end=self._now + excursion,
-                    state=_shallower(self._state, state),
-                    label=f"{self._state.label}->{state.label}",
+                    state=shallower,
+                    label=transition_label,
                     transition=True,
                     panel_mode=panel,  # type: ignore[arg-type]
                 )
@@ -160,9 +187,9 @@ class TimelineBuilder:
         ordered = sorted(candidates, key=lambda s: s.depth)
         chosen = ordered[0]
         for state in ordered:
-            cost = excursion_latency(self._state, state) + transition_cost(
-                state
-            ).exit_latency
+            cost = (
+                _EXCURSION_LATENCY[self._state, state] + _EXIT_LATENCY[state]
+            )
             if cost <= duration * max_excursion_fraction:
                 chosen = state
         self.add(duration, chosen, label=label, **attrs)

@@ -28,36 +28,17 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..soc.cstates import PackageCState
 from ..video.source import FrameDescriptor, FrameSource, as_frame_source
-from .batch import CachedPlan, PlanMatrix
+from .batch import CachedPlan
 from .timeline import PanelMode, Timeline, TimelineSummary
 
 #: What a run keeps: the full per-segment timeline, or only the online
 #: summary (O(1) memory for hours-long traces).
 RETAIN_MODES = ("full", "summary")
 
-#: Segment count at which the walker digests a fresh plan through
-#: :class:`~repro.pipeline.batch.PlanMatrix` instead of the scalar
-#: :meth:`TimelineSummary.window_digest` loop.  Both are bit-identical;
-#: below this, numpy array construction costs more than it saves.
-_MATRIX_MIN_SEGMENTS = 32
-
 #: Windows per cadence chunk.  The walker never materializes the whole
 #: window table — chunks keep its memory flat in run length (the
 #: long-trace memory gate pins this).
 _CADENCE_CHUNK = 1024
-
-
-def _plan_digest(
-    timeline: Timeline, kind: str, duration: float
-) -> TimelineSummary:
-    """One-window digest of a fresh plan, via the cheaper of the two
-    bit-identical paths (np.bincount accumulates weights sequentially in
-    row order, exactly the scalar loop)."""
-    if len(timeline.segments) >= _MATRIX_MIN_SEGMENTS:
-        return PlanMatrix.from_timeline(timeline, kind).digest(
-            kind, duration
-        )
-    return TimelineSummary.window_digest(timeline, kind, duration)
 
 
 def _stamp_content(
@@ -283,12 +264,20 @@ def freeze(value: Any) -> Any:
     if isinstance(value, enum.Enum):
         return ("e", type(value).__qualname__, value.name)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        attrs = (
+            vars(value) if hasattr(value, "__dict__")
+            # A slotted dataclass (e.g. Segment) holds exactly its fields.
+            else {
+                f.name: getattr(value, f.name)
+                for f in dataclasses.fields(value)
+            }
+        )
         return (
             "d",
             type(value).__qualname__,
             tuple(
                 (name, freeze(attr))
-                for name, attr in sorted(vars(value).items())
+                for name, attr in sorted(attrs.items())
             ),
         )
     if isinstance(value, (list, tuple)):
@@ -838,7 +827,7 @@ class _CadenceWalker:
                 group.stored = True
                 self.groups[wkey] = group
                 if token is not None:
-                    group.digest = _plan_digest(
+                    group.digest = TimelineSummary.window_digest(
                         timeline, effective_kind, self.duration
                     )
                     self.plan_cache.store_plan(
@@ -884,7 +873,7 @@ class _CadenceWalker:
             summary.close_window(kind, self.duration, timeline.duration)
         else:
             summary.absorb_scaled(
-                _plan_digest(
+                TimelineSummary.window_digest(
                     result.timeline, group.effective_kind, self.duration
                 ),
                 count,

@@ -24,6 +24,9 @@ _EPSILON = 1e-12
 class VdMode(enum.Enum):
     """What the video decoder is doing during a segment."""
 
+    #: Identity hashing (see :class:`PackageCState`).
+    __hash__ = object.__hash__
+
     OFF = "off"
     #: Racing at the maximum DVFS point (conventional; package C0).
     ACTIVE = "active"
@@ -36,6 +39,9 @@ class VdMode(enum.Enum):
 class PanelMode(enum.Enum):
     """What the panel is doing during a segment."""
 
+    #: Identity hashing (see :class:`PackageCState`).
+    __hash__ = object.__hash__
+
     #: Scanning pixels arriving live over the eDP link.
     LIVE = "live"
     #: Self-refreshing from its remote buffer (PSR).
@@ -43,9 +49,14 @@ class PanelMode(enum.Enum):
     OFF = "off"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
-    """One homogeneous stretch of a run."""
+    """One homogeneous stretch of a run.
+
+    Slotted: a fresh plan creates one per phase and excursion, and a
+    slotted record is both cheaper to build and smaller than a
+    dict-backed one.
+    """
 
     start: float
     end: float
@@ -354,6 +365,13 @@ class SegmentClass:
         )
 
 
+#: Segment attribute tuple (the :class:`SegmentClass` fields in order)
+#: -> its one shared class record.  A cache of equal immutable values,
+#: never stale; it stays small because segment labels and window kinds
+#: come from a fixed set in the schemes' code.
+_INTERNED_CLASSES: dict[tuple, SegmentClass] = {}
+
+
 @dataclass
 class ClassTotals:
     """Accumulated quantities for one segment class."""
@@ -412,16 +430,40 @@ class TimelineSummary:
 
     def add_segment(self, segment: Segment, window_kind: str = "") -> None:
         """Fold one segment into the totals (does not advance ``end``;
-        pair with :meth:`close_window` / :meth:`from_timeline`)."""
-        totals = self.buckets.setdefault(
-            SegmentClass.of(segment, window_kind), ClassTotals()
+        pair with :meth:`close_window` / :meth:`from_timeline`).
+
+        Equivalent to keying by :meth:`SegmentClass.of` and adding the
+        segment's ``duration`` and byte properties, with the same float
+        operations in the same order — just without building a class
+        record per segment.
+        """
+        attrs = (
+            segment.state,
+            segment.transition,
+            segment.cpu_active,
+            segment.gpu_active,
+            segment.vd_mode,
+            segment.dc_active,
+            segment.panel_mode,
+            segment.drfb_active,
+            segment.edp_rate > 0,
+            segment.label,
+            window_kind,
         )
-        totals.seconds += segment.duration
+        cls_key = _INTERNED_CLASSES.get(attrs)
+        if cls_key is None:
+            cls_key = _INTERNED_CLASSES[attrs] = SegmentClass(*attrs)
+        buckets = self.buckets
+        totals = buckets.get(cls_key)
+        if totals is None:
+            totals = buckets[cls_key] = ClassTotals()
+        duration = segment.end - segment.start
+        totals.seconds += duration
         totals.segments += 1
-        totals.dram_read_bytes += segment.dram_read_bytes
-        totals.dram_write_bytes += segment.dram_write_bytes
-        totals.edp_bytes += segment.edp_bytes
-        totals.apl_seconds += segment.apl_seconds
+        totals.dram_read_bytes += segment.dram_read_bw * duration
+        totals.dram_write_bytes += segment.dram_write_bw * duration
+        totals.edp_bytes += segment.edp_rate * duration
+        totals.apl_seconds += segment.apl * duration
 
     def close_window(self, kind: str, duration: float,
                      covered: float) -> None:

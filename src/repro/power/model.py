@@ -275,8 +275,8 @@ class PowerModel:
         """Price a quantity matrix in one vectorized pass.
 
         ``quantities`` is ``(len(cls_keys), len(QUANTITY_COLUMNS))``
-        with the :data:`QUANTITY_COLUMNS` per class (e.g.
-        :meth:`repro.pipeline.batch.PlanMatrix.quantities`).  Returns
+        with the :data:`QUANTITY_COLUMNS` per class (e.g. a summary's
+        bucket totals, as :meth:`report_summary` builds it).  Returns
         the ``(classes, components)`` energy matrix in mJ, equal to
         calling :meth:`class_component_energies` per class up to float
         re-association — the plan-group backbone behind summary

@@ -36,10 +36,21 @@ class PackageCState(enum.Enum):
     C9 = 9
     C10 = 10
 
-    @property
-    def depth(self) -> float:
-        """Numeric depth for ordering; deeper states save more power."""
-        return self.value
+    #: Members compare by identity, so they hash by identity too: the
+    #: inherited ``Enum.__hash__`` runs Python code on every dict lookup
+    #: (the summary fold and plan-group keys do millions per run).  No
+    #: output can depend on the old hash: it hashed the member's name,
+    #: and string hashes are randomized per process.
+    __hash__ = object.__hash__
+
+    def __init__(self, value: float) -> None:
+        # Plain attributes, not properties: the builder and every new
+        # segment's validation read them.
+        #: Numeric depth for ordering; deeper states save more power.
+        self.depth: float = value
+        #: Whether DRAM sits in self-refresh in this state (Table 1: DRAM
+        #: is active only in C0 and C2).
+        self.dram_in_self_refresh: bool = value not in (0, 2)
 
     @property
     def reporting_state(self) -> "PackageCState":
@@ -48,12 +59,6 @@ class PackageCState(enum.Enum):
         if self is PackageCState.C7_PRIME:
             return PackageCState.C7
         return self
-
-    @property
-    def dram_in_self_refresh(self) -> bool:
-        """Whether DRAM sits in self-refresh in this state (Table 1: DRAM
-        is active only in C0 and C2)."""
-        return self not in (PackageCState.C0, PackageCState.C2)
 
     @property
     def display_path_may_be_on(self) -> bool:

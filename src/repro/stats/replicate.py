@@ -23,11 +23,7 @@ paper anchor a sample per seed.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
+from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -241,7 +237,7 @@ def replicate_exhibits(
             namespace=STATS_NAMESPACE,
         )
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with dist.process_pool(workers) as pool:
                 futures = [
                     pool.submit(
                         _exhibit_task,
@@ -380,7 +376,7 @@ def replicate_expectations(
             namespace=STATS_NAMESPACE,
         )
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with dist.process_pool(workers) as pool:
                 futures = [
                     pool.submit(
                         _expectation_task,

@@ -19,6 +19,7 @@ Two content paths feed the pipeline:
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
@@ -108,8 +109,15 @@ class FrameDescriptor:
     attributes: "ContentAttributes | None" = None
 
     def __post_init__(self) -> None:
-        if self.encoded_bytes <= 0 or self.decoded_bytes <= 0:
-            raise ConfigurationError("frame sizes must be positive")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (
+            0 < self.encoded_bytes < math.inf
+            and 0 < self.decoded_bytes < math.inf
+        ):
+            raise ConfigurationError(
+                "frame sizes must be positive and finite, got "
+                f"{self.encoded_bytes!r}/{self.decoded_bytes!r}"
+            )
 
     def to_payload(self) -> dict[str, Any]:
         """The descriptor as a JSON-safe wire payload (the ``repro

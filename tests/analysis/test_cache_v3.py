@@ -15,9 +15,10 @@ from repro.analysis.runner import (
 from repro.config import FHD, skylake_tablet
 from repro.errors import ConfigurationError
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.pipeline.batch import CachedPlan, PlanMatrix
+from repro.pipeline.batch import CachedPlan
 from repro.display.timing import WindowKind, WindowPlan
 from repro.pipeline.sim import WindowContext
+from repro.pipeline.timeline import TimelineSummary
 from repro.soc.cstates import PackageCState
 from repro.video.source import AnalyticContentModel
 
@@ -36,11 +37,12 @@ def _plan():
             initial_state=PackageCState.C0,
         )
     )
-    matrix = PlanMatrix.from_timeline(result.timeline, "new_frame")
     return CachedPlan(
         start=window.start,
         result=result,
-        digest=matrix.digest("new_frame", window.duration),
+        digest=TimelineSummary.window_digest(
+            result.timeline, "new_frame", window.duration
+        ),
         final_state=result.timeline.segments[-1].state,
     )
 

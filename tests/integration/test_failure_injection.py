@@ -29,6 +29,40 @@ from repro.units import gbps, mbps
 from repro.video.source import AnalyticContentModel, StreamSource
 
 
+def _pool_workers(parent_pid):
+    """PIDs of the children ``parent_pid`` forked with its own command
+    line, i.e. its process-pool workers (empty where there is no
+    ``/proc``)."""
+    proc = Path("/proc")
+    try:
+        command = (proc / str(parent_pid) / "cmdline").read_bytes()
+    except OSError:
+        return []
+    workers = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+            cmdline = (entry / "cmdline").read_bytes()
+        except OSError:
+            continue
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        if ppid == parent_pid and cmdline == command:
+            workers.append(int(entry.name))
+    return workers
+
+
+def _exited(pid):
+    """Whether ``pid`` has exited: gone, or a zombie left for init to
+    reap."""
+    try:
+        stat = (Path("/proc") / str(pid) / "stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
 class TestInfeasibleConfigurations:
     def test_link_too_slow_is_rejected_at_construction(self):
         """A link that cannot feed the panel is a config error, not a
@@ -284,8 +318,19 @@ class TestFleetCrashRecovery:
             time.sleep(0.05)
         else:
             pytest.fail("no shards checkpointed within the deadline")
+        workers = _pool_workers(victim.pid)
+        if sys.platform.startswith("linux"):
+            assert len(workers) == 2, workers
         victim.send_signal(signal.SIGKILL)
         victim.wait(timeout=60)
+        # The orphaned pool workers notice their parent is gone and
+        # exit instead of idling under init forever.
+        deadline = time.monotonic() + 30
+        while not all(_exited(pid) for pid in workers):
+            assert time.monotonic() < deadline, (
+                f"pool workers outlived their killed parent: {workers}"
+            )
+            time.sleep(0.1)
 
         survivors = set(shards.glob("*.json"))
         assert survivors, "checkpoint lost its shards after SIGKILL"

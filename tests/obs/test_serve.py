@@ -96,6 +96,16 @@ class TestServiceOps:
         )
         assert not response["ok"]
 
+    def test_frames_reject_non_finite_sizes(self):
+        service = PowerAdvisorService()
+        _open(service, "nan")
+        frame = _frames(1)[0].to_payload()
+        frame["encoded_bytes"] = float("nan")
+        response = service.handle(
+            {"op": "frames", "session": "nan", "frames": [frame]}
+        )
+        assert not response["ok"] and "finite" in response["error"]
+
     def test_frames_advance_and_stall(self):
         service = PowerAdvisorService()
         _open(service, "adv")

@@ -1,8 +1,13 @@
 """Timeline and segment algebra."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.pipeline.sim import freeze
 from repro.pipeline.timeline import (
     PanelMode,
     Segment,
@@ -52,6 +57,51 @@ class TestSegment:
     def test_shifted(self):
         shifted = seg(0.0, 1.0, PackageCState.C8).shifted(5.0)
         assert (shifted.start, shifted.end) == (5.0, 6.0)
+
+    def test_frozen(self):
+        segment = seg(0.0, 1.0, PackageCState.C8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            segment.end = 2.0  # type: ignore[misc]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del segment.label  # type: ignore[misc]
+        with pytest.raises((AttributeError, TypeError)):
+            segment.extra = 1  # type: ignore[attr-defined]
+
+    def test_replace_revalidates(self):
+        segment = seg(0.0, 1.0, PackageCState.C2, dram_read_bw=5.0)
+        moved = dataclasses.replace(segment, apl=0.5, label="x")
+        assert (moved.apl, moved.label, moved.dram_read_bw) == (
+            0.5, "x", 5.0,
+        )
+        with pytest.raises(SimulationError):
+            dataclasses.replace(segment, state=PackageCState.C8)
+        with pytest.raises(SimulationError):
+            dataclasses.replace(segment, apl=1.5)
+
+    def test_pickle_and_copy_round_trip(self):
+        segment = seg(
+            0.25, 1.0, PackageCState.C7_PRIME, label="drain",
+            transition=True, edp_rate=3.0, vd_mode=VdMode.HALTED,
+            panel_mode=PanelMode.LIVE, drfb_active=True, apl=0.3,
+        )
+        for clone in (
+            pickle.loads(pickle.dumps(segment)),
+            copy.copy(segment),
+            copy.deepcopy(segment),
+        ):
+            assert clone == segment
+            assert hash(clone) == hash(segment)
+            assert clone.state is PackageCState.C7_PRIME
+
+    def test_freeze_covers_every_field(self):
+        segment = seg(0.0, 1.0, PackageCState.C8, label="idle")
+        tag, name, fields = freeze(segment)
+        assert (tag, name) == ("d", "Segment")
+        assert [field for field, _ in fields] == sorted(
+            f.name for f in dataclasses.fields(Segment)
+        )
+        assert freeze(segment) == freeze(copy.copy(segment))
+        assert freeze(segment) != freeze(segment.shifted(1.0))
 
 
 class TestTimelineStructure:

@@ -1,5 +1,7 @@
 """The analytic content model and the jitter-buffer stream source."""
 
+import json
+
 import pytest
 
 from repro.config import FHD, UHD_4K
@@ -14,6 +16,7 @@ from repro.video.source import (
     RepeatingFrameSource,
     StreamSource,
     as_frame_source,
+    descriptor_from_payload,
 )
 from repro.units import mbps
 
@@ -91,6 +94,23 @@ class TestAnalyticContentModel:
     def test_descriptor_validation(self):
         with pytest.raises(ConfigurationError):
             FrameDescriptor(0, FrameType.I, 0, 100)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_descriptor_rejects_non_finite_sizes(self, bad):
+        with pytest.raises(ConfigurationError, match="finite"):
+            FrameDescriptor(0, FrameType.P, bad, 3e6)
+        with pytest.raises(ConfigurationError, match="finite"):
+            FrameDescriptor(0, FrameType.P, 3e5, bad)
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_payload_rejects_non_finite_sizes(self, token):
+        # json.loads accepts these tokens, so they reach the serve plane.
+        payload = json.loads(
+            f'{{"type": "P", "encoded_bytes": {token}, '
+            f'"decoded_bytes": 3e6}}'
+        )
+        with pytest.raises(ConfigurationError, match="finite"):
+            descriptor_from_payload(payload)
 
 
 class TestFrameSources:
