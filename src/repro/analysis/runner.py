@@ -16,8 +16,8 @@ allows:
   optionally they also persist as JSON under ``.repro_cache/`` so a
   *repeated* full-suite regeneration starts warm.
 
-* :func:`run_exhibits` — fan-out of independent exhibits over a
-  :class:`~concurrent.futures.ProcessPoolExecutor`.  Exhibit functions
+* :func:`run_exhibits` — fan-out of independent exhibits over worker
+  processes (:func:`repro.obs.dist.fan_out`).  Exhibit functions
   are pure and deterministic, so results are bit-identical to a
   sequential run; outcomes are returned in request order regardless of
   completion order.  Each outcome carries an
@@ -38,7 +38,6 @@ import os
 import tempfile
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -839,10 +838,10 @@ def run_exhibit(name: str) -> ExhibitOutcome:
 
 def _apply_cache_dir(cache_dir: str | Path | None) -> None:
     """Point the process-wide cache at ``cache_dir`` (idempotent; a
-    ``None`` directory leaves the current cache untouched).  Shared by
-    the sequential path and the worker entry point, which must agree on
-    the layout or parallel runs would silently go cold."""
-    if cache_dir is None:
+    ``None`` directory leaves the current cache untouched, and a
+    disabled memo stays disabled).  Every exhibit task calls it, in
+    process or in a worker, so both agree on the layout."""
+    if cache_dir is None or sim.active_run_memo() is None:
         return
     cache = active_cache()
     if cache is None or cache.directory != Path(cache_dir):
@@ -861,39 +860,60 @@ def _metrics_heartbeat(outcome: ExhibitOutcome) -> dict[str, Any]:
     }
 
 
-def _exhibit_task(
-    name: str,
-    cache_dir: str | None,
-    context: "dist.TraceContext | None" = None,
-    task_index: int = 0,
-    retain: str | None = None,
-    seed_offset: int = 0,
-    label: str | None = None,
-) -> ExhibitOutcome:
-    """Worker-process entry point: configure the worker's cache (or
-    disable memoization when the parent traced with it disabled), the
-    retain default, and the content-seed offset, then regenerate one
-    exhibit under the shard protocol so its spans, metrics and
-    heartbeats reach the parent.  ``label`` overrides the heartbeat
-    task name (the replication engine tags tasks ``name@s<seed>``)."""
+@dataclass(frozen=True)
+class ExhibitTask:
+    """One exhibit regeneration as a :func:`repro.obs.dist.fan_out`
+    task (picklable, so it runs the same in-process or in a worker)."""
+
+    name: str
+    seed_offset: int = 0
+    retain: str | None = None
+    cache_dir: str | None = None
+    #: Heartbeat name and ``metrics.name`` of the outcome, when not the
+    #: exhibit name (the replication engine tags ``name@s<seed>``).
+    label: str | None = None
+
+    def __str__(self) -> str:
+        return self.label or self.name
+
+
+def run_exhibit_task(task: ExhibitTask) -> ExhibitOutcome:
+    """Regenerate one exhibit under the task's cache directory, retain
+    default and content-seed offset, restoring the latter two after."""
     from . import experiments
 
-    if context is not None and context.disable_memo:
-        sim.install_run_memo(None)
-    else:
-        _apply_cache_dir(cache_dir)
-    if retain is not None:
-        sim.set_default_retain(retain)
-    experiments.set_seed_offset(seed_offset)
-    if context is None:
-        return run_exhibit(name)
-    return dist.run_worker_task(
-        context,
-        task_index,
-        label or name,
-        lambda: run_exhibit(name),
-        summarize=_metrics_heartbeat,
+    _apply_cache_dir(task.cache_dir)
+    previous_retain = (
+        sim.set_default_retain(task.retain)
+        if task.retain is not None else None
     )
+    previous_offset = experiments.set_seed_offset(task.seed_offset)
+    try:
+        outcome = run_exhibit(task.name)
+    finally:
+        experiments.set_seed_offset(previous_offset)
+        if previous_retain is not None:
+            sim.set_default_retain(previous_retain)
+    if task.label is not None:
+        outcome.metrics = dataclasses.replace(
+            outcome.metrics, name=task.label
+        )
+    return outcome
+
+
+def select_exhibits(
+    names: tuple[str, ...] | list[str] | None,
+) -> list[str]:
+    """``names`` (default: the full registry) after checking each is a
+    registered exhibit."""
+    registry = exhibit_registry()
+    selected = list(names) if names is not None else list(registry)
+    unknown = [n for n in selected if n not in registry]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown exhibits: {', '.join(unknown)}"
+        )
+    return selected
 
 
 def run_exhibits(
@@ -917,107 +937,27 @@ def run_exhibits(
     :func:`repro.analysis.experiments.set_seed_offset`); 0 reproduces
     the canonical exhibits exactly.
 
-    Telemetry survives the fan-out: when a tracer is installed in the
-    calling process, workers record per-task trace shards that merge
-    back into it (one coherent stream, request order — see
-    :mod:`repro.obs.dist`), and every worker's metrics registry folds
-    into the parent registry, so aggregated counters match a
-    sequential run.  ``progress``, when given, receives one line per
-    exhibit start/finish (streamed live from worker heartbeats under
-    fan-out).
+    The fan-out is :func:`repro.obs.dist.fan_out` under the
+    ``"exhibits"`` namespace, so telemetry survives it: worker trace
+    shards merge back into the calling process's tracer (one coherent
+    stream, request order) and worker metrics registries fold into its
+    registry, so aggregated counters match a sequential run.
+    ``progress``, when given, receives one line per exhibit
+    start/finish (streamed live from worker heartbeats under fan-out).
     """
-    registry = exhibit_registry()
-    selected = list(names) if names is not None else list(registry)
-    unknown = [n for n in selected if n not in registry]
-    if unknown:
-        raise ConfigurationError(
-            f"unknown exhibits: {', '.join(unknown)}"
+    tasks = [
+        ExhibitTask(
+            name,
+            seed_offset=seed_offset,
+            retain=retain,
+            cache_dir=None if cache_dir is None else str(cache_dir),
         )
-    if jobs < 1:
-        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
-    sequential = jobs == 1 or len(selected) <= 1
-    # The worker count actually spawned, not the requested --jobs.
-    workers = 1 if sequential else min(jobs, len(selected))
-    tracer = obs_trace.active()
-    dist.record_fanout(
-        "exhibits", workers=workers, selected=len(selected)
+        for name in select_exhibits(names)
+    ]
+    return dist.fan_out(
+        "exhibits", tasks, run_exhibit_task, jobs,
+        summarize=_metrics_heartbeat, progress=progress,
     )
-    monitor = (
-        dist.ProgressMonitor(progress, total=len(selected))
-        if progress is not None
-        else None
-    )
-    if sequential:
-        from . import experiments
-
-        _apply_cache_dir(cache_dir)
-        previous_retain = (
-            sim.set_default_retain(retain) if retain is not None else None
-        )
-        previous_offset = experiments.set_seed_offset(seed_offset)
-        try:
-            outcomes = []
-            # Publish start/done heartbeats to a pinned telemetry
-            # plane (REPRO_HEARTBEAT_DIR) even without a worker pool.
-            emit_heartbeat = dist.pinned_heartbeat_emitter("exhibits")
-            for index, name in enumerate(selected):
-                start_record = dist.progress_record(
-                    "start", index, name
-                )
-                if emit_heartbeat is not None:
-                    emit_heartbeat(start_record)
-                if monitor is not None:
-                    monitor.feed(start_record)
-                outcome = run_exhibit(name)
-                done_record = dist.progress_record(
-                    "done", index, name, **_metrics_heartbeat(outcome)
-                )
-                if emit_heartbeat is not None:
-                    emit_heartbeat(done_record)
-                if monitor is not None:
-                    monitor.feed(done_record)
-                outcomes.append(outcome)
-            return outcomes
-        finally:
-            if previous_retain is not None:
-                sim.set_default_retain(previous_retain)
-            experiments.set_seed_offset(previous_offset)
-    context = dist.new_context(
-        collect_trace=tracer is not None,
-        disable_memo=sim.active_run_memo() is None,
-        heartbeat=monitor is not None,
-        namespace="exhibits",
-    )
-    try:
-        with dist.process_pool(workers) as pool:
-            futures = [
-                pool.submit(
-                    _exhibit_task,
-                    name,
-                    None if cache_dir is None else str(cache_dir),
-                    context,
-                    index,
-                    retain,
-                    seed_offset,
-                )
-                for index, name in enumerate(selected)
-            ]
-            if monitor is not None:
-                pending = set(futures)
-                while pending:
-                    _, pending = futures_wait(
-                        pending, timeout=0.1,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    monitor.poll(context)
-                monitor.poll(context)
-            outcomes = [future.result() for future in futures]
-        if tracer is not None:
-            dist.absorb_trace(tracer, context)
-        dist.merge_worker_metrics(obs_metrics.registry(), context)
-        return outcomes
-    finally:
-        dist.cleanup(context)
 
 
 def metrics_table(outcomes: list[ExhibitOutcome]) -> str:

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--jobs", type=int, default=1,
-        help="worker processes for multi-seed anchor measurement",
+        help="worker processes for anchor measurement",
     )
     validate.set_defaults(handler=cmd_validate)
 

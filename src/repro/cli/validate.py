@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 
+from ..errors import ConfigurationError
 from ..power.validation import validate_against_paper
 
 
@@ -15,6 +16,10 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     check."""
     from ..obs import drift
 
+    if args.seeds < 1:
+        raise ConfigurationError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.jobs < 1:
+        raise ConfigurationError(f"--jobs must be >= 1, got {args.jobs}")
     sections = (
         tuple(args.section) if args.section else drift.DRIFT_SECTIONS
     )
@@ -23,7 +28,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
             sections=sections, seeds=args.seeds, jobs=args.jobs
         )
     else:
-        report = drift.check_drift(sections=sections)
+        report = drift.check_drift(sections=sections, jobs=args.jobs)
     validation = validate_against_paper() if not args.section else None
     code = 0 if report.ok else 1
     if args.json:

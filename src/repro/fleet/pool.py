@@ -7,11 +7,12 @@ always in shard-index order, so float addition happens in one fixed
 order and an interrupted-and-resumed run reports byte-identically to
 an uninterrupted one.
 
-Parallel runs reuse the :mod:`repro.obs.dist` shard protocol under the
-``"fleet"`` task namespace: worker trace shards merge back into the
-parent tracer without colliding with figure-exhibit fan-outs, worker
-metrics registries fold into the parent registry, and start/done
-heartbeats stream the live ``--progress`` surface.  Fleet counters
+Shards fan out through :func:`repro.obs.dist.fan_out` under the
+``"fleet"`` task namespace, and each is checkpointed the moment it
+completes: worker trace shards merge back into the parent tracer
+without colliding with figure-exhibit fan-outs, worker metrics
+registries fold into the parent registry, and start/done heartbeats
+stream the live ``--progress`` surface.  Fleet counters
 (``fleet.devices_simulated``, ``fleet.shards_completed``, ...) flow
 through the process-wide registry and out the existing Prometheus
 exposition.
@@ -20,8 +21,8 @@ exposition.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Any, Callable
 
@@ -29,12 +30,10 @@ from ..analysis import runner
 from ..errors import ConfigurationError
 from ..obs import dist
 from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
-from ..pipeline import sim
 from .aggregate import FleetAggregate
 from .checkpoint import FleetCheckpoint
 from .sampler import sample_device, simulate_device
-from .spec import FleetSpec, spec_from_dict
+from .spec import FleetSpec
 
 #: The dist task namespace fleet shards run under.
 FLEET_NAMESPACE = "fleet"
@@ -134,56 +133,41 @@ def _shard_heartbeat(
     return record
 
 
-def _shard_name(index: int, start: int, stop: int) -> str:
-    return f"fleet shard {index} [{start}:{stop})"
+@dataclass(frozen=True)
+class _Shard:
+    """One shard of devices as a :func:`repro.obs.dist.fan_out` task."""
+
+    spec: FleetSpec
+    index: int
+    start: int
+    stop: int
+    cache_dir: str | None
+
+    def __str__(self) -> str:
+        return f"fleet shard {self.index} [{self.start}:{self.stop})"
 
 
-def _fleet_shard_task(
-    spec_payload: dict[str, Any],
-    shard_index: int,
-    start: int,
-    stop: int,
-    cache_dir: str | None,
-    context: dist.TraceContext,
-) -> dict[str, Any]:
-    """Worker entry: simulate one shard under the dist protocol and
-    return the shard aggregate as an exact JSON-safe payload."""
-    spec = spec_from_dict(spec_payload)
-    _ensure_fleet_cache(cache_dir)
-
-    def thunk() -> dict[str, Any]:
-        before = (
-            runner.active_cache().stats.snapshot()
-            if runner.active_cache() is not None
-            else None
-        )
-        began = time.perf_counter()
-        if context.disable_memo:
-            with runner.cache_disabled():
-                aggregate = _simulate_range(spec, start, stop)
-        else:
-            aggregate = _simulate_range(spec, start, stop)
-        wall_s = time.perf_counter() - began
-        obs_metrics.registry().counter(
-            "fleet.shards_completed", "fleet shards simulated"
-        ).inc()
-        obs_metrics.registry().histogram(
-            "fleet.shard_wall_s",
-            "wall-clock seconds per fleet shard",
-            buckets=obs_metrics.LATENCY_BUCKETS,
-        ).observe(wall_s)
-        payload = aggregate.to_payload()
-        payload["_heartbeat"] = _shard_heartbeat(
-            wall_s, stop - start, before
-        )
-        return payload
-
-    return dist.run_worker_task(
-        context,
-        shard_index,
-        _shard_name(shard_index, start, stop),
-        thunk,
-        summarize=lambda payload: payload.get("_heartbeat", {}),
+def _run_shard(
+    shard: _Shard,
+) -> tuple[dict[str, Any], dict[str, Any]]:
+    """Simulate one shard; returns its aggregate as an exact JSON-safe
+    payload plus the done-heartbeat fields."""
+    _ensure_fleet_cache(shard.cache_dir)
+    cache = runner.active_cache()
+    before = cache.stats.snapshot() if cache is not None else None
+    began = time.perf_counter()
+    aggregate = _simulate_range(shard.spec, shard.start, shard.stop)
+    wall_s = time.perf_counter() - began
+    obs_metrics.registry().counter(
+        "fleet.shards_completed", "fleet shards simulated"
+    ).inc()
+    obs_metrics.registry().histogram(
+        "fleet.shard_wall_s",
+        "wall-clock seconds per fleet shard",
+        buckets=obs_metrics.LATENCY_BUCKETS,
+    ).observe(wall_s)
+    return aggregate.to_payload(), _shard_heartbeat(
+        wall_s, shard.stop - shard.start, before
     )
 
 
@@ -198,10 +182,11 @@ def run_fleet(
     """Simulate the fleet, fanning shards over ``jobs`` processes.
 
     ``checkpoint`` names a directory to persist per-shard aggregates
-    into (atomically, after each shard); ``resume=True`` continues
-    from whatever shards that directory already holds.  The returned
-    aggregate is always the in-order fold of every shard, checkpointed
-    or fresh, so the report is a pure function of the spec.
+    into (atomically, as each shard completes); ``resume=True``
+    continues from whatever shards that directory already holds.  The
+    returned aggregate is always the in-order fold of every shard,
+    checkpointed or fresh, so the report is a pure function of the
+    spec.
     """
     if jobs < 1:
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -222,8 +207,9 @@ def run_fleet(
     ranges = spec.shard_ranges()
     done = store.completed_shards() if store is not None else set()
     done = {index for index in done if index < len(ranges)}
+    cache_dir_arg = None if cache_dir is None else str(cache_dir)
     pending = [
-        (index, start, stop)
+        _Shard(spec, index, start, stop, cache_dir_arg)
         for index, (start, stop) in enumerate(ranges)
         if index not in done
     ]
@@ -235,6 +221,7 @@ def run_fleet(
         ),
         shards_total=len(ranges),
         shards_resumed=len(done),
+        workers=dist.fanout_workers(jobs, len(pending)),
         checkpoint=str(checkpoint) if checkpoint else None,
     )
     if done:
@@ -246,139 +233,36 @@ def run_fleet(
             "fleet.shards_resumed",
             "shards restored from a checkpoint",
         ).inc(len(done))
-    sequential = jobs == 1 or len(pending) <= 1
-    workers = 1 if sequential else min(jobs, len(pending))
-    outcome.workers = workers
-    dist.record_fanout(
-        FLEET_NAMESPACE, workers=workers, selected=len(pending)
-    )
-    monitor = (
-        dist.ProgressMonitor(progress, total=len(pending))
-        if progress is not None
-        else None
-    )
     fresh: dict[int, dict[str, Any]] = {}
-    cache_dir_arg = None if cache_dir is None else str(cache_dir)
-    if sequential:
-        _ensure_fleet_cache(cache_dir)
-        # When REPRO_HEARTBEAT_DIR pins a telemetry plane, the
-        # sequential path publishes the same start/done heartbeats the
-        # worker-pool path streams, so `repro serve` sees it live.
-        emit_heartbeat = dist.pinned_heartbeat_emitter(FLEET_NAMESPACE)
-        for index, start, stop in pending:
-            name = _shard_name(index, start, stop)
-            start_record = dist.progress_record("start", index, name)
-            if emit_heartbeat is not None:
-                emit_heartbeat(start_record)
-            if monitor is not None:
-                monitor.feed(start_record)
-            before = (
-                runner.active_cache().stats.snapshot()
-                if runner.active_cache() is not None
-                else None
+
+    def completed(
+        position: int, result: tuple[dict[str, Any], dict[str, Any]]
+    ) -> None:
+        # Checkpoint each shard the moment it lands, so a killed run
+        # loses no completed shard.
+        shard = pending[position]
+        fresh[shard.index] = result[0]
+        outcome.devices_simulated += shard.stop - shard.start
+        outcome.shards_simulated += 1
+        if store is not None:
+            store.write_shard(
+                shard.index,
+                shard.start,
+                shard.stop,
+                FleetAggregate.from_payload(spec, result[0]),
             )
-            shard_began = time.perf_counter()
-            aggregate = _simulate_range(spec, start, stop)
-            obs_metrics.registry().counter(
-                "fleet.shards_completed", "fleet shards simulated"
-            ).inc()
-            obs_metrics.registry().histogram(
-                "fleet.shard_wall_s",
-                "wall-clock seconds per fleet shard",
-                buckets=obs_metrics.LATENCY_BUCKETS,
-            ).observe(time.perf_counter() - shard_began)
-            fresh[index] = aggregate.to_payload()
-            if store is not None:
-                store.write_shard(index, start, stop, aggregate)
-                store.write_cursor(
-                    devices_done=outcome.devices_resumed
-                    + sum(
-                        stop_ - start_
-                        for idx, start_, stop_ in pending
-                        if idx in fresh
-                    ),
-                    shards_done=len(done) + len(fresh),
-                    total_shards=len(ranges),
-                )
-            outcome.devices_simulated += stop - start
-            outcome.shards_simulated += 1
-            done_record = dist.progress_record(
-                "done",
-                index,
-                name,
-                **_shard_heartbeat(
-                    time.perf_counter() - shard_began,
-                    stop - start,
-                    before,
-                ),
+            store.write_cursor(
+                devices_done=outcome.devices_resumed
+                + outcome.devices_simulated,
+                shards_done=len(done) + len(fresh),
+                total_shards=len(ranges),
             )
-            if emit_heartbeat is not None:
-                emit_heartbeat(done_record)
-            if monitor is not None:
-                monitor.feed(done_record)
-    else:
-        tracer = obs_trace.active()
-        context = dist.new_context(
-            collect_trace=tracer is not None,
-            disable_memo=sim.active_run_memo() is None,
-            heartbeat=monitor is not None,
-            namespace=FLEET_NAMESPACE,
-        )
-        spec_payload = spec.to_payload()
-        try:
-            with dist.process_pool(workers) as pool:
-                futures = {
-                    pool.submit(
-                        _fleet_shard_task,
-                        spec_payload,
-                        index,
-                        start,
-                        stop,
-                        cache_dir_arg,
-                        context,
-                    ): (index, start, stop)
-                    for index, start, stop in pending
-                }
-                remaining = set(futures)
-                while remaining:
-                    finished, remaining = futures_wait(
-                        remaining,
-                        timeout=0.1 if monitor is not None else None,
-                        return_when=FIRST_COMPLETED,
-                    )
-                    if monitor is not None:
-                        monitor.poll(context)
-                    for future in finished:
-                        index, start, stop = futures[future]
-                        payload = future.result()
-                        payload.pop("_heartbeat", None)
-                        fresh[index] = payload
-                        outcome.devices_simulated += stop - start
-                        outcome.shards_simulated += 1
-                        if store is not None:
-                            store.write_shard(
-                                index,
-                                start,
-                                stop,
-                                FleetAggregate.from_payload(
-                                    spec, payload
-                                ),
-                            )
-                            store.write_cursor(
-                                devices_done=outcome.devices_resumed
-                                + outcome.devices_simulated,
-                                shards_done=len(done) + len(fresh),
-                                total_shards=len(ranges),
-                            )
-                if monitor is not None:
-                    monitor.poll(context)
-            if tracer is not None:
-                dist.absorb_trace(tracer, context)
-            dist.merge_worker_metrics(
-                obs_metrics.registry(), context
-            )
-        finally:
-            dist.cleanup(context)
+
+    dist.fan_out(
+        FLEET_NAMESPACE, pending, _run_shard, jobs,
+        summarize=itemgetter(1), progress=progress,
+        on_result=completed,
+    )
     # The one fold order: shard-index order, every shard, whether it
     # was restored from the checkpoint or simulated just now.
     for index, (start, stop) in enumerate(ranges):

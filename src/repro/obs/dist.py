@@ -1,10 +1,12 @@
 """Cross-process observability: trace shards, merges, heartbeats.
 
-The fan-out engine (:func:`repro.analysis.runner.run_exhibits`) spawns
-worker processes whose tracer spans and metrics registries would
-otherwise die with the worker — a parallel ``repro figures --jobs N
---trace`` used to silently drop nearly all telemetry.  This module
-closes that gap with a shard protocol:
+Every process fan-out in the package — exhibit regeneration
+(:func:`repro.analysis.runner.run_exhibits`), multi-seed replication
+(:func:`repro.stats.replicate.replicate_exhibits`) and fleet shards
+(:func:`repro.fleet.pool.run_fleet`) — goes through one entry point,
+:func:`fan_out`.  It runs tasks in-process at ``jobs=1`` and over a
+worker pool otherwise; worker tracer spans and metrics registries would
+die with the worker, so the pool path follows a shard protocol:
 
 * the parent mints a :class:`TraceContext` (a picklable record naming a
   run id and a shard directory) and passes it to every worker task;
@@ -38,10 +40,15 @@ import tempfile
 import threading
 import time
 import uuid
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    ProcessPoolExecutor,
+    wait as futures_wait,
+)
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ..errors import ConfigurationError
 from . import metrics as obs_metrics
@@ -95,8 +102,7 @@ class TraceContext:
     """Everything a worker needs to ship telemetry home.
 
     Plain strings and booleans only, so the context pickles across any
-    :mod:`multiprocessing` start method and could equally ride in an
-    environment variable or an RPC header.
+    :mod:`multiprocessing` start method.
     """
 
     run_id: str
@@ -113,31 +119,6 @@ class TraceContext:
     #: with different namespaces never collide when their shards merge
     #: into the same parent trace.
     namespace: str = DEFAULT_NAMESPACE
-
-    def to_payload(self) -> dict[str, Any]:
-        """The context as a JSON-safe dictionary."""
-        return {
-            "run_id": self.run_id,
-            "shard_dir": self.shard_dir,
-            "collect_trace": self.collect_trace,
-            "disable_memo": self.disable_memo,
-            "heartbeat": self.heartbeat,
-            "namespace": self.namespace,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict[str, Any]) -> "TraceContext":
-        """Rebuild a context serialized by :meth:`to_payload`."""
-        return cls(
-            run_id=str(payload["run_id"]),
-            shard_dir=str(payload["shard_dir"]),
-            collect_trace=bool(payload.get("collect_trace", True)),
-            disable_memo=bool(payload.get("disable_memo", False)),
-            heartbeat=bool(payload.get("heartbeat", False)),
-            namespace=str(
-                payload.get("namespace", DEFAULT_NAMESPACE)
-            ),
-        )
 
 
 def new_context(
@@ -768,6 +749,135 @@ def progress_record(
     }
 
 
+# ---------------------------------------------------------------------------
+# The fan-out
+# ---------------------------------------------------------------------------
+
+
+def fanout_workers(jobs: int, tasks: int) -> int:
+    """The worker processes a fan-out of ``tasks`` tasks spawns at
+    ``jobs`` (1 means the tasks run in-process)."""
+    if jobs < 1:
+        raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
+    return 1 if jobs == 1 or tasks <= 1 else min(jobs, tasks)
+
+
+def _pool_task(
+    run: Callable[[Any], Any],
+    task: Any,
+    context: TraceContext,
+    task_index: int,
+    name: str,
+    summarize: Callable[[Any], dict[str, Any]] | None,
+) -> Any:
+    """Worker entry point: ``run(task)`` under the shard protocol, with
+    memoization off when the parent ran without it."""
+    if context.disable_memo:
+        from ..pipeline import sim
+
+        sim.install_run_memo(None)
+    return run_worker_task(
+        context, task_index, name, partial(run, task),
+        summarize=summarize,
+    )
+
+
+def fan_out(
+    namespace: str,
+    tasks: Sequence[Any],
+    run: Callable[[Any], Any],
+    jobs: int,
+    summarize: Callable[[Any], dict[str, Any]] | None = None,
+    progress: Callable[[str], None] | None = None,
+    on_result: Callable[[int, Any], None] | None = None,
+) -> list[Any]:
+    """Run ``run(task)`` for every task; results come back in request
+    order.
+
+    At one worker (see :func:`fanout_workers`) the tasks run in-process
+    in order; otherwise they spread over :func:`process_pool` under the
+    shard protocol, and after the pool drains every worker's trace
+    shards merge into the active tracer and its metrics into the
+    process registry.  Either way the fan-out is recorded under
+    ``namespace`` (:func:`record_fanout`), each task publishes a start
+    and a done heartbeat named ``str(task)`` (the done record extended
+    with ``summarize(result)``) to ``progress`` and to a pinned
+    heartbeat directory, and ``on_result(index, result)`` fires in the
+    calling process as each task completes.
+
+    ``run``, ``summarize`` and the tasks must be picklable for the pool
+    path; ``on_result`` only runs in the calling process.
+    """
+    tasks = list(tasks)
+    workers = fanout_workers(jobs, len(tasks))
+    record_fanout(namespace, workers=workers, selected=len(tasks))
+    monitor = (
+        ProgressMonitor(progress, total=len(tasks))
+        if progress is not None
+        else None
+    )
+    if workers == 1:
+        emit = pinned_heartbeat_emitter(namespace)
+
+        def publish(record: dict[str, Any]) -> None:
+            if emit is not None:
+                emit(record)
+            if monitor is not None:
+                monitor.feed(record)
+
+        results = []
+        for index, task in enumerate(tasks):
+            name = str(task)
+            publish(progress_record("start", index, name))
+            result = run(task)
+            summary = summarize(result) if summarize is not None else {}
+            publish(progress_record("done", index, name, **summary))
+            if on_result is not None:
+                on_result(index, result)
+            results.append(result)
+        return results
+
+    from ..pipeline import sim
+
+    tracer = obs_trace.active()
+    context = new_context(
+        collect_trace=tracer is not None,
+        disable_memo=sim.active_run_memo() is None,
+        heartbeat=monitor is not None,
+        namespace=namespace,
+    )
+    results = [None] * len(tasks)
+    try:
+        with process_pool(workers) as pool:
+            futures = {
+                pool.submit(
+                    _pool_task, run, task, context, index, str(task),
+                    summarize,
+                ): index
+                for index, task in enumerate(tasks)
+            }
+            pending = set(futures)
+            while pending:
+                finished, pending = futures_wait(
+                    pending,
+                    timeout=0.1 if monitor is not None else None,
+                    return_when=FIRST_COMPLETED,
+                )
+                if monitor is not None:
+                    monitor.poll(context)
+                for future in sorted(finished, key=futures.__getitem__):
+                    index = futures[future]
+                    results[index] = future.result()
+                    if on_result is not None:
+                        on_result(index, results[index])
+        if tracer is not None:
+            absorb_trace(tracer, context)
+        merge_worker_metrics(obs_metrics.registry(), context)
+    finally:
+        cleanup(context)
+    return results
+
+
 __all__ = [
     "DEFAULT_NAMESPACE",
     "HEARTBEAT_DIR_ENV",
@@ -778,6 +888,8 @@ __all__ = [
     "WORKER_FIELD",
     "absorb_trace",
     "cleanup",
+    "fan_out",
+    "fanout_workers",
     "heartbeat_dir",
     "heartbeat_path",
     "merge_groups",

@@ -5,10 +5,11 @@ numbers*.  Every expectation below anchors one value the paper prints —
 a Table 2 residency or average power, the Fig. 1 DRAM share, the Fig. 4
 streaming power, a Fig. 9/11/12 reduction percentage — with a tolerance
 band wide enough for the reproduction's documented deviation (see
-EXPERIMENTS.md) and no wider.  ``repro validate`` recomputes every
-anchor from the live simulation stack and fails (non-zero exit) the
-moment one leaves its band, so modelling drift is caught the same way a
-broken test is.
+EXPERIMENTS.md) and no wider.  ``repro validate`` regenerates the
+exhibits behind the selected anchors, reads each anchor from its
+figure's registry metrics, and fails (non-zero exit) the moment one
+leaves its band, so modelling drift is caught the same way a broken
+test is.
 
 The second half is the *performance* regression gate: ``repro
 bench-all --record`` persists one wall-clock + cache-hit snapshot per
@@ -24,13 +25,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ConfigurationError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.runner import ExhibitOutcome
-    from ..power.calibration import ComponentPowerLibrary
     from ..stats.bootstrap import IntervalEstimate
 
 #: Default location of the bench history (relative to the repo root).
@@ -61,7 +61,11 @@ class Expectation:
     """One published number, with the band the reproduction must hit.
 
     Exactly one of ``tol_abs`` (same unit as ``paper``) or ``tol_rel``
-    (fraction of ``paper``) must be set.
+    (fraction of ``paper``) must be set.  ``value`` measures the anchor
+    as ``value(m, result)``: ``m`` holds the figure-registry metrics of
+    the section's exhibit result (see :func:`anchor_values`), and
+    ``result`` is that result itself, for the one value no figure
+    charts.
     """
 
     key: str
@@ -71,6 +75,9 @@ class Expectation:
     unit: str
     tol_abs: float | None = None
     tol_rel: float | None = None
+    value: Callable[[dict[str, float], Any], float] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if (self.tol_abs is None) == (self.tol_rel is None):
@@ -245,6 +252,25 @@ class DriftReport:
         }
 
 
+def _reduction_pct(m: dict[str, float], treated: str, base: str) -> float:
+    """``treated``'s power reduction against ``base``, in percent."""
+    return 100 * (1.0 - m[treated] / m[base])
+
+
+def _share_pct(m: dict[str, float], prefix: str, part: str) -> float:
+    """``part``'s share of the components under ``prefix``, in
+    percent."""
+    total = sum(v for k, v in m.items() if k.startswith(prefix))
+    return 100 * m[prefix + part] / total
+
+
+def _spread_pct(m: dict[str, float], suffix: str) -> float:
+    """How far the largest ``*suffix`` metric exceeds the smallest, in
+    percent."""
+    values = [v for k, v in m.items() if k.endswith(suffix)]
+    return 100 * (max(values) / min(values) - 1.0)
+
+
 #: The paper-anchored expectation table.  Bands come from the measured
 #: deviations recorded in EXPERIMENTS.md: tight where the reproduction
 #: tracks the paper closely (Table 2 powers within ~3%), wide where a
@@ -255,89 +281,110 @@ PAPER_EXPECTATIONS: tuple[Expectation, ...] = (
     Expectation(
         "table2.baseline.avg_mw", "table2",
         "baseline AvgP, FHD 30FPS", 2162.0, "mW", tol_rel=0.05,
+        value=lambda m, r: m["table2.baseline.all.avg_mw"],
     ),
     Expectation(
         "table2.baseline.c0_pct", "table2",
         "baseline C0 residency", 9.0, "%", tol_abs=2.0,
+        value=lambda m, r: m["table2.baseline.C0.residency_pct"],
     ),
     Expectation(
         "table2.baseline.c2_pct", "table2",
         "baseline C2 residency", 11.0, "%", tol_abs=2.0,
+        value=lambda m, r: m["table2.baseline.C2.residency_pct"],
     ),
     Expectation(
         "table2.baseline.c8_pct", "table2",
         "baseline C8 residency", 80.0, "%", tol_abs=3.0,
+        value=lambda m, r: m["table2.baseline.C8.residency_pct"],
     ),
     Expectation(
         "table2.burstlink.avg_mw", "table2",
         "BurstLink AvgP, FHD 30FPS", 1274.0, "mW", tol_rel=0.06,
+        value=lambda m, r: m["table2.burstlink.all.avg_mw"],
     ),
     Expectation(
         "table2.burstlink.c7_pct", "table2",
         "BurstLink C7 residency", 19.0, "%", tol_abs=3.0,
+        value=lambda m, r: m["table2.burstlink.C7.residency_pct"],
     ),
     Expectation(
         "table2.burstlink.c9_pct", "table2",
         "BurstLink C9 residency", 79.0, "%", tol_abs=3.0,
+        value=lambda m, r: m["table2.burstlink.C9.residency_pct"],
     ),
     Expectation(
         "table2.reduction_pct", "table2",
         "BurstLink energy reduction (\">40%\")", 40.0, "%",
         tol_abs=3.0,
+        value=lambda m, r: _reduction_pct(
+            m, "table2.burstlink.all.avg_mw", "table2.baseline.all.avg_mw"
+        ),
     ),
     # Fig. 1 — baseline energy breakdown (DRAM share of total).
     Expectation(
         "fig01.dram_share_4k_pct", "fig01",
         "DRAM share of 4K baseline energy (\">30%\")", 30.0, "%",
         tol_abs=5.0,
+        value=lambda m, r: _share_pct(m, "fig01.4K.", "DRAM"),
     ),
     Expectation(
         "fig01.dram_share_fhd_pct", "fig01",
         "DRAM share of FHD baseline energy", 20.0, "%", tol_abs=4.0,
+        value=lambda m, r: _share_pct(m, "fig01.FHD.", "DRAM"),
     ),
     # Fig. 4 — streaming mean power.
     Expectation(
         "fig04.streaming_avg_mw", "fig04",
         "mean power, FHD 60FPS streaming", 2831.0, "mW", tol_rel=0.05,
+        value=lambda m, r: m["fig04.streaming"],
     ),
     # Fig. 9 — 30 FPS planar reductions.
     Expectation(
         "fig09.fhd.burst_pct", "fig09",
         "Frame Bursting reduction, FHD 30FPS", 23.0, "%", tol_abs=4.0,
+        value=lambda m, r: 100 * m["fig09.FHD.burst"],
     ),
     Expectation(
         "fig09.fhd.bypass_pct", "fig09",
         "Bypass reduction, FHD 30FPS", 31.0, "%", tol_abs=5.0,
+        value=lambda m, r: 100 * m["fig09.FHD.bypass"],
     ),
     Expectation(
         "fig09.fhd.burstlink_pct", "fig09",
         "BurstLink reduction, FHD 30FPS", 37.0, "%", tol_abs=5.0,
+        value=lambda m, r: 100 * m["fig09.FHD.burstlink"],
     ),
     Expectation(
         "fig09.4k.burstlink_pct", "fig09",
         "BurstLink reduction, 4K 30FPS (Sec. 6.4)", 40.6, "%",
         tol_abs=9.0,
+        value=lambda m, r: 100 * m["fig09.4K.burstlink"],
     ),
     # Fig. 11 — VR streaming reductions.
     Expectation(
         "fig11.elephant_pct", "fig11",
         "VR Elephant reduction (\"up to 33%\")", 33.0, "%",
         tol_abs=4.0,
+        value=lambda m, r: 100 * m["fig11a.Elephant"],
     ),
     Expectation(
         "fig11.rollercoaster_pct", "fig11",
         "VR Rollercoaster reduction (least-benefit axis)", 24.0, "%",
         tol_abs=4.0,
+        value=lambda m, r: 100 * m["fig11a.Rollercoaster"],
     ),
     # Fig. 12 — 60 FPS planar reductions.
     Expectation(
         "fig12.fhd.burstlink_pct", "fig12",
         "BurstLink reduction, FHD 60FPS", 46.0, "%", tol_abs=6.0,
+        value=lambda m, r: 100 * m["fig12.FHD.burstlink"],
     ),
     Expectation(
         "fig12.5k.burstlink_pct", "fig12",
         "BurstLink reduction, 5K 60FPS (known overshoot)", 47.0, "%",
         tol_abs=16.0,
+        value=lambda m, r: 100 * m["fig12.5K.burstlink"],
     ),
 )
 
@@ -358,44 +405,65 @@ SCENARIO_EXPECTATIONS: tuple[Expectation, ...] = (
         "oled.full.conventional_mw", "oled",
         "conventional OLED power at full brightness", 2180.0, "mW",
         tol_rel=0.06,
+        value=lambda m, r: m["oled.conventional.1.0"],
     ),
     Expectation(
         "oled.full.reduction_pct", "oled",
         "BurstLink reduction at full brightness", 40.0, "%",
         tol_abs=5.0,
+        value=lambda m, r: _reduction_pct(
+            m, "oled.burstlink.1.0", "oled.conventional.1.0"
+        ),
     ),
     Expectation(
         "oled.dim.reduction_pct", "oled",
         "BurstLink reduction at 0.4 brightness", 49.0, "%",
         tol_abs=5.0,
+        value=lambda m, r: _reduction_pct(
+            m, "oled.burstlink.0.4", "oled.conventional.0.4"
+        ),
     ),
     Expectation(
         "oled.full.panel_share_pct", "oled",
         "panel share of conventional energy, full brightness",
         36.0, "%", tol_abs=6.0,
+        value=lambda m, r: 100 * r.panel_fraction[1.0],
     ),
     # Netstream — ABR playback vs bandwidth (Herglotz et al. anchors).
     Expectation(
         "netstream.ample.conventional_mw", "netstream",
         "conventional streaming power, ample bandwidth", 2200.0,
         "mW", tol_rel=0.06,
+        value=lambda m, r: m["netstream.ample.conventional.power_mw"],
     ),
     Expectation(
         "netstream.ample.reduction_pct", "netstream",
         "BurstLink reduction, ample bandwidth", 40.0, "%",
         tol_abs=5.0,
+        value=lambda m, r: _reduction_pct(
+            m,
+            "netstream.ample.burstlink.power_mw",
+            "netstream.ample.conventional.power_mw",
+        ),
     ),
     Expectation(
         "netstream.power_spread_pct", "netstream",
         "power spread across bandwidth conditions (\"nearly flat\")",
         0.0, "%", tol_abs=5.0,
+        value=lambda m, r: _spread_pct(m, ".conventional.power_mw"),
     ),
     Expectation(
         "netstream.constrained.stall_pct", "netstream",
         "stall-repeat share under constrained bandwidth", 20.0, "%",
         tol_abs=8.0,
+        value=lambda m, r: (
+            100 * m["netstream.constrained.source.stall_ratio"]
+        ),
     ),
 )
+
+#: Sections whose figure is not named after the section.
+_SECTION_FIGURES = {"fig11": "fig11a"}
 
 
 def expectations_for(
@@ -416,209 +484,69 @@ def expectations_for(
 
 
 # ---------------------------------------------------------------------------
-# Measurement
+# Measurement — anchors read from exhibit outcomes
 # ---------------------------------------------------------------------------
 
 
-def _measure_table2(
-    library: "ComponentPowerLibrary | None",
+def _section_figure(section: str) -> Any:
+    from ..analysis.figures import get_figure
+
+    return get_figure(_SECTION_FIGURES.get(section, section))
+
+
+def _section_exhibits(sections: tuple[str, ...]) -> list[str]:
+    """The exhibits whose results the anchors in ``sections`` read."""
+    expectations_for(sections)  # validates the section names
+    return [_section_figure(section).exhibit for section in sections]
+
+
+def anchor_values(
+    sections: tuple[str, ...], results: dict[str, Any]
 ) -> dict[str, float]:
-    from ..analysis.experiments import content_seed
-    from ..config import FHD, skylake_tablet
-    from ..core.burstlink import BurstLinkScheme
-    from ..pipeline.conventional import ConventionalScheme
-    from ..pipeline.sim import FrameWindowSimulator
-    from ..power.model import PowerModel
-    from ..soc.cstates import PackageCState
-    from ..video.source import AnalyticContentModel
+    """Every anchor in ``sections`` measured from ``results`` (exhibit
+    name -> exhibit result); anchors whose exhibit is missing are
+    left out."""
+    from ..analysis.figures import figure_metrics
 
-    model = (
-        PowerModel(library=library) if library is not None
-        else PowerModel()
-    )
-    config = skylake_tablet(FHD)
-    frames = AnalyticContentModel().frames(
-        FHD, 60, seed=content_seed()
-    )
-    base_run = FrameWindowSimulator(
-        config, ConventionalScheme()
-    ).run(frames, 30.0)
-    base = model.report(base_run)
-    base_res = base_run.residency_fractions()
-    bl_run = FrameWindowSimulator(
-        config.with_drfb(), BurstLinkScheme()
-    ).run(frames, 30.0)
-    burstlink = model.report(bl_run)
-    bl_res = bl_run.residency_fractions()
-    return {
-        "table2.baseline.avg_mw": base.average_power_mw,
-        "table2.baseline.c0_pct":
-            100 * base_res.get(PackageCState.C0, 0.0),
-        "table2.baseline.c2_pct":
-            100 * base_res.get(PackageCState.C2, 0.0),
-        "table2.baseline.c8_pct":
-            100 * base_res.get(PackageCState.C8, 0.0),
-        "table2.burstlink.avg_mw": burstlink.average_power_mw,
-        "table2.burstlink.c7_pct":
-            100 * bl_res.get(PackageCState.C7, 0.0),
-        "table2.burstlink.c9_pct":
-            100 * bl_res.get(PackageCState.C9, 0.0),
-        "table2.reduction_pct": 100 * (
-            1.0 - burstlink.average_power_mw / base.average_power_mw
-        ),
-    }
-
-
-def _measure_fig01() -> dict[str, float]:
-    from ..analysis.experiments import fig01_energy_breakdown
-
-    result = fig01_energy_breakdown()
-    return {
-        "fig01.dram_share_4k_pct": 100 * result.dram_fraction("4K"),
-        "fig01.dram_share_fhd_pct": 100 * result.dram_fraction("FHD"),
-    }
-
-
-def _measure_fig04(
-    library: "ComponentPowerLibrary | None",
-) -> dict[str, float]:
-    from ..analysis.experiments import content_seed
-    from ..config import FHD, skylake_tablet
-    from ..pipeline.conventional import ConventionalScheme
-    from ..pipeline.sim import FrameWindowSimulator
-    from ..power.model import PowerModel
-    from ..video.source import AnalyticContentModel
-
-    model = (
-        PowerModel(library=library) if library is not None
-        else PowerModel()
-    )
-    config = skylake_tablet(FHD)
-    frames = AnalyticContentModel().frames(
-        FHD, 60, seed=content_seed()
-    )
-    run = FrameWindowSimulator(
-        config, ConventionalScheme()
-    ).run(frames, 60.0)
-    return {
-        "fig04.streaming_avg_mw": model.report(run).average_power_mw,
-    }
-
-
-def _measure_fig09() -> dict[str, float]:
-    from ..analysis.experiments import fig09_planar_reduction_30fps
-
-    result = fig09_planar_reduction_30fps()
-    return {
-        "fig09.fhd.burst_pct":
-            100 * result.reductions["FHD"]["burst"],
-        "fig09.fhd.bypass_pct":
-            100 * result.reductions["FHD"]["bypass"],
-        "fig09.fhd.burstlink_pct":
-            100 * result.reductions["FHD"]["burstlink"],
-        "fig09.4k.burstlink_pct":
-            100 * result.reductions["4K"]["burstlink"],
-    }
-
-
-def _measure_fig11() -> dict[str, float]:
-    from ..analysis.experiments import fig11a_vr_workloads
-
-    result = fig11a_vr_workloads()
-    return {
-        "fig11.elephant_pct": 100 * result.reductions["Elephant"],
-        "fig11.rollercoaster_pct":
-            100 * result.reductions["Rollercoaster"],
-    }
-
-
-def _measure_fig12() -> dict[str, float]:
-    from ..analysis.experiments import fig12_planar_reduction_60fps
-
-    result = fig12_planar_reduction_60fps()
-    return {
-        "fig12.fhd.burstlink_pct":
-            100 * result.reductions["FHD"]["burstlink"],
-        "fig12.5k.burstlink_pct":
-            100 * result.reductions["5K"]["burstlink"],
-    }
-
-
-def _measure_oled() -> dict[str, float]:
-    from ..analysis.experiments import oled_brightness_sweep
-
-    result = oled_brightness_sweep()
-    return {
-        "oled.full.conventional_mw":
-            result.power_mw["conventional"][1.0],
-        "oled.full.reduction_pct": 100 * result.reduction(1.0),
-        "oled.dim.reduction_pct": 100 * result.reduction(0.4),
-        "oled.full.panel_share_pct":
-            100 * result.panel_fraction[1.0],
-    }
-
-
-def _measure_netstream() -> dict[str, float]:
-    from ..analysis.experiments import network_streamed_playback
-
-    result = network_streamed_playback()
-    conventional = result.power_mw
-    lowest = min(c["conventional"] for c in conventional.values())
-    highest = max(c["conventional"] for c in conventional.values())
-    return {
-        "netstream.ample.conventional_mw":
-            result.power_mw["ample"]["conventional"],
-        "netstream.ample.reduction_pct":
-            100 * result.reduction("ample"),
-        "netstream.power_spread_pct":
-            100 * (highest / lowest - 1.0),
-        "netstream.constrained.stall_pct":
-            100 * result.stall_ratio["constrained"],
-    }
+    actuals: dict[str, float] = {}
+    metrics: dict[str, dict[str, float]] = {}
+    for expectation in expectations_for(sections):
+        figure = _section_figure(expectation.section)
+        result = results.get(figure.exhibit)
+        if result is None or expectation.value is None:
+            continue
+        if figure.name not in metrics:
+            metrics[figure.name] = figure_metrics(figure, result)
+        actuals[expectation.key] = expectation.value(
+            metrics[figure.name], result
+        )
+    return actuals
 
 
 def measure_expectations(
     sections: tuple[str, ...] = DRIFT_SECTIONS,
-    library: "ComponentPowerLibrary | None" = None,
+    jobs: int = 1,
 ) -> dict[str, float]:
-    """Recompute every anchor in ``sections`` from the live stack.
+    """Recompute every anchor in ``sections`` from a fresh regeneration
+    of its exhibits (fanned over ``jobs`` worker processes)."""
+    from ..analysis import runner
 
-    ``library`` substitutes an alternative calibrated power library
-    into the sections that evaluate the power model directly (Table 2,
-    Fig. 4) — how the tests demonstrate the gate catching a perturbed
-    constant.
-    """
-    expectations_for(sections)  # validates the section names
-    actuals: dict[str, float] = {}
-    if "table2" in sections:
-        actuals.update(_measure_table2(library))
-    if "fig01" in sections:
-        actuals.update(_measure_fig01())
-    if "fig04" in sections:
-        actuals.update(_measure_fig04(library))
-    if "fig09" in sections:
-        actuals.update(_measure_fig09())
-    if "fig11" in sections:
-        actuals.update(_measure_fig11())
-    if "fig12" in sections:
-        actuals.update(_measure_fig12())
-    if "oled" in sections:
-        actuals.update(_measure_oled())
-    if "netstream" in sections:
-        actuals.update(_measure_netstream())
-    return actuals
+    outcomes = runner.run_exhibits(_section_exhibits(sections), jobs=jobs)
+    return anchor_values(
+        sections, {outcome.name: outcome.result for outcome in outcomes}
+    )
 
 
 def check_drift(
     actuals: dict[str, float] | None = None,
     sections: tuple[str, ...] = DRIFT_SECTIONS,
-    library: "ComponentPowerLibrary | None" = None,
+    jobs: int = 1,
 ) -> DriftReport:
     """Check every expectation in ``sections`` against ``actuals``
-    (measured live when not supplied)."""
+    (measured live over ``jobs`` workers when not supplied)."""
     selected = expectations_for(sections)
     if actuals is None:
-        actuals = measure_expectations(sections, library=library)
+        actuals = measure_expectations(sections, jobs=jobs)
     report = DriftReport()
     for expectation in selected:
         if expectation.key not in actuals:
@@ -635,28 +563,35 @@ def check_drift_interval(
     sections: tuple[str, ...] = DRIFT_SECTIONS,
     seeds: int = 1,
     jobs: int = 1,
-    library: "ComponentPowerLibrary | None" = None,
     confidence: float | None = None,
     resamples: int | None = None,
 ) -> DriftReport:
     """The uncertainty-aware drift gate.
 
     Each anchor is re-measured once per seed offset (``samples`` maps
-    anchor key -> per-seed values; measured live through
-    :func:`repro.stats.replicate.replicate_expectations` when not
-    supplied), summarized as a bootstrap CI, and passes when that CI
-    *overlaps* the paper band.  With one seed the CI is zero-width at
-    the point value, so the verdict — and every anchor's ok flag — is
-    identical to :func:`check_drift`.
+    anchor key -> per-seed values; read from a
+    :func:`repro.stats.replicate.replicate_exhibits` run over the
+    sections' exhibits when not supplied), summarized as a bootstrap
+    CI, and passes when that CI *overlaps* the paper band.  With one
+    seed the CI is zero-width at the point value, so the verdict — and
+    every anchor's ok flag — is identical to :func:`check_drift`.
     """
     from ..stats import bootstrap
-    from ..stats.replicate import replicate_expectations
+    from ..stats.replicate import replicate_exhibits
 
     selected = expectations_for(sections)
     if samples is None:
-        samples = replicate_expectations(
-            sections, seeds=seeds, jobs=jobs, library=library
+        replication = replicate_exhibits(
+            _section_exhibits(sections), seeds=seeds, jobs=jobs
         )
+        samples = {}
+        for seed in range(seeds):
+            results = {
+                name: per_seed[seed]
+                for name, per_seed in replication.results.items()
+            }
+            for key, value in anchor_values(sections, results).items():
+                samples.setdefault(key, []).append(value)
     kwargs: dict[str, Any] = {}
     if confidence is not None:
         kwargs["confidence"] = confidence

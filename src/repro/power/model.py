@@ -33,7 +33,8 @@ from ..pipeline.timeline import (
     TimelineSummary,
 )
 from ..soc.cstates import PackageCState
-from .calibration import SKYLAKE_TABLET_POWER, ComponentPowerLibrary
+from . import calibration
+from .calibration import ComponentPowerLibrary
 from .terms import (
     QUANTITY_COLUMNS,
     PowerTerm,
@@ -172,11 +173,16 @@ class PowerModel:
 
     def __init__(
         self,
-        library: ComponentPowerLibrary = SKYLAKE_TABLET_POWER,
+        library: ComponentPowerLibrary | None = None,
         extras: PlatformExtras | None = None,
         registry: PowerTermRegistry | None = None,
     ) -> None:
-        self.library = library
+        #: The calibrated library; the default resolves
+        #: ``calibration.SKYLAKE_TABLET_POWER`` at construction.
+        self.library = (
+            library if library is not None
+            else calibration.SKYLAKE_TABLET_POWER
+        )
         self.extras = extras if extras is not None else PlatformExtras()
         #: The power-term registry this model prices with.  The default
         #: reproduces the historical ``COMPONENT_KEYS`` set byte-exactly.

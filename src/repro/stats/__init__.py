@@ -23,7 +23,6 @@ from .replicate import (
     EFFECT_PAIRS,
     Replication,
     replicate_exhibits,
-    replicate_expectations,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "cohens_d",
     "estimate_metrics",
     "replicate_exhibits",
-    "replicate_expectations",
     "stable_seed",
     "variance_table",
 ]

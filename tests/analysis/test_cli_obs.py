@@ -335,6 +335,21 @@ class TestValidateIntervalMode:
         assert payload["drift"]["mode"] == "point"
         assert "ci" not in payload["drift"]["anchors"][0]
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_nonpositive_seeds_rejected(self, capsys, seeds):
+        code, text = run_cli(
+            capsys, "validate", "--section", "fig04", "--seeds", seeds
+        )
+        assert code != 0
+        assert "--seeds must be >= 1" in text
+
+    def test_nonpositive_jobs_rejected(self, capsys):
+        code, text = run_cli(
+            capsys, "validate", "--section", "fig04", "--jobs", "0"
+        )
+        assert code != 0
+        assert "--jobs must be >= 1" in text
+
 
 class TestBenchAllRepeat:
     def test_repeat_records_ci_half_widths(self, capsys, tmp_path):

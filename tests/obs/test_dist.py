@@ -11,7 +11,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.dist import (
     ProgressMonitor,
-    TraceContext,
     absorb_trace,
     merge_groups,
     merge_worker_metrics,
@@ -65,10 +64,6 @@ def _task(name="alpha", windows=2):
 
 
 class TestTraceContext:
-    def test_payload_round_trip(self, context):
-        rebuilt = TraceContext.from_payload(context.to_payload())
-        assert rebuilt == context
-
     def test_context_is_picklable(self, context):
         import pickle
 
@@ -355,3 +350,84 @@ class TestPinnedHeartbeats:
         assert tmp_path.is_dir()
         assert hb.exists()
         assert not other.exists()
+
+
+def _square(value):
+    obs_metrics.registry().counter("fanout_test.calls").inc()
+    return value * value
+
+
+def _fail_on_two(value):
+    if value == 2:
+        raise ValueError("task two failed")
+    return value
+
+
+class TestFanOut:
+    """One fan-out engine, identical behaviour in-process and pooled."""
+
+    @pytest.fixture
+    def heartbeats(self, tmp_path, monkeypatch):
+        directory = tmp_path / "hb"
+        monkeypatch.setenv(dist.HEARTBEAT_DIR_ENV, str(directory))
+
+        def read():
+            records = []
+            for path in sorted(directory.glob("*.hb.jsonl")):
+                records.extend(dist.tail_complete_lines(path)[0])
+            return records
+
+        return read
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_in_request_order(self, jobs):
+        tasks = [3, 1, 4, 1, 5]
+        assert dist.fan_out("test", tasks, _square, jobs) == [
+            9, 1, 16, 1, 25,
+        ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_callback_sees_each_index_once(self, jobs):
+        seen = []
+        results = dist.fan_out(
+            "test", [2, 3, 4], _square, jobs,
+            on_result=lambda index, result: seen.append(
+                (index, result)
+            ),
+        )
+        assert sorted(seen) == list(enumerate(results))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_start_and_done_heartbeat_per_task(
+        self, jobs, heartbeats
+    ):
+        dist.fan_out("test", [1, 2, 3], _square, jobs)
+        records = heartbeats()
+        for event in ("start", "done"):
+            assert sorted(
+                r["name"] for r in records if r["event"] == event
+            ) == ["1", "2", "3"]
+        assert all(r["ns"] == "test" for r in records)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_worker_metrics_merge_into_parent(self, jobs):
+        counter = obs_metrics.registry().counter("fanout_test.calls")
+        before = counter.value
+        dist.fan_out("test", [1, 2, 3, 4], _square, jobs)
+        assert counter.value == before + 4
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_raising_task_propagates_and_cleans_up(
+        self, jobs, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.delenv(dist.HEARTBEAT_DIR_ENV, raising=False)
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        with pytest.raises(ValueError, match="task two failed"):
+            dist.fan_out("test", [1, 2, 3], _fail_on_two, jobs)
+        assert not list(tmp_path.glob("repro-shards-*"))
+
+    def test_rejects_nonpositive_jobs(self):
+        with pytest.raises(ConfigurationError):
+            dist.fan_out("test", [1], _square, 0)

@@ -8,7 +8,6 @@ from repro.stats.replicate import (
     EFFECT_PAIRS,
     _task_label,
     replicate_exhibits,
-    replicate_expectations,
 )
 
 
@@ -104,22 +103,43 @@ class TestEffectPairs:
             assert baseline.startswith(prefixes)
 
 
-class TestReplicateExpectations:
-    def test_single_seed_matches_direct_measurement(self):
-        from repro.obs.drift import measure_expectations
+class TestDriftIntervalReplication:
+    """The drift gate's interval mode reads its per-seed anchor samples
+    from a :func:`replicate_exhibits` run."""
 
-        samples = replicate_expectations(("fig04",), seeds=1)
-        direct = measure_expectations(("fig04",))
-        assert set(samples) == set(direct)
+    def test_single_seed_matches_point_check(self):
+        from repro.obs.drift import check_drift, check_drift_interval
+
+        interval = check_drift_interval(sections=("fig04",), seeds=1)
+        point = check_drift(sections=("fig04",))
+        assert [r.expectation.key for r in interval.rows] == [
+            r.expectation.key for r in point.rows
+        ]
         assert all(
-            samples[key] == [direct[key]] for key in direct
+            i.actual == p.actual and i.ok == p.ok
+            for i, p in zip(interval.rows, point.rows)
         )
 
-    def test_multi_seed_sample_lists(self):
-        samples = replicate_expectations(("fig04",), seeds=2)
-        assert all(len(v) == 2 for v in samples.values())
+    def test_multi_seed_restores_seed_offset(self):
+        from repro.obs.drift import check_drift_interval
+
+        report = check_drift_interval(sections=("fig04",), seeds=2)
+        assert all(r.estimate.n == 2 for r in report.rows)
         assert seed_offset() == 0
 
     def test_rejects_unknown_section(self):
+        from repro.obs.drift import check_drift_interval
+
         with pytest.raises(ConfigurationError):
-            replicate_expectations(("nope",), seeds=1)
+            check_drift_interval(sections=("nope",), seeds=1)
+
+    def test_report_independent_of_jobs(self):
+        from repro.obs.drift import check_drift_interval
+
+        reports = [
+            check_drift_interval(
+                sections=("fig04", "table2"), seeds=2, jobs=jobs
+            ).to_dict()
+            for jobs in (1, 2)
+        ]
+        assert reports[0] == reports[1]
