@@ -12,6 +12,7 @@ Run:  python examples/session_scenario.py
 
 from repro.analysis.visualize import render_residency_bars
 from repro.config import FHD, skylake_tablet
+from repro.pipeline.timeline import TimelineSummary
 from repro.workloads.scenario import streaming_session
 
 
@@ -24,7 +25,10 @@ def main() -> None:
     print(result.summary())
     print()
     print("Whole-session C-state residency:")
-    print(render_residency_bars(result.timeline))
+    session = TimelineSummary()
+    for outcome in result.outcomes:
+        session.absorb(outcome.run.summary)
+    print(render_residency_bars(session))
     print()
 
     steady = result.outcomes[0].report.average_power_mw

@@ -139,8 +139,8 @@ def run_to_dict(run: RunResult,
             state.label: fraction
             for state, fraction in run.residency_fractions().items()
         },
-        "dram_total_bytes": run.timeline.dram_total_bytes,
-        "edp_bytes": run.timeline.edp_bytes,
+        "dram_total_bytes": run.dram_total_bytes,
+        "edp_bytes": run.edp_bytes,
     }
     if report is not None:
         payload["energy"] = report_to_dict(report)

@@ -665,7 +665,6 @@ def write_exhibit_specs(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    retain: str | None = None,
     confidence: float | None = None,
     resamples: int | None = None,
     metrics_sink: list | None = None,
@@ -691,7 +690,7 @@ def write_exhibit_specs(
 
         outcomes = run_exhibits(
             exhibits, jobs=jobs, cache_dir=cache_dir,
-            progress=progress, retain=retain,
+            progress=progress,
         )
         if metrics_sink is not None:
             metrics_sink.extend(o.metrics for o in outcomes)
@@ -706,7 +705,7 @@ def write_exhibit_specs(
 
         replication = replicate_exhibits(
             exhibits, seeds=seeds, jobs=jobs, cache_dir=cache_dir,
-            progress=progress, retain=retain,
+            progress=progress,
         )
         if metrics_sink is not None:
             metrics_sink.extend(

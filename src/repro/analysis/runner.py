@@ -799,7 +799,14 @@ class ExhibitOutcome:
 
 
 def run_exhibit(name: str) -> ExhibitOutcome:
-    """Regenerate one exhibit in-process, measuring its cost."""
+    """Regenerate one exhibit in-process, measuring its cost.
+
+    Exhibits run summary-first: the simulator's retain default is
+    ``"summary"`` for the call (restored after), since every report
+    prices class totals.  Only the exhibits that draw individual
+    segments keep timelines, by pinning ``retain="full"`` on their own
+    runs.
+    """
     registry = exhibit_registry()
     if name not in registry:
         raise ConfigurationError(
@@ -808,12 +815,16 @@ def run_exhibit(name: str) -> ExhibitOutcome:
     cache = active_cache()
     before = cache.stats.snapshot() if cache else CacheStats()
     tracer = obs_trace.active()
+    previous_retain = sim.set_default_retain("summary")
     started = time.perf_counter()
-    if tracer is not None:
-        with tracer.span("exhibit", exhibit=name):
+    try:
+        if tracer is not None:
+            with tracer.span("exhibit", exhibit=name):
+                result = registry[name]()
+        else:
             result = registry[name]()
-    else:
-        result = registry[name]()
+    finally:
+        sim.set_default_retain(previous_retain)
     elapsed = time.perf_counter() - started
     after = cache.stats.snapshot() if cache else CacheStats()
     metrics = obs_metrics.registry()
@@ -867,7 +878,6 @@ class ExhibitTask:
 
     name: str
     seed_offset: int = 0
-    retain: str | None = None
     cache_dir: str | None = None
     #: Heartbeat name and ``metrics.name`` of the outcome, when not the
     #: exhibit name (the replication engine tags ``name@s<seed>``).
@@ -878,22 +888,16 @@ class ExhibitTask:
 
 
 def run_exhibit_task(task: ExhibitTask) -> ExhibitOutcome:
-    """Regenerate one exhibit under the task's cache directory, retain
-    default and content-seed offset, restoring the latter two after."""
+    """Regenerate one exhibit under the task's cache directory and
+    content-seed offset, restoring the latter after."""
     from . import experiments
 
     _apply_cache_dir(task.cache_dir)
-    previous_retain = (
-        sim.set_default_retain(task.retain)
-        if task.retain is not None else None
-    )
     previous_offset = experiments.set_seed_offset(task.seed_offset)
     try:
         outcome = run_exhibit(task.name)
     finally:
         experiments.set_seed_offset(previous_offset)
-        if previous_retain is not None:
-            sim.set_default_retain(previous_retain)
     if task.label is not None:
         outcome.metrics = dataclasses.replace(
             outcome.metrics, name=task.label
@@ -921,7 +925,6 @@ def run_exhibits(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    retain: str | None = None,
     seed_offset: int = 0,
 ) -> list[ExhibitOutcome]:
     """Regenerate exhibits, fanning out over ``jobs`` worker processes.
@@ -930,9 +933,7 @@ def run_exhibits(
     request order and are bit-identical to a sequential run (every
     exhibit function is pure and deterministic).  ``cache_dir`` points
     all workers (and the sequential path) at one shared on-disk cache.
-    ``retain`` sets the simulator's retain default for the batch
-    (``"summary"`` drops per-segment timelines; exhibits that render
-    segment-level figures pin ``retain="full"`` on their own runs).
+    Every exhibit runs summary-first (see :func:`run_exhibit`).
     ``seed_offset`` shifts every workload's content seed (see
     :func:`repro.analysis.experiments.set_seed_offset`); 0 reproduces
     the canonical exhibits exactly.
@@ -949,7 +950,6 @@ def run_exhibits(
         ExhibitTask(
             name,
             seed_offset=seed_offset,
-            retain=retain,
             cache_dir=None if cache_dir is None else str(cache_dir),
         )
         for name in select_exhibits(names)

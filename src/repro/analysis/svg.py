@@ -236,7 +236,6 @@ def write_figures(
     jobs: int = 1,
     metrics_sink: list | None = None,
     progress=None,
-    retain: str | None = None,
 ) -> list[Path]:
     """Regenerate the headline evaluation figures as SVG files.
 
@@ -259,7 +258,7 @@ def write_figures(
     written: list[Path] = []
 
     outcomes = run_exhibits(
-        FIGURE_EXHIBITS, jobs=jobs, progress=progress, retain=retain
+        FIGURE_EXHIBITS, jobs=jobs, progress=progress
     )
     results = {outcome.name: outcome.result for outcome in outcomes}
     if metrics_sink is not None:

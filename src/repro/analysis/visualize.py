@@ -18,7 +18,7 @@ and for BurstLink::
 from __future__ import annotations
 
 from ..errors import SimulationError
-from ..pipeline.timeline import Timeline
+from ..pipeline.timeline import Timeline, TimelineSummary
 from ..soc.cstates import PackageCState
 
 #: Fill characters per state: busier states render denser glyphs.
@@ -90,8 +90,11 @@ def render_lanes(timeline: Timeline, width: int = 72) -> str:
     return "\n".join(lanes)
 
 
-def render_residency_bars(timeline: Timeline, width: int = 40) -> str:
-    """A horizontal bar per state with its residency percentage."""
+def render_residency_bars(
+    timeline: Timeline | TimelineSummary, width: int = 40
+) -> str:
+    """A horizontal bar per state with its residency percentage (of a
+    timeline or a summary)."""
     fractions = timeline.residency_fractions()
     lines = []
     for state in sorted(fractions, key=lambda s: s.depth):

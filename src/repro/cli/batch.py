@@ -42,7 +42,6 @@ def cmd_figures(args: argparse.Namespace) -> str:
                     jobs=args.jobs,
                     metrics_sink=metrics,
                     progress=progress,
-                    retain=args.retain,
                 )
             )
         if args.format in ("vega", "all"):
@@ -52,7 +51,6 @@ def cmd_figures(args: argparse.Namespace) -> str:
                     seeds=args.seeds,
                     jobs=args.jobs,
                     progress=progress,
-                    retain=args.retain,
                     metrics_sink=metrics,
                 )
             )
@@ -116,7 +114,6 @@ def cmd_stats_run(args: argparse.Namespace) -> str:
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         progress=progress,
-        retain=args.retain,
     )
     samples = replication.metric_samples(figures)
     estimates = replication.estimates(

@@ -153,13 +153,6 @@ def build_parser() -> argparse.ArgumentParser:
              "worker heartbeats under --jobs)",
     )
     figures.add_argument(
-        "--retain", choices=("full", "summary"), default=None,
-        help="simulator retain mode for the batch (default: current "
-             "process behavior; 'summary' streams runs through the "
-             "online timeline summary — exhibits that draw individual "
-             "segments still pin full retention on their own runs)",
-    )
-    figures.add_argument(
         "--plan-cache", action="store_true",
         help="enable the cross-run plan cache (window plans "
              "persist beside simulation-cache entries and warm "
@@ -203,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--retain", choices=("full", "summary"), default="full",
         help="capture retain mode (default full; 'summary' profiles "
-             "the streaming-aggregation path, folding the ledger from "
-             "the online timeline summary)",
+             "the streaming-aggregation path, which keeps no "
+             "per-segment timeline)",
     )
     profile.set_defaults(handler=cmd_profile)
 
@@ -377,10 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     stats_run.add_argument(
         "--cache-dir", default=None,
         help="shared on-disk simulation cache directory",
-    )
-    stats_run.add_argument(
-        "--retain", choices=("full", "summary"), default=None,
-        help="simulator retain mode for the replication batch",
     )
     stats_run.add_argument(
         "--progress", action="store_true",

@@ -171,10 +171,11 @@ class RunResult:
     identity.
 
     ``timeline`` is ``None`` for ``retain="summary"`` runs; ``summary``
-    is always populated by the simulator.  Aggregate accessors
-    (duration, residencies, byte totals) read whichever representation
-    is present, so downstream consumers need not care about the retain
-    mode.
+    is always populated by the simulator, and it is what
+    :meth:`repro.power.model.PowerModel.report` prices in either mode.
+    Aggregate accessors (duration, residencies, byte totals) read
+    whichever representation is present, so downstream consumers need
+    not care about the retain mode.
     """
 
     scheme: str
@@ -394,8 +395,9 @@ _default_retain = "full"
 def set_default_retain(mode: str) -> str:
     """Set the process-wide retain default; returns the previous mode.
 
-    Workers running summary-only exhibits set this once instead of
-    threading ``retain=`` through every call site.
+    :func:`repro.analysis.runner.run_exhibit` sets ``"summary"``
+    around every exhibit instead of threading ``retain=`` through each
+    call site; the golden-trace capture pins ``"full"``.
     """
     global _default_retain
     if mode not in RETAIN_MODES:

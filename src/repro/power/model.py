@@ -5,13 +5,15 @@ The paper computes average system power as::
     P_avg = sum_i  P_Ci * R_Ci  +  P_en_Ci * Lat_en_Ci  +  P_ex_Ci * Lat_ex_Ci
 
 i.e. per-C-state power weighted by residency, plus the energy of state
-entry/exit excursions.  This module evaluates exactly that — but
-bottom-up: every timeline segment's power is composed from the calibrated
-component library (SoC floor + active IPs + eDP rate + panel + DRAM
-background/operating + platform devices), and the per-state powers
-``P_Ci`` of a Table 2-style report emerge as energy-weighted averages.
-Excursion segments carry the library's ``transition_extra`` on top of the
-shallower state's floor — the ``P_en/P_ex`` terms.
+entry/exit excursions.  This module evaluates exactly that — as a sum
+over segment classes: every power term is linear in a class's
+accumulated quantities (seconds, DRAM and eDP bytes, APL-seconds), so a
+run's :class:`~repro.pipeline.timeline.TimelineSummary` is priced by one
+matrix product over calibrated per-class coefficients, and the
+per-state powers ``P_Ci`` of a Table 2-style report emerge as
+energy-weighted averages.  Excursion classes carry the library's
+``transition_extra`` on top of the shallower state's floor — the
+``P_en/P_ex`` terms.
 """
 
 from __future__ import annotations
@@ -203,12 +205,22 @@ class PowerModel:
         self, segment: Segment, panel: PanelConfig
     ) -> dict[str, float]:
         """Instantaneous power per component during ``segment`` (mW),
-        keyed in registry order."""
-        context = self._context
-        return {
-            term.key: term.power(segment, panel, context)
-            for term in self.registry
-        }
+        keyed in registry order: the segment's class coefficients (see
+        :meth:`_class_coefficients`) times its quantity row per second
+        of the segment."""
+        rates = np.array(
+            [
+                1.0,
+                segment.dram_read_bw,
+                segment.dram_write_bw,
+                segment.edp_rate,
+                segment.apl,
+            ]
+        )
+        powers = rates @ self._class_coefficients(
+            SegmentClass.of(segment), panel
+        )
+        return dict(zip(self.registry.keys, powers.tolist()))
 
     def segment_power(self, segment: Segment, panel: PanelConfig) -> float:
         """Total instantaneous power during ``segment`` (mW)."""
@@ -227,9 +239,8 @@ class PowerModel:
         Every term's energy is either constant-power over a segment
         class (charged as power × accumulated seconds) or linear in a
         quantity whose time integral the bucket carries exactly (eDP
-        payload bytes, DRAM read/write bytes, APL-seconds) — so
-        summary-mode reports equal timeline-mode reports up to float
-        re-association.
+        payload bytes, DRAM read/write bytes, APL-seconds) — the
+        linearity :meth:`_class_coefficients` probes.
         """
         context = self._context
         return {
@@ -282,11 +293,10 @@ class PowerModel:
 
         ``quantities`` is ``(len(cls_keys), len(QUANTITY_COLUMNS))``
         with the :data:`QUANTITY_COLUMNS` per class (e.g. a summary's
-        bucket totals, as :meth:`report_summary` builds it).  Returns
+        bucket totals, as :meth:`price_summary` builds it).  Returns
         the ``(classes, components)`` energy matrix in mJ, equal to
         calling :meth:`class_component_energies` per class up to float
-        re-association — the plan-group backbone behind summary
-        reports.
+        re-association — the one pricing path behind every report.
         """
         columns = len(self.QUANTITY_COLUMNS)
         quantities = np.asarray(quantities, dtype=float)
@@ -305,21 +315,41 @@ class PowerModel:
         )
         return np.einsum("kq,kqc->kc", quantities, coefficients)
 
+    def price_summary(
+        self, summary: TimelineSummary, panel: PanelConfig
+    ) -> tuple[list[SegmentClass], np.ndarray, np.ndarray]:
+        """A summary's classes, their quantity rows, and their
+        ``(classes, components)`` energy matrix from
+        :meth:`price_plan_matrix` — what every report and the energy
+        ledger price from."""
+        cls_keys = list(summary.buckets)
+        quantities = np.array(
+            [
+                [
+                    totals.seconds,
+                    totals.dram_read_bytes,
+                    totals.dram_write_bytes,
+                    totals.edp_bytes,
+                    totals.apl_seconds,
+                ]
+                for totals in summary.buckets.values()
+            ]
+        ).reshape(len(cls_keys), len(self.QUANTITY_COLUMNS))
+        return (
+            cls_keys,
+            quantities,
+            self.price_plan_matrix(cls_keys, quantities, panel),
+        )
+
     # -- run-level evaluation ------------------------------------------------------
 
     def report(self, run: RunResult) -> EnergyReport:
-        """Evaluate the model over a simulated run (the full timeline
-        when retained, otherwise the online summary)."""
-        if run.timeline is not None:
-            return self.report_timeline(
-                run.timeline, run.config.panel, scheme=run.scheme
-            )
-        if run.summary is not None:
-            return self.report_summary(
-                run.summary, run.config.panel, scheme=run.scheme
-            )
-        raise SimulationError(
-            "run retains neither a timeline nor a summary"
+        """Evaluate the model over a simulated run's class totals (the
+        online summary the simulator builds in every retain mode)."""
+        if run.summary is None:
+            raise SimulationError("run carries no timeline summary")
+        return self.report_summary(
+            run.summary, run.config.panel, scheme=run.scheme
         )
 
     def report_summary(
@@ -328,15 +358,19 @@ class PowerModel:
         panel: PanelConfig,
         scheme: str = "",
     ) -> EnergyReport:
-        """Evaluate the model over an online timeline summary.
+        """Evaluate the model over a timeline summary.
 
-        Emits the same trace events and metrics as
-        :meth:`report_timeline` and produces the same
-        :class:`EnergyReport` quantities (to float re-association) in
-        O(segment classes) work instead of O(segments).
+        The one pricing path: every bucket's quantities go through
+        :meth:`price_plan_matrix` in one vectorized pass, O(segment
+        classes) work whatever the run's length.  A traced run prices
+        the same way and emits the ``power.report`` span with its
+        ``power.component`` and ``power.state`` events from the result.
         """
         if not summary.buckets:
             raise SimulationError("cannot evaluate an empty summary")
+        duration = summary.duration
+        if duration <= 0:
+            raise SimulationError("summary covers no time")
         tracer = obs_trace.active()
         report_span = None
         if tracer is not None:
@@ -346,66 +380,23 @@ class PowerModel:
                 scheme=scheme,
                 segments=summary.segment_count,
             )
+        cls_keys, quantities, matrix = self.price_summary(summary, panel)
+        by_component = dict(
+            zip(self.registry.keys, matrix.sum(axis=0).tolist())
+        )
+        class_energies = matrix.sum(axis=1).tolist()
         state_energy: dict[PackageCState, float] = {}
         state_seconds: dict[PackageCState, float] = {}
         transition_energy = 0.0
-        if tracer is None:
-            # Vectorized pricing: one einsum over cached per-class
-            # coefficients.  Only taken untraced — the scalar loop below
-            # is what golden traces pinned byte-for-byte.
-            cls_keys = list(summary.buckets)
-            quantities = np.array(
-                [
-                    [
-                        totals.seconds,
-                        totals.dram_read_bytes,
-                        totals.dram_write_bytes,
-                        totals.edp_bytes,
-                        totals.apl_seconds,
-                    ]
-                    for totals in summary.buckets.values()
-                ]
-            )
-            matrix = self.price_plan_matrix(cls_keys, quantities, panel)
-            by_component = dict(
-                zip(self.registry.keys, matrix.sum(axis=0).tolist())
-            )
-            class_energies = matrix.sum(axis=1)
-            for slot, cls_key in enumerate(cls_keys):
-                class_energy = float(class_energies[slot])
-                state = cls_key.state.reporting_state
-                state_energy[state] = (
-                    state_energy.get(state, 0.0) + class_energy
-                )
-                state_seconds[state] = (
-                    state_seconds.get(state, 0.0)
-                    + float(quantities[slot, 0])
-                )
-                if cls_key.transition:
-                    transition_energy += class_energy
-        else:
-            by_component = self.registry.zeros()
-            for cls_key, totals in summary.buckets.items():
-                energies = self.class_component_energies(
-                    cls_key, totals, panel
-                )
-                class_energy = 0.0
-                for key, energy in energies.items():
-                    by_component[key] += energy
-                    class_energy += energy
-                state = cls_key.state.reporting_state
-                state_energy[state] = (
-                    state_energy.get(state, 0.0) + class_energy
-                )
-                state_seconds[state] = (
-                    state_seconds.get(state, 0.0) + totals.seconds
-                )
-                if cls_key.transition:
-                    transition_energy += class_energy
+        for cls_key, class_energy, seconds in zip(
+            cls_keys, class_energies, quantities[:, 0].tolist()
+        ):
+            state = cls_key.state.reporting_state
+            state_energy[state] = state_energy.get(state, 0.0) + class_energy
+            state_seconds[state] = state_seconds.get(state, 0.0) + seconds
+            if cls_key.transition:
+                transition_energy += class_energy
         total = sum(by_component.values())
-        duration = summary.duration
-        if duration <= 0:
-            raise SimulationError("summary covers no time")
         by_state = {
             state: CStateSummary(
                 state=state,
@@ -466,94 +457,12 @@ class PowerModel:
         panel: PanelConfig,
         scheme: str = "",
     ) -> EnergyReport:
-        """Evaluate the model over a bare timeline."""
-        if not timeline.segments:
-            raise SimulationError("cannot evaluate an empty timeline")
-        tracer = obs_trace.active()
-        report_span = None
-        if tracer is not None:
-            report_span = tracer.begin_span(
-                "power.report",
-                t=timeline.start,
-                scheme=scheme,
-                segments=len(timeline),
-            )
-        by_component = self.registry.zeros()
-        state_energy: dict[PackageCState, float] = {}
-        state_seconds: dict[PackageCState, float] = {}
-        transition_energy = 0.0
-        for segment in timeline:
-            powers = self.segment_component_powers(segment, panel)
-            duration = segment.duration
-            segment_energy = 0.0
-            for key, power in powers.items():
-                energy = power * duration
-                by_component[key] += energy
-                segment_energy += energy
-            state = segment.state.reporting_state
-            state_energy[state] = (
-                state_energy.get(state, 0.0) + segment_energy
-            )
-            state_seconds[state] = (
-                state_seconds.get(state, 0.0) + duration
-            )
-            if segment.transition:
-                transition_energy += segment_energy
-        total = sum(by_component.values())
-        duration = timeline.duration
-        by_state = {
-            state: CStateSummary(
-                state=state,
-                residency_s=seconds,
-                residency_fraction=seconds / duration,
-                average_power_mw=(
-                    state_energy[state] / seconds if seconds > 0 else 0.0
-                ),
-                energy_mj=state_energy[state],
-            )
-            for state, seconds in state_seconds.items()
-        }
-        report = EnergyReport(
-            scheme=scheme,
-            duration_s=duration,
-            total_energy_mj=total,
-            by_component_mj=by_component,
-            by_state=by_state,
-            transition_energy_mj=transition_energy,
-            dram_read_bytes=timeline.dram_read_bytes,
-            dram_write_bytes=timeline.dram_write_bytes,
+        """Evaluate the model over a bare timeline: its class totals
+        (:meth:`TimelineSummary.from_timeline`), priced by
+        :meth:`report_summary`."""
+        return self.report_summary(
+            TimelineSummary.from_timeline(timeline), panel, scheme=scheme
         )
-        registry = obs_metrics.registry()
-        registry.counter(
-            "power.reports", "energy reports evaluated"
-        ).inc()
-        registry.histogram(
-            "power.avg_mw", "run-average system power per report"
-        ).observe(report.average_power_mw)
-        if tracer is not None:
-            for key in self.registry.keys:
-                tracer.event(
-                    "power.component", component=key,
-                    energy_mj=by_component[key],
-                )
-            for row in report.table2_rows():
-                tracer.event(
-                    "power.state",
-                    state=row.state,
-                    residency_s=row.residency_s,
-                    residency_fraction=row.residency_fraction,
-                    average_power_mw=row.average_power_mw,
-                    energy_mj=row.energy_mj,
-                )
-            assert report_span is not None
-            tracer.end_span(
-                report_span,
-                t=timeline.end,
-                total_mj=total,
-                average_mw=report.average_power_mw,
-                transition_mj=transition_energy,
-            )
-        return report
 
     # -- the closed-form check ------------------------------------------------------
 

@@ -4,34 +4,31 @@ Historically :mod:`repro.power.model` hard-coded its component set as a
 frozen ``COMPONENT_KEYS`` tuple with one pricing expression per
 component copy-pasted into every accumulation loop.  This module turns
 each component into a :class:`PowerTerm` — a declaration of its key and
-its two pricing functions — and the model evaluates whatever registry it
+its pricing function — and the model evaluates whatever registry it
 was built with.  The default registry (:func:`default_registry`)
-reproduces the historical component set *byte-exactly*: every term
-carries the very expression the monolithic model used, evaluated in the
-same order, so golden traces, the drift gate, and the pinned figure
-artifacts are unchanged.
+reproduces the historical component set: every term carries the very
+expression the monolithic model used.
 
-A term prices in two equivalent forms:
-
-* ``power(segment, panel, ctx)`` — instantaneous milliwatts during one
-  :class:`~repro.pipeline.timeline.Segment` (the timeline path);
-* ``energy(cls_key, totals, panel, ctx)`` — millijoules for one summary
-  bucket.  Every energy expression must be **linear through the origin**
-  in the :data:`QUANTITY_COLUMNS` carried by
-  :class:`~repro.pipeline.timeline.ClassTotals` (accumulated seconds,
-  DRAM read/write bytes, eDP payload bytes, APL-weighted seconds).
-  That linearity is what lets the model recover a term's coefficient
-  row by probing with unit totals and price whole plan matrices in one
-  ``einsum`` — the energy function *is* the term's coefficient function
-  over ``(segment class, C-state, config, content attributes)``: the
-  class key carries the C-state and activity flags, the panel/library
-  carry the configuration, and the content attributes enter through the
-  quantity columns (``apl_seconds``) they integrate into.
+A term prices one summary bucket: ``energy(cls_key, totals, panel,
+ctx)`` returns millijoules for a segment class and its
+:class:`~repro.pipeline.timeline.ClassTotals`.  Every energy expression
+must be **linear through the origin** in the :data:`QUANTITY_COLUMNS`
+the totals carry (accumulated seconds, DRAM read/write bytes, eDP
+payload bytes, APL-weighted seconds).  That linearity is what lets the
+model recover a term's coefficient row by probing with unit totals and
+price whole summaries in one ``einsum`` — the energy function *is* the
+term's coefficient function over ``(segment class, C-state, config,
+content attributes)``: the class key carries the C-state and activity
+flags, the panel/library carry the configuration, and the content
+attributes enter through the quantity columns (``apl_seconds``) they
+integrate into.  A single segment's instantaneous power is the same
+coefficients times its per-second quantity row
+(:meth:`~repro.power.model.PowerModel.segment_component_powers`).
 
 Content-aware pricing needs no per-site special cases: a term that reads
 ``totals.apl_seconds`` (like the OLED emission part of the ``panel``
-term) is priced by exactly the same scalar loops and vectorized path as
-every other term.
+term) is priced by exactly the same vectorized path as every other
+term.
 """
 
 from __future__ import annotations
@@ -44,7 +41,6 @@ from ..errors import CalibrationError
 from ..pipeline.timeline import (
     ClassTotals,
     PanelMode,
-    Segment,
     SegmentClass,
     VdMode,
 )
@@ -67,16 +63,14 @@ QUANTITY_COLUMNS = (
 
 @dataclass(frozen=True)
 class TermContext:
-    """Everything a term's pricing functions may read besides the
-    segment/class itself: the calibrated library and the workload's
+    """Everything a term's pricing function may read besides the class
+    and its totals: the calibrated library and the workload's
     platform-device shape."""
 
     library: ComponentPowerLibrary
     extras: "PlatformExtras"
 
 
-#: Instantaneous power of one segment, in mW.
-SegmentPowerFn = Callable[[Segment, PanelConfig, TermContext], float]
 #: Energy of one summary bucket, in mJ (linear in QUANTITY_COLUMNS).
 ClassEnergyFn = Callable[
     [SegmentClass, ClassTotals, PanelConfig, TermContext], float
@@ -94,7 +88,6 @@ class PowerTerm:
     """
 
     key: str
-    power: SegmentPowerFn
     energy: ClassEnergyFn
     #: One-line description for docs/exports.
     doc: str = ""
@@ -153,15 +146,10 @@ class PowerTermRegistry:
 
 # ---------------------------------------------------------------------------
 # The default registry: the historical component set, expression for
-# expression.  Each pair below is a verbatim transplant of the pricing
-# the monolithic model used — do not "simplify" the float arithmetic,
-# byte-exactness of golden traces depends on it.
+# expression.  Each function below is the class-level pricing the
+# monolithic model used; the model probes them for its coefficient rows,
+# so their float arithmetic is what the pinned outputs rest on.
 # ---------------------------------------------------------------------------
-
-
-def _soc_floor_power(s: Segment, panel: PanelConfig,
-                     ctx: TermContext) -> float:
-    return ctx.library.floor(s.state)
 
 
 def _soc_floor_energy(c: SegmentClass, t: ClassTotals,
@@ -169,36 +157,14 @@ def _soc_floor_energy(c: SegmentClass, t: ClassTotals,
     return ctx.library.floor(c.state) * t.seconds
 
 
-def _always_on_power(s: Segment, panel: PanelConfig,
-                     ctx: TermContext) -> float:
-    return ctx.library.always_on
-
-
 def _always_on_energy(c: SegmentClass, t: ClassTotals,
                       panel: PanelConfig, ctx: TermContext) -> float:
     return ctx.library.always_on * t.seconds
 
 
-def _cpu_power(s: Segment, panel: PanelConfig,
-               ctx: TermContext) -> float:
-    return ctx.library.cpu_active if s.cpu_active else 0.0
-
-
 def _cpu_energy(c: SegmentClass, t: ClassTotals,
                 panel: PanelConfig, ctx: TermContext) -> float:
     return ctx.library.cpu_active * t.seconds if c.cpu_active else 0.0
-
-
-def _vd_power(s: Segment, panel: PanelConfig,
-              ctx: TermContext) -> float:
-    lib = ctx.library
-    if s.vd_mode is VdMode.ACTIVE:
-        return lib.vd_active
-    if s.vd_mode is VdMode.LOW_POWER:
-        return lib.vd_low_power
-    if s.vd_mode is VdMode.HALTED:
-        return lib.vd_clock_gated
-    return 0.0
 
 
 def _vd_energy(c: SegmentClass, t: ClassTotals,
@@ -213,19 +179,9 @@ def _vd_energy(c: SegmentClass, t: ClassTotals,
     return 0.0
 
 
-def _gpu_power(s: Segment, panel: PanelConfig,
-               ctx: TermContext) -> float:
-    return ctx.library.gpu_active if s.gpu_active else 0.0
-
-
 def _gpu_energy(c: SegmentClass, t: ClassTotals,
                 panel: PanelConfig, ctx: TermContext) -> float:
     return ctx.library.gpu_active * t.seconds if c.gpu_active else 0.0
-
-
-def _dc_power(s: Segment, panel: PanelConfig,
-              ctx: TermContext) -> float:
-    return ctx.library.dc_power(s.edp_rate) if s.dc_active else 0.0
 
 
 def _dc_energy(c: SegmentClass, t: ClassTotals,
@@ -241,11 +197,6 @@ def _dc_energy(c: SegmentClass, t: ClassTotals,
     )
 
 
-def _edp_power(s: Segment, panel: PanelConfig,
-               ctx: TermContext) -> float:
-    return ctx.library.edp_power(s.edp_rate)
-
-
 def _edp_energy(c: SegmentClass, t: ClassTotals,
                 panel: PanelConfig, ctx: TermContext) -> float:
     if not c.edp_active:
@@ -257,23 +208,6 @@ def _edp_energy(c: SegmentClass, t: ClassTotals,
     return (
         lib.edp_base * t.seconds
         + lib.edp_mw_per_gbps * to_gbps(t.edp_bytes)
-    )
-
-
-def _panel_power(s: Segment, panel: PanelConfig,
-                 ctx: TermContext) -> float:
-    lib = ctx.library
-    displaying = s.panel_mode is not PanelMode.OFF
-    receiving = s.edp_rate > 0
-    if panel.is_oled:
-        power = lib.oled_power(
-            panel, displaying=displaying, receiving=receiving
-        )
-        if displaying:
-            power += lib.oled_emission_mw(panel) * s.apl
-        return power
-    return lib.panel_power(
-        panel, displaying=displaying, receiving=receiving
     )
 
 
@@ -298,32 +232,15 @@ def _panel_energy(c: SegmentClass, t: ClassTotals,
     ) * t.seconds
 
 
-def _drfb_power(s: Segment, panel: PanelConfig,
-                ctx: TermContext) -> float:
-    return ctx.library.drfb_active if s.drfb_active else 0.0
-
-
 def _drfb_energy(c: SegmentClass, t: ClassTotals,
                  panel: PanelConfig, ctx: TermContext) -> float:
     return ctx.library.drfb_active * t.seconds if c.drfb_active else 0.0
-
-
-def _dram_background_power(s: Segment, panel: PanelConfig,
-                           ctx: TermContext) -> float:
-    return ctx.library.dram_background(s.state)
 
 
 def _dram_background_energy(c: SegmentClass, t: ClassTotals,
                             panel: PanelConfig,
                             ctx: TermContext) -> float:
     return ctx.library.dram_background(c.state) * t.seconds
-
-
-def _dram_traffic_power(s: Segment, panel: PanelConfig,
-                        ctx: TermContext) -> float:
-    return ctx.library.dram.operating_power(
-        s.dram_read_bw, s.dram_write_bw
-    )
 
 
 def _dram_traffic_energy(c: SegmentClass, t: ClassTotals,
@@ -334,19 +251,9 @@ def _dram_traffic_energy(c: SegmentClass, t: ClassTotals,
     )
 
 
-def _platform_power(s: Segment, panel: PanelConfig,
-                    ctx: TermContext) -> float:
-    return ctx.extras.power(ctx.library)
-
-
 def _platform_energy(c: SegmentClass, t: ClassTotals,
                      panel: PanelConfig, ctx: TermContext) -> float:
     return ctx.extras.power(ctx.library) * t.seconds
-
-
-def _transition_power(s: Segment, panel: PanelConfig,
-                      ctx: TermContext) -> float:
-    return ctx.library.transition_extra if s.transition else 0.0
 
 
 def _transition_energy(c: SegmentClass, t: ClassTotals,
@@ -359,34 +266,32 @@ def _transition_energy(c: SegmentClass, t: ClassTotals,
 #: The historical component set, as declarative terms.  Order is the
 #: historical ``COMPONENT_KEYS`` order — it defines the stable ids.
 DEFAULT_TERMS: tuple[PowerTerm, ...] = (
-    PowerTerm("soc_floor", _soc_floor_power, _soc_floor_energy,
+    PowerTerm("soc_floor", _soc_floor_energy,
               "SoC floor of the package C-state"),
-    PowerTerm("always_on", _always_on_power, _always_on_energy,
+    PowerTerm("always_on", _always_on_energy,
               "always-on platform rail"),
-    PowerTerm("cpu", _cpu_power, _cpu_energy,
+    PowerTerm("cpu", _cpu_energy,
               "CPU cores running orchestration code"),
-    PowerTerm("vd", _vd_power, _vd_energy,
+    PowerTerm("vd", _vd_energy,
               "video decoder (per DVFS mode)"),
-    PowerTerm("gpu", _gpu_power, _gpu_energy,
+    PowerTerm("gpu", _gpu_energy,
               "GPU projection/render work"),
-    PowerTerm("dc", _dc_power, _dc_energy,
+    PowerTerm("dc", _dc_energy,
               "display controller base + datapath"),
-    PowerTerm("edp", _edp_power, _edp_energy,
+    PowerTerm("edp", _edp_energy,
               "eDP link electrical cost"),
-    PowerTerm("panel", _panel_power, _panel_energy,
+    PowerTerm("panel", _panel_energy,
               "panel scan/backlight (LCD) or drive + luminance-"
               "dependent emission (OLED)"),
-    PowerTerm("drfb", _drfb_power, _drfb_energy,
+    PowerTerm("drfb", _drfb_energy,
               "double remote framebuffer write overhead"),
-    PowerTerm("dram_background", _dram_background_power,
-              _dram_background_energy,
+    PowerTerm("dram_background", _dram_background_energy,
               "DRAM background (state-implied)"),
-    PowerTerm("dram_traffic", _dram_traffic_power,
-              _dram_traffic_energy,
+    PowerTerm("dram_traffic", _dram_traffic_energy,
               "DRAM traffic-proportional energy"),
-    PowerTerm("platform", _platform_power, _platform_energy,
+    PowerTerm("platform", _platform_energy,
               "platform devices (WiFi/storage/idle)"),
-    PowerTerm("transition", _transition_power, _transition_energy,
+    PowerTerm("transition", _transition_energy,
               "C-state entry/exit excursion extra"),
 )
 

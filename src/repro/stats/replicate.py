@@ -128,7 +128,6 @@ def replicate_exhibits(
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     progress: Callable[[str], None] | None = None,
-    retain: str | None = None,
 ) -> Replication:
     """Regenerate exhibits under seed offsets ``0 .. seeds-1``.
 
@@ -153,7 +152,6 @@ def replicate_exhibits(
         ExhibitTask(
             name,
             seed_offset=seed,
-            retain=retain,
             cache_dir=None if cache_dir is None else str(cache_dir),
             label=_task_label(name, seed),
         )

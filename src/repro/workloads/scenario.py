@@ -6,8 +6,8 @@ falls back to the conventional path the moment it does not (a new
 plane, a touch, a second stream).  The per-figure experiments hold the
 scheme fixed; this engine plays out a whole session — e.g. browse, go
 full-screen, get interrupted by a notification, resume — re-running the
-selector at every phase boundary and stitching the phases into one
-timeline.
+selector at every phase boundary and adding the phases up into one
+session.
 
 A :class:`Scenario` is a list of :class:`Phase` steps.  Each phase
 mutates the register file (through its ``events``), asks
@@ -24,7 +24,6 @@ from ..config import SystemConfig
 from ..core.fallback import SchemeSelector
 from ..errors import ConfigurationError
 from ..pipeline.sim import FrameWindowSimulator, RunResult
-from ..pipeline.timeline import Timeline
 from ..power.model import EnergyReport, PlatformExtras, PowerModel
 from ..soc.registers import RegisterFile
 from ..video.source import AnalyticContentModel
@@ -72,7 +71,6 @@ class ScenarioResult:
     """A played-out scenario."""
 
     outcomes: list[PhaseOutcome]
-    timeline: Timeline
 
     @property
     def total_energy_mj(self) -> float:
@@ -82,7 +80,7 @@ class ScenarioResult:
     @property
     def duration_s(self) -> float:
         """Total session time."""
-        return self.timeline.duration
+        return sum(o.run.duration for o in self.outcomes)
 
     @property
     def average_power_mw(self) -> float:
@@ -131,7 +129,6 @@ class Scenario:
         model = PowerModel(extras=self.extras)
         content = AnalyticContentModel()
         outcomes: list[PhaseOutcome] = []
-        timelines: list[Timeline] = []
         for index, phase in enumerate(self.phases):
             for event in phase.events:
                 event(self.registers)
@@ -165,11 +162,7 @@ class Scenario:
                     report=model.report(run),
                 )
             )
-            timelines.append(run.timeline)
-        return ScenarioResult(
-            outcomes=outcomes,
-            timeline=Timeline.concatenate(timelines),
-        )
+        return ScenarioResult(outcomes=outcomes)
 
 
 # ---------------------------------------------------------------------------

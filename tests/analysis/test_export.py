@@ -105,6 +105,23 @@ class TestRunExport:
         parsed = json.loads(text)
         assert parsed["residency"]["C9"] > 0.5
 
+    def test_summary_run_exports_like_full_run(self, run):
+        frames = AnalyticContentModel().frames(FHD, 6)
+        summary_run = FrameWindowSimulator(
+            run.config, BurstLinkScheme()
+        ).run(frames, 30.0, retain="summary")
+        assert summary_run.timeline is None
+        full = run_to_dict(run)
+        summary = run_to_dict(summary_run)
+        assert summary.keys() == full.keys()
+        # A full run's accessors read its timeline, a summary run's its
+        # class buckets: the same totals up to float re-association.
+        for key, value in full.items():
+            if key == "residency" or isinstance(value, float):
+                assert summary[key] == pytest.approx(value, rel=1e-12)
+            else:
+                assert summary[key] == value, key
+
     def test_baseline_export_differs(self):
         config = skylake_tablet(FHD)
         frames = AnalyticContentModel().frames(FHD, 6)

@@ -31,7 +31,11 @@ from repro.analysis.figures import (
     vega_lite_spec,
     write_figure_files,
 )
-from repro.analysis.runner import exhibit_registry, run_exhibit
+from repro.analysis.runner import (
+    exhibit_registry,
+    run_exhibit,
+    run_exhibits,
+)
 from repro.analysis.vega import spec_problems, validate_spec
 from repro.errors import ConfigurationError, SimulationError
 
@@ -287,6 +291,16 @@ class TestGoldenArtifacts:
         _assert_matches_golden(
             GOLDEN_DIR / "fig09.interval.vl.json", text
         )
+
+
+class TestBatchParity:
+    def test_fanned_out_records_equal_pinned_records(self, pinned_records):
+        """The pins read ``run_exhibit``; ``repro figures`` reads the
+        fan-out.  Both run summary-first, so the records agree exactly."""
+        (outcome,) = run_exhibits(["fig09"], jobs=2)
+        assert figure_records(
+            get_figure("fig09"), outcome.result
+        ) == pinned_records["fig09"]
 
 
 class TestWriteFigureFiles:

@@ -313,16 +313,23 @@ class TestExhibitEngine:
         with pytest.raises(ConfigurationError):
             run_exhibits(("fig01",), jobs=0)
 
-    def test_batch_retain_restored(self, isolated_cache):
-        """``run_exhibits(retain=...)`` applies only for the batch: the
+    def test_batch_retain_restored(self, isolated_cache, monkeypatch):
+        """Exhibits run summary-first, and only for the exhibit: the
         process default is back afterwards."""
+        from repro.analysis import runner
         from repro.pipeline.sim import default_retain
 
         before = default_retain()
-        outcomes = run_exhibits(("standby",), retain="summary")
+        outcomes = run_exhibits(("standby",))
         assert default_retain() == before
         assert outcomes[0].name == "standby"
         assert 0 < outcomes[0].result.reduction < 1
+        monkeypatch.setattr(
+            runner, "exhibit_registry",
+            lambda: {"probe": default_retain},
+        )
+        assert run_exhibit("probe").result == "summary"
+        assert default_retain() == before
 
     def test_metrics_track_cache_activity(self, isolated_cache):
         cold = run_exhibit("fig01")

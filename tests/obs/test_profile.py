@@ -1,5 +1,6 @@
 """The energy-attribution profiler: forest, ledger, reconciliation."""
 
+import dataclasses
 import json
 
 import pytest
@@ -23,6 +24,7 @@ from repro.obs.profile import (
     window_stats,
 )
 from repro.obs.trace import Tracer
+from repro.pipeline.timeline import TimelineSummary
 from repro.power.model import (
     COMPONENT_IDS,
     COMPONENT_KEYS,
@@ -182,10 +184,14 @@ class TestLedger:
         assert all(e > 0 for e in energies)
 
     def test_segments_outside_windows_attributed(self):
-        # A run profiled against *no* windows lands everything in the
-        # "outside" bucket rather than dropping energy.
+        # A summary folded from a bare timeline carries no window kinds:
+        # everything lands in the "outside" bucket rather than dropping
+        # energy.
         _, run = capture_trace("conventional")
-        ledger = energy_ledger(run, windows=[])
+        bare = dataclasses.replace(
+            run, summary=TimelineSummary.from_timeline(run.timeline)
+        )
+        ledger = energy_ledger(bare)
         kinds = ledger.by_window_kind()
         assert set(kinds) == {OUTSIDE_WINDOWS}
         assert kinds[OUTSIDE_WINDOWS] == pytest.approx(
@@ -195,7 +201,7 @@ class TestLedger:
     def test_mismatch_detected(self):
         tracer, run = capture_trace("conventional")
         roots, _ = build_span_forest(tracer.events)
-        ledger = energy_ledger(run, window_spans(roots))
+        ledger = energy_ledger(run)
         traced = traced_component_energies(roots)
         traced["panel"] *= 1.5  # simulate a drifted power report
         assert not reconcile(ledger, traced).ok

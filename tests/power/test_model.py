@@ -1,14 +1,30 @@
 """The analytical power model over timelines."""
 
+import dataclasses
+
 import pytest
 
-from repro.config import FHD, PanelConfig, skylake_tablet
+from repro.config import (
+    FHD,
+    PLANAR_RESOLUTIONS,
+    PanelConfig,
+    skylake_tablet,
+)
+from repro.core import BurstLinkScheme
 from repro.errors import SimulationError
+from repro.obs.trace import tracing
 from repro.pipeline.conventional import ConventionalScheme
 from repro.pipeline.sim import FrameWindowSimulator
-from repro.pipeline.timeline import PanelMode, Segment, Timeline, VdMode
+from repro.pipeline.timeline import (
+    PanelMode,
+    Segment,
+    Timeline,
+    TimelineSummary,
+    VdMode,
+)
 from repro.power.model import (
     COMPONENT_KEYS,
+    EnergyReport,
     PlatformExtras,
     PowerModel,
 )
@@ -170,3 +186,50 @@ class TestReport:
     def test_bad_window_length_rejected(self, report):
         with pytest.raises(SimulationError):
             report.energy_per_frame_window(0)
+
+
+class TestOnePrice:
+    """Every report prices class totals through one vectorized path:
+    tracing, retain mode and the caller's entry point do not change a
+    bit of the result."""
+
+    @staticmethod
+    def _run(resolution, scheme_cls, retain="full"):
+        config = skylake_tablet(resolution)
+        if scheme_cls is BurstLinkScheme:
+            config = config.with_drfb()
+        frames = AnalyticContentModel().frames(resolution, 12)
+        return FrameWindowSimulator(config, scheme_cls()).run(
+            frames, 30.0, retain=retain
+        )
+
+    @pytest.mark.parametrize("retain", ["full", "summary"])
+    @pytest.mark.parametrize("scheme_cls", [
+        ConventionalScheme, BurstLinkScheme,
+    ])
+    @pytest.mark.parametrize("resolution", PLANAR_RESOLUTIONS, ids=str)
+    def test_traced_report_equals_untraced(
+        self, resolution, scheme_cls, retain
+    ):
+        run = self._run(resolution, scheme_cls, retain)
+        untraced = PowerModel().report(run)
+        with tracing() as tracer:
+            traced = PowerModel().report(run)
+        assert any(e["name"] == "power.component" for e in tracer.events)
+        for field in dataclasses.fields(EnergyReport):
+            assert getattr(traced, field.name) == getattr(
+                untraced, field.name
+            ), field.name
+
+    @pytest.mark.parametrize("scheme_cls", [
+        ConventionalScheme, BurstLinkScheme,
+    ])
+    def test_report_timeline_is_summary_of_timeline(self, model, scheme_cls):
+        run = self._run(FHD, scheme_cls)
+        panel = run.config.panel
+        assert model.report_timeline(
+            run.timeline, panel, scheme=run.scheme
+        ) == model.report_summary(
+            TimelineSummary.from_timeline(run.timeline), panel,
+            scheme=run.scheme,
+        )

@@ -19,7 +19,6 @@ from repro.video.source import AnalyticContentModel
 def _zero_term(key="extra"):
     return PowerTerm(
         key,
-        lambda segment, panel, ctx: 0.0,
         lambda cls, totals, panel, ctx: 0.0,
         "a term that prices nothing",
     )
@@ -96,7 +95,6 @@ class TestModelWithCustomRegistry:
     def test_constant_term_adds_linear_energy(self, run):
         flat = PowerTerm(
             "heater",
-            lambda segment, panel, ctx: 100.0,
             lambda cls, totals, panel, ctx: 100.0 * totals.seconds,
         )
         base = PowerModel().report(run)

@@ -1,11 +1,19 @@
 """Property-based tests on the power model."""
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import PanelConfig, Resolution
 from repro.dram.power import DramPowerModel
-from repro.pipeline.timeline import PanelMode, Segment, VdMode
+from repro.pipeline.timeline import (
+    PanelMode,
+    Segment,
+    Timeline,
+    TimelineSummary,
+    VdMode,
+)
 from repro.power.model import PowerModel
 from repro.soc.cstates import PackageCState
 
@@ -125,3 +133,63 @@ def test_report_energy_equals_sum_of_segments(phase_list):
         for segment in timeline
     )
     assert abs(report.total_energy_mj - manual) < 1e-6
+
+
+any_states = st.sampled_from(list(PackageCState))
+unit_floats = st.floats(min_value=0.0, max_value=1.0)
+
+
+@st.composite
+def segments(draw):
+    """An arbitrary valid segment: DRAM traffic only where the state
+    keeps DRAM out of self-refresh."""
+    state = draw(any_states)
+    traffic = st.just(0.0) if state.dram_in_self_refresh else bandwidths
+    start = draw(st.floats(min_value=0.0, max_value=10.0))
+    return Segment(
+        start=start,
+        end=start + draw(st.floats(min_value=1e-6, max_value=1.0)),
+        state=state,
+        transition=draw(st.booleans()),
+        dram_read_bw=draw(traffic),
+        dram_write_bw=draw(traffic),
+        edp_rate=draw(st.sampled_from([0.0, 1e8, 2.5e9])),
+        cpu_active=draw(st.booleans()),
+        gpu_active=draw(st.booleans()),
+        vd_mode=draw(st.sampled_from(list(VdMode))),
+        dc_active=draw(st.booleans()),
+        panel_mode=draw(st.sampled_from(list(PanelMode))),
+        drfb_active=draw(st.booleans()),
+        apl=draw(unit_floats),
+    )
+
+
+@given(
+    segments(),
+    resolutions,
+    st.booleans(),
+    st.sampled_from([0.25, 0.5, 1.0]),
+)
+@settings(max_examples=200)
+def test_segment_power_is_class_energy_rate(
+    segment, resolution, oled, brightness
+):
+    """A segment's component power times its duration is what each
+    term charges the one-segment summary of it: segment power comes
+    from the same class coefficients the summary path prices with."""
+    model = PowerModel()
+    panel = PanelConfig(
+        resolution=resolution,
+        technology="oled" if oled else "lcd",
+        brightness=brightness,
+    )
+    summary = TimelineSummary.from_timeline(Timeline([segment]))
+    ((cls_key, totals),) = summary.buckets.items()
+    energies = model.class_component_energies(cls_key, totals, panel)
+    powers = model.segment_component_powers(segment, panel)
+    assert list(powers) == list(energies)
+    for key, energy in energies.items():
+        assert math.isclose(
+            powers[key] * segment.duration, energy,
+            rel_tol=1e-12, abs_tol=0.0,
+        ), key

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.errors import ConfigurationError
+from repro.pipeline.sim import set_default_retain
 from repro.soc.registers import RegisterFile
 from repro.workloads.scenario import (
     Phase,
@@ -176,6 +177,22 @@ class TestRegisterEvents:
         registers = RegisterFile()
         with pytest.raises(ConfigurationError):
             second_stream_closes(registers)
+
+
+class TestSummaryRetain:
+    def test_play_with_summary_only_runs(self, config):
+        full = streaming_session(config).play()
+        previous = set_default_retain("summary")
+        try:
+            summary = streaming_session(config).play()
+        finally:
+            set_default_retain(previous)
+        assert all(o.run.timeline is None for o in summary.outcomes)
+        assert summary.scheme_sequence() == full.scheme_sequence()
+        assert summary.duration_s == pytest.approx(
+            full.duration_s, rel=1e-12
+        )
+        assert summary.total_energy_mj == full.total_energy_mj
 
 
 class TestPhaseOutcomeAccounting:
