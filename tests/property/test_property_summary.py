@@ -256,7 +256,8 @@ def test_pushed_stream_matches_offline(
 )
 @settings(max_examples=20, deadline=None)
 def test_retain_mode_is_invisible(spec, retain, seed):
-    """Whatever the run retains, the priced result is the same."""
+    """Whatever the run retains, the priced result is the same: both
+    modes price the same summary, so the reports are equal."""
     factory, needs_drfb = spec
     config = skylake_tablet(FHD)
     if needs_drfb:
@@ -269,8 +270,4 @@ def test_retain_mode_is_invisible(spec, retain, seed):
         frames, 30.0, retain=retain
     )
     assert other.stats == full.stats
-    assert PowerModel().report(other).total_energy_mj == (
-        pytest.approx(
-            PowerModel().report(full).total_energy_mj, rel=1e-9
-        )
-    )
+    assert PowerModel().report(other) == PowerModel().report(full)
