@@ -148,7 +148,8 @@ class EventLog:
 
 class _DigestPricer:
     """Prices one window of a plan group into (panel, dram, edp, total)
-    mJ plus its deep-C-state fraction.
+    mJ plus its deep-C-state fraction, through
+    :meth:`PowerModel.price_summary` (the path every report takes).
 
     Pricing is a pure read of the group's plan — it never touches the
     simulator.  The one-window digest is built lazily, on the first
@@ -174,19 +175,16 @@ class _DigestPricer:
                 group.result.timeline, group.effective_kind,
                 window.duration,
             )
-        panel_mj = dram_mj = edp_mj = total_mj = 0.0
-        for cls_key, totals in digest.buckets.items():
-            energies = self.model.class_component_energies(
-                cls_key, totals, self.panel
-            )
-            panel_mj += energies["panel"]
-            dram_mj += (
-                energies["dram_background"] + energies["dram_traffic"]
-            )
-            edp_mj += energies["edp"]
-            total_mj += sum(energies.values())
+        _, _, matrix = self.model.price_summary(digest, self.panel)
+        energies = dict(
+            zip(self.model.registry.keys, matrix.sum(axis=0).tolist())
+        )
         price = (
-            panel_mj, dram_mj, edp_mj, total_mj, _deep_fraction(digest)
+            energies["panel"],
+            energies["dram_background"] + energies["dram_traffic"],
+            energies["edp"],
+            sum(energies.values()),
+            _deep_fraction(digest),
         )
         self._cache[group] = price
         return price

@@ -158,6 +158,32 @@ class TestServiceOps:
         )
         assert key not in obs_metrics.registry().names()
 
+    def test_window_price_equals_report_of_its_digest(self):
+        service = PowerAdvisorService()
+        _open(service, "priced", window_s=2.0)
+        pricer = service.sessions["priced"].pricer
+        model = pricer.model
+        digests = []
+
+        def recording(summary, panel):
+            digests.append(summary)
+            return type(model).price_summary(model, summary, panel)
+
+        model.price_summary = recording
+        service.handle({"op": "stream", "session": "priced", "count": 12})
+        del model.price_summary
+        prices = list(pricer._cache.values())
+        assert digests and len(digests) == len(prices)
+        for digest, price in zip(digests, prices):
+            report = model.report_summary(digest, pricer.panel)
+            by = report.by_component_mj
+            assert price[:4] == (
+                by["panel"],
+                by["dram_background"] + by["dram_traffic"],
+                by["edp"],
+                report.total_energy_mj,
+            )
+
     def test_backpressure_stall_logged_when_starved(self):
         service = PowerAdvisorService(
             events=EventLog(level="debug")
