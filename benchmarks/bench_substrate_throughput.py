@@ -3,11 +3,8 @@ simulator themselves (how fast the reproduction machinery runs, not a
 paper exhibit).
 
 The simulator benches run with memoization disabled — they time the raw
-simulator, not a cache load.  Set ``REPRO_BENCH_QUICK=1`` for the CI
-smoke configuration (shorter simulated runs, same code paths).
+simulator, not a cache load.
 """
-
-import os
 
 import numpy as np
 
@@ -19,8 +16,8 @@ from repro.video import Codec, CodecConfig
 from repro.video.frames import FrameType
 from repro.video.source import AnalyticContentModel
 
-#: Frames per simulated run; CI smoke mode trades precision for speed.
-_SIM_FRAMES = 24 if os.environ.get("REPRO_BENCH_QUICK") else 120
+#: Frames per simulated run.
+_SIM_FRAMES = 120
 
 
 def _test_frame(size=96):
@@ -107,9 +104,7 @@ def test_simulator_standby(benchmark):
         ambient_standby_run,
     )
 
-    workload = AmbientStandbyWorkload(
-        duration_s=15.0 if os.environ.get("REPRO_BENCH_QUICK") else 60.0
-    )
+    workload = AmbientStandbyWorkload(duration_s=60.0)
 
     def run():
         with cache_disabled():

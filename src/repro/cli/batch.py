@@ -197,61 +197,23 @@ def cmd_stats_run(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def cmd_bench_all(args: argparse.Namespace) -> tuple[str, int]:
-    """Regenerate every exhibit through the parallel engine, with
-    per-exhibit wall-clock and cache metrics; ``--record`` persists a
-    history snapshot, ``--check`` gates against the recorded
-    baseline."""
+def cmd_bench_all(args: argparse.Namespace) -> str:
+    """Regenerate every exhibit through the parallel engine and report
+    per-exhibit wall-clock, cache and window metrics."""
     from ..analysis.runner import run_exhibits, metrics_table
 
     _apply_plan_cache_flag(args)
-    if args.repeat < 1:
-        from ..errors import ConfigurationError
-
-        raise ConfigurationError("--repeat must be >= 1")
-    wall_samples: dict[str, list[float]] | None = None
     outcomes = run_exhibits(
         names=args.only or None,
         jobs=args.jobs,
         cache_dir=None if args.no_cache_dir else args.cache_dir,
     )
-    if args.repeat > 1:
-        wall_samples = {
-            o.name: [o.metrics.wall_clock_s] for o in outcomes
-        }
-        for _ in range(args.repeat - 1):
-            for o in run_exhibits(
-                names=args.only or None,
-                jobs=args.jobs,
-                cache_dir=(
-                    None if args.no_cache_dir else args.cache_dir
-                ),
-            ):
-                wall_samples[o.name].append(o.metrics.wall_clock_s)
     total = sum(o.metrics.wall_clock_s for o in outcomes)
-    lines = [
+    return "\n".join([
         metrics_table(outcomes),
         "",
-        f"{len(outcomes)} exhibits in {total:.2f}s "
-        f"(jobs={args.jobs})"
-        + (f", {args.repeat} repeats" if args.repeat > 1 else ""),
-    ]
-    code = 0
-    if args.record:
-        from ..obs.drift import record_bench
-
-        path = record_bench(
-            outcomes, args.history_dir, wall_samples=wall_samples
-        )
-        lines.append(f"recorded {path}")
-    if args.check:
-        from ..obs.drift import check_bench
-
-        verdict = check_bench(outcomes, args.history_dir)
-        lines.append(verdict.summary())
-        if not verdict.ok:
-            code = 1
-    return "\n".join(lines), code
+        f"{len(outcomes)} exhibits in {total:.2f}s (jobs={args.jobs})",
+    ])
 
 
 __all__ = ["cmd_bench_all", "cmd_figures", "cmd_stats_run"]

@@ -393,11 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for exhibit regeneration",
     )
     bench_all.add_argument(
-        "--repeat", type=int, default=1,
-        help="repeat the whole bench N times and record per-exhibit "
-             "bootstrap CI half-widths beside the wall-clock means",
-    )
-    bench_all.add_argument(
         "--cache-dir", default=".repro_cache",
         help="shared on-disk simulation cache directory",
     )
@@ -408,19 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_all.add_argument(
         "--only", action="append", metavar="EXHIBIT", default=None,
         help="bench only this exhibit (repeatable)",
-    )
-    bench_all.add_argument(
-        "--record", action="store_true",
-        help="persist this run as today's bench-history snapshot",
-    )
-    bench_all.add_argument(
-        "--check", action="store_true",
-        help="fail (exit 1) on a >15%% total wall-clock regression "
-             "vs the most recent recorded snapshot",
-    )
-    bench_all.add_argument(
-        "--history-dir", default="benchmarks/history",
-        help="bench-history directory",
     )
     bench_all.add_argument(
         "--plan-cache", action="store_true",
@@ -490,8 +472,8 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code.
 
     Handlers return either the report text, or ``(text, code)`` when
-    the command doubles as a gate (``validate``, ``bench-all
-    --check``) and must drive the exit status.
+    the command doubles as a gate (``validate``, ``obs diff``) and
+    must drive the exit status.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

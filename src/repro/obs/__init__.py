@@ -21,8 +21,7 @@ lazily; not re-exported here to keep hot-path imports light):
   JSON for Perfetto/``chrome://tracing`` (``repro trace --chrome``) and
   the Prometheus text exposition (``repro metrics --prom``).
 * :mod:`repro.obs.drift` — the paper-drift regression gate (``repro
-  validate``) and the bench-history wall-clock gate (``repro bench-all
-  --record/--check``).
+  validate``).
 * :mod:`repro.obs.dist` — cross-process propagation: a serializable
   trace context, per-worker JSONL trace shards merged back into the
   parent tracer, worker metrics-registry snapshots folded into the

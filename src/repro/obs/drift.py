@@ -10,34 +10,18 @@ exhibits behind the selected anchors, reads each anchor from its
 figure's registry metrics, and fails (non-zero exit) the moment one
 leaves its band, so modelling drift is caught the same way a broken
 test is.
-
-The second half is the *performance* regression gate: ``repro
-bench-all --record`` persists one wall-clock + cache-hit snapshot per
-day under ``benchmarks/history/BENCH_<date>.json``; ``--check``
-compares a fresh run against the most recent snapshot and fails on a
->15% total wall-clock regression.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable
 
-from ..errors import ConfigurationError, SimulationError
+from ..errors import ConfigurationError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..analysis.runner import ExhibitOutcome
     from ..stats.bootstrap import IntervalEstimate
-
-#: Default location of the bench history (relative to the repo root).
-DEFAULT_HISTORY_DIR = "benchmarks/history"
-
-#: Fractional total-wall-clock growth that fails ``bench-all --check``.
-BENCH_REGRESSION_THRESHOLD = 0.15
 
 #: Every measurable drift section, in presentation order.
 DRIFT_SECTIONS = (
@@ -610,193 +594,3 @@ def check_drift_interval(
         )
         report.rows.append(expectation.check_interval(estimate))
     return report
-
-
-# ---------------------------------------------------------------------------
-# Bench history — the wall-clock regression gate
-# ---------------------------------------------------------------------------
-
-
-def bench_snapshot(
-    outcomes: "list[ExhibitOutcome]",
-    date: str | None = None,
-    wall_samples: dict[str, list[float]] | None = None,
-) -> dict[str, Any]:
-    """One recordable history entry for a ``bench-all`` run.
-
-    ``wall_samples`` (exhibit -> per-repeat wall-clock seconds, from
-    ``bench-all --repeat N``) adds a bootstrap CI half-width per
-    exhibit plus ``total_wall_ci_half_s``/``repeat`` — still format 1,
-    the extra fields are optional for readers.
-    """
-    if not outcomes:
-        raise SimulationError("cannot snapshot an empty bench run")
-    snapshot: dict[str, Any] = {
-        "format": 1,
-        "date": date or datetime.date.today().isoformat(),
-        "total_wall_s": sum(
-            o.metrics.wall_clock_s for o in outcomes
-        ),
-        "total_cache_hits": sum(
-            o.metrics.cache_hits for o in outcomes
-        ),
-        "total_cache_misses": sum(
-            o.metrics.cache_misses for o in outcomes
-        ),
-        "exhibits": {
-            o.name: {
-                "wall_s": o.metrics.wall_clock_s,
-                "cache_hits": o.metrics.cache_hits,
-                "cache_misses": o.metrics.cache_misses,
-                "windows": o.metrics.windows_simulated,
-            }
-            for o in outcomes
-        },
-    }
-    if wall_samples:
-        from ..stats import bootstrap
-
-        repeats = max(len(v) for v in wall_samples.values())
-        half_widths = {}
-        for name, values in wall_samples.items():
-            if name not in snapshot["exhibits"]:
-                continue
-            estimate = bootstrap.bootstrap_mean(
-                values, seed=bootstrap.stable_seed(f"bench.{name}")
-            )
-            entry = snapshot["exhibits"][name]
-            entry["wall_ci_half_s"] = estimate.half_width
-            entry["wall_mean_s"] = estimate.mean
-            half_widths[name] = estimate.half_width
-        snapshot["repeat"] = repeats
-        # Conservative total: half-widths add (perfectly correlated
-        # worst case), matching how total_wall_s sums means.
-        snapshot["total_wall_ci_half_s"] = sum(
-            half_widths.values()
-        )
-    return snapshot
-
-
-def record_bench(
-    outcomes: "list[ExhibitOutcome]",
-    directory: str | Path = DEFAULT_HISTORY_DIR,
-    date: str | None = None,
-    wall_samples: dict[str, list[float]] | None = None,
-) -> Path:
-    """Persist one snapshot as ``BENCH_<date>.json`` (same-day re-runs
-    overwrite, so the history holds at most one entry per day)."""
-    snapshot = bench_snapshot(
-        outcomes, date=date, wall_samples=wall_samples
-    )
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"BENCH_{snapshot['date']}.json"
-    path.write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return path
-
-
-def latest_baseline(
-    directory: str | Path = DEFAULT_HISTORY_DIR,
-) -> tuple[Path, dict[str, Any]] | None:
-    """The most recent recorded snapshot (ISO dates sort lexically),
-    or ``None`` when the history is empty."""
-    directory = Path(directory)
-    if not directory.is_dir():
-        return None
-    candidates = sorted(directory.glob("BENCH_*.json"))
-    for path in reversed(candidates):
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            continue
-        if payload.get("format") == 1:
-            return path, payload
-    return None
-
-
-@dataclass
-class BenchCheck:
-    """Verdict of a bench run against the recorded baseline."""
-
-    ok: bool
-    baseline_path: Path
-    baseline_total_s: float
-    current_total_s: float
-    threshold: float
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def growth(self) -> float:
-        """Fractional total wall-clock growth vs the baseline."""
-        if self.baseline_total_s <= 0:
-            return 0.0
-        return (
-            self.current_total_s / self.baseline_total_s - 1.0
-        )
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.ok else "FAIL"
-        lines = [
-            f"bench gate: {verdict} — total {self.current_total_s:.2f}s "
-            f"vs baseline {self.baseline_total_s:.2f}s "
-            f"({self.growth * +100:+.1f}%, limit "
-            f"+{self.threshold * 100:.0f}%) "
-            f"[{self.baseline_path.name}]"
-        ]
-        lines.extend(self.notes)
-        return "\n".join(lines)
-
-
-def check_bench(
-    outcomes: "list[ExhibitOutcome]",
-    directory: str | Path = DEFAULT_HISTORY_DIR,
-    threshold: float = BENCH_REGRESSION_THRESHOLD,
-) -> BenchCheck:
-    """Fail when this run's total wall-clock exceeds the most recent
-    baseline by more than ``threshold``.  Per-exhibit regressions and
-    cache-hit drops are reported as notes (informational — individual
-    exhibits are too small to gate on reliably)."""
-    baseline = latest_baseline(directory)
-    if baseline is None:
-        raise ConfigurationError(
-            f"no bench baseline under {directory}; record one first "
-            "with `repro bench-all --record`"
-        )
-    path, payload = baseline
-    current = bench_snapshot(outcomes)
-    ok = current["total_wall_s"] <= (
-        payload["total_wall_s"] * (1.0 + threshold)
-    )
-    notes: list[str] = []
-    for name, entry in current["exhibits"].items():
-        base_entry = payload["exhibits"].get(name)
-        if base_entry is None or base_entry["wall_s"] < 0.05:
-            continue
-        if entry["wall_s"] > base_entry["wall_s"] * (1.0 + threshold):
-            notes.append(
-                f"  note: {name} {base_entry['wall_s']:.2f}s -> "
-                f"{entry['wall_s']:.2f}s"
-            )
-    if current["total_cache_hits"] < payload["total_cache_hits"]:
-        notes.append(
-            f"  note: cache hits {payload['total_cache_hits']} -> "
-            f"{current['total_cache_hits']}"
-        )
-    baseline_half = payload.get("total_wall_ci_half_s")
-    if baseline_half is not None:
-        notes.append(
-            f"  note: baseline noise ±{baseline_half:.2f}s "
-            f"(CI half-width over {payload.get('repeat', '?')} "
-            "repeats)"
-        )
-    return BenchCheck(
-        ok=ok,
-        baseline_path=path,
-        baseline_total_s=payload["total_wall_s"],
-        current_total_s=current["total_wall_s"],
-        threshold=threshold,
-        notes=notes,
-    )

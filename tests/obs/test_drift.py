@@ -263,49 +263,3 @@ class TestCheckDriftInterval:
         assert report.ok, report.summary()
         assert report.interval
         assert all(r.estimate.n == 2 for r in report.rows)
-
-
-class TestBenchCiFields:
-    def _outcomes(self):
-        from repro.analysis.runner import run_exhibit
-
-        return [run_exhibit("fig04")]
-
-    def test_snapshot_without_samples_unchanged(self):
-        from repro.obs.drift import bench_snapshot
-
-        snapshot = bench_snapshot(self._outcomes(), date="2026-01-01")
-        assert snapshot["format"] == 1
-        assert "repeat" not in snapshot
-        assert "total_wall_ci_half_s" not in snapshot
-        assert "wall_ci_half_s" not in snapshot["exhibits"]["fig04"]
-
-    def test_snapshot_with_samples_adds_ci_fields(self):
-        from repro.obs.drift import bench_snapshot
-
-        snapshot = bench_snapshot(
-            self._outcomes(),
-            date="2026-01-01",
-            wall_samples={"fig04": [1.0, 1.2, 1.1]},
-        )
-        assert snapshot["format"] == 1
-        assert snapshot["repeat"] == 3
-        entry = snapshot["exhibits"]["fig04"]
-        assert entry["wall_mean_s"] == pytest.approx(1.1)
-        assert entry["wall_ci_half_s"] >= 0.0
-        assert snapshot["total_wall_ci_half_s"] == (
-            entry["wall_ci_half_s"]
-        )
-
-    def test_check_bench_reports_baseline_noise(self, tmp_path):
-        from repro.obs.drift import check_bench, record_bench
-
-        outcomes = self._outcomes()
-        record_bench(
-            outcomes, tmp_path, date="2026-01-01",
-            wall_samples={"fig04": [1.0, 1.2]},
-        )
-        check = check_bench(outcomes, tmp_path)
-        assert any(
-            "baseline noise" in note for note in check.notes
-        )
