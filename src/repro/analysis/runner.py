@@ -59,8 +59,7 @@ from ..obs import dist
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..pipeline import sim
-from ..pipeline.batch import CachedPlan
-from ..pipeline.sim import RunResult, RunStats, WindowResult
+from ..pipeline.sim import RunResult, RunStats
 from ..pipeline.timeline import (
     ClassTotals,
     PanelMode,
@@ -75,10 +74,11 @@ from ..soc.cstates import PackageCState
 #: On-disk payload schema version; bump on any layout change so stale
 #: cache files read as misses instead of garbage.  Format 2 added the
 #: online timeline summary and made the segment list optional
-#: (``retain="summary"`` runs persist without one).  Format 3 added
-#: plan-cache entries (``<key>.plan.json``, ``kind: "plan"``) beside
-#: the run payloads; run payloads themselves are unchanged, so format-2
-#: runs written by older builds still read cleanly.
+#: (``retain="summary"`` runs persist without one).  Format 3 left run
+#: payloads unchanged and added per-window plan entries
+#: (``<key>.plan.json``); nothing reads or writes plan entries now, but
+#: format-2 and format-3 runs written by older builds still read
+#: cleanly.
 _DISK_FORMAT = 4
 
 #: Formats :func:`run_from_payload` accepts.  Format 4 appends the
@@ -311,55 +311,6 @@ def run_from_payload(payload: dict[str, Any]) -> RunResult:
     )
 
 
-def plan_to_payload(plan: CachedPlan) -> dict[str, Any]:
-    """A :class:`~repro.pipeline.batch.CachedPlan` as a JSON-ready
-    dictionary (format 3; ``kind: "plan"`` distinguishes it from run
-    payloads)."""
-    result = plan.result
-    return {
-        "format": _DISK_FORMAT,
-        "kind": "plan",
-        "start": plan.start,
-        "final_state": plan.final_state.name,
-        "deadline_missed": result.deadline_missed,
-        "vd_wakes": result.vd_wakes,
-        "used_psr": result.used_psr,
-        "bypassed_dram": result.bypassed_dram,
-        "burst": result.burst,
-        "segments": [
-            _segment_to_record(s) for s in result.timeline
-        ],
-        "digest": _summary_to_payload(plan.digest),
-    }
-
-
-def plan_from_payload(payload: dict[str, Any]) -> CachedPlan:
-    """Rebuild the exact :class:`~repro.pipeline.batch.CachedPlan`
-    serialized by :func:`plan_to_payload`."""
-    if (
-        payload.get("format") != _DISK_FORMAT
-        or payload.get("kind") != "plan"
-    ):
-        raise ConfigurationError(
-            f"unsupported plan payload format {payload.get('format')!r}"
-        )
-    return CachedPlan(
-        start=payload["start"],
-        result=WindowResult(
-            timeline=Timeline(
-                [_segment_from_record(r) for r in payload["segments"]]
-            ),
-            deadline_missed=payload["deadline_missed"],
-            vd_wakes=payload["vd_wakes"],
-            used_psr=payload["used_psr"],
-            bypassed_dram=payload["bypassed_dram"],
-            burst=payload["burst"],
-        ),
-        digest=_summary_from_payload(payload["digest"]),
-        final_state=PackageCState[payload["final_state"]],
-    )
-
-
 # ---------------------------------------------------------------------------
 # The simulation cache
 # ---------------------------------------------------------------------------
@@ -376,11 +327,6 @@ class CacheStats:
     #: Refresh windows actually simulated (cache misses only) — the
     #: work the cache did *not* avoid.
     windows_simulated: int = 0
-    #: Cross-run plan cache traffic (cadence walker lookups).
-    plan_hits: int = 0
-    plan_misses: int = 0
-    plan_disk_hits: int = 0
-    plan_stores: int = 0
 
     def snapshot(self) -> "CacheStats":
         """An immutable copy for before/after deltas."""
@@ -395,14 +341,6 @@ class SimulationCache:
     ``<key>.json`` under it (written atomically, so concurrent worker
     processes may share one directory).  Eviction never touches disk —
     delete the directory to reclaim space or force cold runs.
-
-    The same object doubles as the cadence walker's cross-run **plan
-    cache** (:meth:`load_plan` / :meth:`store_plan`): individual window
-    plans keyed by scheme fingerprint, kept in their own LRU (plans are
-    orders of magnitude smaller than runs) and persisted as
-    ``<key>.plan.json``.  A run-level miss that shares its plans with
-    an earlier run then re-prices cached plans instead of re-planning
-    windows.
     """
 
     def __init__(
@@ -413,13 +351,9 @@ class SimulationCache:
         if capacity < 1:
             raise ConfigurationError("cache capacity must be >= 1")
         self.capacity = capacity
-        # Plans are per-window, not per-run: a run contributes a
-        # handful, each ~1% of a run payload, so the LRU runs deeper.
-        self.plan_capacity = capacity * 8
         self.directory = Path(directory) if directory else None
         self.stats = CacheStats()
         self._memory: OrderedDict[str, RunResult] = OrderedDict()
-        self._plans: OrderedDict[str, CachedPlan] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -505,58 +439,6 @@ class SimulationCache:
                 time.perf_counter() - started
             )
 
-    # -- the PlanMemo protocol ------------------------------------------------
-
-    @staticmethod
-    def _detached_plan(plan: CachedPlan) -> CachedPlan:
-        """A fresh view of ``plan``: shared frozen segments, private
-        digest (the only mutable container a caller could corrupt)."""
-        return CachedPlan(
-            start=plan.start,
-            result=plan.result,
-            digest=plan.digest.copy(),
-            final_state=plan.final_state,
-        )
-
-    def load_plan(self, key: str) -> CachedPlan | None:
-        """The memoized window plan for ``key``, or ``None``."""
-        started = time.perf_counter()
-        try:
-            cached = self._plans.get(key)
-            if cached is not None:
-                self._plans.move_to_end(key)
-                self.stats.plan_hits += 1
-                self._observe("plan_hit", key, layer="memory")
-                return self._detached_plan(cached)
-            plan = self._load_plan_disk(key)
-            if plan is not None:
-                self.stats.plan_hits += 1
-                self.stats.plan_disk_hits += 1
-                self._remember_plan(key, plan)
-                self._observe("plan_hit", key, layer="disk")
-                return self._detached_plan(plan)
-            self.stats.plan_misses += 1
-            self._observe("plan_miss", key)
-            return None
-        finally:
-            self._latency("plan_load").observe(
-                time.perf_counter() - started
-            )
-
-    def store_plan(self, key: str, plan: CachedPlan) -> None:
-        """Record a freshly planned window for cross-run replay."""
-        started = time.perf_counter()
-        try:
-            self.stats.plan_stores += 1
-            self._observe("plan_store", key)
-            self._remember_plan(key, self._detached_plan(plan))
-            if self.directory is not None:
-                self._store_plan_disk(key, plan)
-        finally:
-            self._latency("plan_store").observe(
-                time.perf_counter() - started
-            )
-
     # -- internals ------------------------------------------------------------
 
     def _remember(self, key: str, run: RunResult) -> None:
@@ -565,65 +447,9 @@ class SimulationCache:
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
 
-    def _remember_plan(self, key: str, plan: CachedPlan) -> None:
-        self._plans[key] = plan
-        self._plans.move_to_end(key)
-        while len(self._plans) > self.plan_capacity:
-            self._plans.popitem(last=False)
-
     def _path(self, key: str) -> Path:
         assert self.directory is not None
         return self.directory / f"{key}.json"
-
-    def _plan_path(self, key: str) -> Path:
-        assert self.directory is not None
-        return self.directory / f"{key}.plan.json"
-
-    def _load_plan_disk(self, key: str) -> CachedPlan | None:
-        if self.directory is None:
-            return None
-        path = self._plan_path(key)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            return plan_from_payload(payload)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, KeyError, TypeError,
-                ConfigurationError):
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-
-    def _store_plan_disk(self, key: str, plan: CachedPlan) -> None:
-        assert self.directory is not None
-        tmp_name: str | None = None
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                "w",
-                dir=self.directory,
-                prefix=f".{key[:16]}-",
-                suffix=".tmp",
-                delete=False,
-                encoding="utf-8",
-            )
-            tmp_name = handle.name
-            with handle:
-                json.dump(plan_to_payload(plan), handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp_name, self._plan_path(key))
-            tmp_name = None
-        except (OSError, TypeError, ValueError):
-            pass
-        finally:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
 
     def _load_disk(self, key: str) -> RunResult | None:
         if self.directory is None:
@@ -680,9 +506,8 @@ class SimulationCache:
 
     def clear(self, disk: bool = False) -> None:
         """Drop all in-memory entries (and, with ``disk=True``, every
-        persisted ``<key>.json`` — plan entries included)."""
+        persisted ``*.json`` file under the directory)."""
         self._memory.clear()
-        self._plans.clear()
         if disk and self.directory is not None and self.directory.exists():
             for path in self.directory.glob("*.json"):
                 try:

@@ -16,7 +16,7 @@ tables/figures + scenario exhibits), ``validate`` (the drift gate),
 ``runs`` (timeline/export/battery), ``batch`` (figures/stats/bench),
 ``observe`` (trace/profile/metrics/obs), ``fleet``, ``serve`` — glued
 together by :mod:`.parser`, with the shared scheme/resolution tables
-and the plan-cache flag helper hoisted into :mod:`._helpers`.
+hoisted into :mod:`._helpers`.
 """
 
 from ._helpers import _RESOLUTIONS, _SCHEMES

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import argparse
 
-from ._helpers import _apply_plan_cache_flag
-
 
 def cmd_figures(args: argparse.Namespace) -> str:
     """Regenerate the evaluation figures.
@@ -19,7 +17,6 @@ def cmd_figures(args: argparse.Namespace) -> str:
     from ..analysis.svg import write_figures
     from ..errors import ConfigurationError
 
-    _apply_plan_cache_flag(args)
     if args.seeds > 1 and args.format == "svg":
         raise ConfigurationError(
             "--seeds needs the Vega-Lite emitter (error bands); use "
@@ -94,7 +91,6 @@ def cmd_stats_run(args: argparse.Namespace) -> str:
     from ..stats import variance_table
     from ..stats.replicate import replicate_exhibits
 
-    _apply_plan_cache_flag(args)
     progress = None
     if args.progress:
         import sys
@@ -202,7 +198,6 @@ def cmd_bench_all(args: argparse.Namespace) -> str:
     per-exhibit wall-clock, cache and window metrics."""
     from ..analysis.runner import run_exhibits, metrics_table
 
-    _apply_plan_cache_flag(args)
     outcomes = run_exhibits(
         names=args.only or None,
         jobs=args.jobs,

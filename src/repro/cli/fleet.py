@@ -6,7 +6,6 @@ import argparse
 
 from ..analysis.report import format_table
 from ..errors import ReproError
-from ._helpers import _apply_plan_cache_flag
 
 
 def _fleet_summary_text(report: dict, stats: dict) -> str:
@@ -54,7 +53,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> str:
     checkpoints shard-atomically and resumes after any crash)."""
     from ..fleet import load_spec, run_fleet
 
-    _apply_plan_cache_flag(args)
     spec = load_spec(args.spec)
     if args.devices is not None:
         spec = spec.with_devices(args.devices)

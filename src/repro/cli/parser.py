@@ -152,12 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="stream per-exhibit progress lines to stderr (live "
              "worker heartbeats under --jobs)",
     )
-    figures.add_argument(
-        "--plan-cache", action="store_true",
-        help="enable the cross-run plan cache (window plans "
-             "persist beside simulation-cache entries and warm "
-             "runs with different cadences or durations)",
-    )
     figures.set_defaults(handler=cmd_figures)
 
     trace = commands.add_parser("trace", help=cmd_trace.__doc__)
@@ -305,10 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None,
         help="shared on-disk simulation cache directory",
     )
-    fleet_run.add_argument(
-        "--plan-cache", action="store_true",
-        help="enable the cross-run plan cache for the fleet batch",
-    )
     fleet_run.set_defaults(handler=cmd_fleet_run)
     fleet_report = fleet_commands.add_parser(
         "report", help=cmd_fleet_report.__doc__
@@ -379,10 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verbose", action="store_true",
         help="append the per-task wall-clock/cache metrics table",
     )
-    stats_run.add_argument(
-        "--plan-cache", action="store_true",
-        help="enable the cross-run plan cache for the replication",
-    )
     stats_run.set_defaults(handler=cmd_stats_run)
 
     bench_all = commands.add_parser(
@@ -403,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench_all.add_argument(
         "--only", action="append", metavar="EXHIBIT", default=None,
         help="bench only this exhibit (repeatable)",
-    )
-    bench_all.add_argument(
-        "--plan-cache", action="store_true",
-        help="enable the cross-run plan cache for the bench batch",
     )
     bench_all.set_defaults(handler=cmd_bench_all)
 

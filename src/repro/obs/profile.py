@@ -443,9 +443,8 @@ class ExhibitProfile:
     span_stats: dict[str, SpanStat]
     windows: WindowStats
     latency_quantiles: dict[str, dict[str, float]]
-    #: Cadence-walker and plan-cache counters (``sim.collapse.*``,
-    #: ``sim.batch.*``, ``sim.plan_cache.*``, ``cache.plan_*``) at
-    #: capture time; empty when none fired.
+    #: Cadence-walker counters (``sim.collapse.*``, ``sim.batch.*``)
+    #: at capture time; empty when none fired.
     engine_counters: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict[str, Any]:
@@ -532,17 +531,14 @@ def registry_latency_quantiles(
 ENGINE_COUNTER_PREFIXES = (
     "sim.collapse.",
     "sim.batch.",
-    "sim.plan_cache.",
-    "cache.plan_",
 )
 
 
 def registry_engine_counters(
     registry: obs_metrics.MetricsRegistry | None = None,
 ) -> dict[str, float]:
-    """Window-engine and plan-cache counter values, keyed by metric
-    name — the profiler's view of how much planning the cadence walker
-    and the caches avoided."""
+    """Window-engine counter values, keyed by metric name — the
+    profiler's view of how much planning the cadence walker avoided."""
     registry = (
         registry if registry is not None else obs_metrics.registry()
     )
@@ -705,7 +701,7 @@ def render_profile(profile: ExhibitProfile) -> str:
             )
         ]
         sections.append(
-            "Window engine / plan cache (process-wide counters):\n"
+            "Window engine (process-wide counters):\n"
             + format_table(("counter", "value"), engine_rows)
         )
 

@@ -152,8 +152,8 @@ class _DigestPricer:
     :meth:`PowerModel.price_summary` (the path every report takes).
 
     Pricing is a pure read of the group's plan — it never touches the
-    simulator.  The one-window digest is built lazily, on the first
-    window of each group, and the price is memoized per group (groups
+    simulator.  The one-window digest is built on the first window
+    of each group, and the price is memoized per group (groups
     hash by identity), so a long run of replayed windows prices once.
     """
 
@@ -169,12 +169,9 @@ class _DigestPricer:
         cached = self._cache.get(group)
         if cached is not None:
             return cached
-        digest = group.digest
-        if digest is None:
-            digest = TimelineSummary.window_digest(
-                group.result.timeline, group.effective_kind,
-                window.duration,
-            )
+        digest = TimelineSummary.window_digest(
+            group.result.timeline, group.effective_kind, window.duration
+        )
         _, _, matrix = self.model.price_summary(digest, self.panel)
         energies = dict(
             zip(self.model.registry.keys, matrix.sum(axis=0).tolist())

@@ -14,7 +14,6 @@ import dataclasses
 import enum
 import functools
 import hashlib
-import os
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Protocol, Sequence
@@ -28,7 +27,6 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..soc.cstates import PackageCState
 from ..video.source import FrameDescriptor, FrameSource, as_frame_source
-from .batch import CachedPlan
 from .timeline import PanelMode, Timeline, TimelineSummary
 
 #: What a run keeps: the full per-segment timeline, or only the online
@@ -412,48 +410,6 @@ def default_retain() -> str:
     return _default_retain
 
 
-#: Process-wide plan-cache override; ``None`` defers to the
-#: ``REPRO_PLAN_CACHE`` environment variable (default off).
-_plan_cache_override: bool | None = None
-
-
-def set_plan_cache(enabled: bool | None) -> bool | None:
-    """Enable/disable the cross-run plan cache process-wide; returns
-    the previous override (``None`` means "follow
-    ``REPRO_PLAN_CACHE``")."""
-    global _plan_cache_override
-    previous = _plan_cache_override
-    _plan_cache_override = enabled
-    return previous
-
-
-def plan_cache_active() -> bool:
-    """Whether the cadence walker consults the cross-run plan cache."""
-    if _plan_cache_override is not None:
-        return _plan_cache_override
-    return os.environ.get("REPRO_PLAN_CACHE", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
-class PlanMemo(Protocol):
-    """Anything that can memoize single window plans by content key.
-
-    ``repro.analysis.runner.SimulationCache`` implements this next to
-    :class:`RunMemo`; the cadence walker consults it (when
-    :func:`plan_cache_active`) for plans whose run-level fingerprints
-    differ — e.g. the same scheme swept across frame rates or window
-    counts."""
-
-    def load_plan(self, key: str) -> "CachedPlan | None":
-        """A previously stored plan for ``key``, or ``None``."""
-        ...  # pragma: no cover - protocol
-
-    def store_plan(self, key: str, plan: "CachedPlan") -> None:
-        """Record a freshly planned window under ``key``."""
-        ...  # pragma: no cover - protocol
-
-
 @dataclass(eq=False)
 class PlanGroup:
     """One distinct window plan in a run, with the windows it covers.
@@ -467,10 +423,6 @@ class PlanGroup:
 
     start: float
     result: WindowResult
-    #: One-window summary for scaled replay.  ``None`` until someone
-    #: needs it — unique windows fold their segments straight into the
-    #: run summary instead.
-    digest: TimelineSummary | None
     final_state: PackageCState
     #: The window kind the group files under: a clamped cadence
     #: new-frame window re-presents the last frame and is a repeat.
@@ -506,13 +458,12 @@ class _CadenceWalker:
     such windows count as repeats), and files each window under its
     :class:`PlanGroup`.  With the memo on — untraced, and the scheme
     exposes ``plan_key()`` — a window whose group already exists
-    replays it without planning, a repeat run that re-enters its own
-    entry state is accounted in O(1), and new groups are first looked
-    up in the cross-run plan cache when :func:`plan_cache_active`.  With
-    the memo off every window is planned fresh, in window order, and an
-    active tracer sees a ``sim.window`` span per window; accounting
-    still goes through the same groups, so the run's stats and summary
-    do not depend on the memo.
+    replays it without planning, and a repeat run that re-enters its
+    own entry state is accounted in O(1).  With the memo off every
+    window is planned fresh, in window order, and an active tracer sees
+    a ``sim.window`` span per window; accounting still goes through the
+    same groups, so the run's stats and summary do not depend on the
+    memo.
 
     :meth:`walk` advances to a window bound and may be called again
     with a larger one (the streaming front end does); :meth:`finish`
@@ -553,25 +504,6 @@ class _CadenceWalker:
         self.plan_key = scheme.plan_key() if self.keyed else None
         self.phase_fn = getattr(scheme, "frame_phase", None)
 
-        self.plan_cache: Any = None
-        self.cache_prefix: Any = None
-        run_memo = _active_memo
-        if (
-            self.memo
-            and run_memo is not None
-            and plan_cache_active()
-            and hasattr(run_memo, "load_plan")
-        ):
-            try:
-                prefix = freeze(
-                    ("plan/v1", config, type(scheme).__qualname__)
-                )
-            except TypeError:
-                prefix = None
-            if prefix is not None:
-                self.plan_cache = run_memo
-                self.cache_prefix = hashlib.sha256(repr(prefix).encode())
-
         self.starts = _new_frame_windows(self.timing)
         #: Next window to walk.
         self.index = 0
@@ -588,8 +520,6 @@ class _CadenceWalker:
         self.stats = RunStats()
         self.summary = TimelineSummary()
         self.fresh_plans = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
         self.group_sizes = obs_metrics.registry().histogram(
             "sim.batch.group_windows",
             "windows per plan group",
@@ -711,44 +641,13 @@ class _CadenceWalker:
         frame_label: int,
         wkey: tuple,
         group: PlanGroup | None,
-    ) -> tuple[WindowResult | None, PlanGroup]:
-        """Plan window ``index`` — or load its plan from the cross-run
-        plan cache — opening ``wkey``'s group when ``group`` is None.
-        Returns the fresh result (``None`` for a cache load) and the
-        window's group."""
+    ) -> tuple[WindowResult, PlanGroup]:
+        """Plan window ``index``, opening ``wkey``'s group when
+        ``group`` is None.  Returns the fresh result and the window's
+        group."""
         scheme = self.scheme
         strict = self.config.strict_deadlines
         _, kind, effective_kind, _, _, vr, state = wkey
-        token = None
-        if self.plan_cache is not None:
-            try:
-                frozen = repr(freeze(wkey + (self.duration,)))
-            except TypeError:
-                frozen = None
-            if frozen is not None:
-                hasher = self.cache_prefix.copy()
-                hasher.update(frozen.encode())
-                token = hasher.hexdigest()
-                cached = self.plan_cache.load_plan(token)
-                if cached is not None:
-                    if cached.result.deadline_missed and strict:
-                        raise DeadlineMissError(
-                            f"{scheme.name}: window {index} missed "
-                            f"its deadline"
-                        )
-                    self.cache_hits += 1
-                    group = PlanGroup(
-                        start=cached.start,
-                        result=cached.result,
-                        digest=cached.digest,
-                        final_state=cached.final_state,
-                        effective_kind=effective_kind,
-                        stored=True,
-                    )
-                    self.groups[wkey] = group
-                    self.order.append(group)
-                    return None, group
-                self.cache_misses += 1
         plan = WindowPlan(
             index=index,
             start=index * self.duration,
@@ -816,7 +715,6 @@ class _CadenceWalker:
             group = PlanGroup(
                 start=plan.start,
                 result=result,
-                digest=None,
                 final_state=final_state,
                 effective_kind=effective_kind,
             )
@@ -824,23 +722,9 @@ class _CadenceWalker:
             post_key = scheme.plan_key() if self.keyed else None
             if self.keyed and post_key == self.plan_key:
                 # Planning left the scheme's state untouched, so the
-                # plan is safe to replay anywhere in the run — and in
-                # other runs, via the plan cache.
+                # plan is safe to replay anywhere in the run.
                 group.stored = True
                 self.groups[wkey] = group
-                if token is not None:
-                    group.digest = TimelineSummary.window_digest(
-                        timeline, effective_kind, self.duration
-                    )
-                    self.plan_cache.store_plan(
-                        token,
-                        CachedPlan(
-                            start=group.start,
-                            result=result,
-                            digest=group.digest,
-                            final_state=final_state,
-                        ),
-                    )
             else:
                 self.plan_key = post_key
         return result, group
@@ -863,9 +747,7 @@ class _CadenceWalker:
         stats.bypassed_windows += count * int(result.bypassed_dram)
         stats.burst_windows += count * int(result.burst)
         summary = self.summary
-        if group.digest is not None:
-            summary.absorb_scaled(group.digest, count)
-        elif count == 1:
+        if count == 1:
             # Unique window: fold its segments straight into the run
             # summary — one pass, no digest.
             timeline = result.timeline
@@ -874,6 +756,8 @@ class _CadenceWalker:
                 summary.add_segment(segment, kind)
             summary.close_window(kind, self.duration, timeline.duration)
         else:
+            # Replayed plan: one digest scaled by the count.  Folding
+            # count == 1 this way too would re-associate the sums.
             summary.absorb_scaled(
                 TimelineSummary.window_digest(
                     result.timeline, group.effective_kind, self.duration
@@ -921,15 +805,6 @@ class _CadenceWalker:
         registry.counter(
             "sim.collapse.miss", "windows planned fresh"
         ).inc(self.fresh_plans)
-        if self.plan_cache is not None:
-            registry.counter(
-                "sim.plan_cache.hit",
-                "plan groups first served from the cross-run plan cache",
-            ).inc(self.cache_hits)
-            registry.counter(
-                "sim.plan_cache.miss",
-                "plan-cache lookups that fell through to fresh planning",
-            ).inc(self.cache_misses)
         return run
 
 

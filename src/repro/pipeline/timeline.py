@@ -478,7 +478,7 @@ class TimelineSummary:
         self.end += covered
 
     def absorb(self, other: "TimelineSummary") -> None:
-        """Fold another summary (e.g. a memoized one-window digest) into
+        """Fold another summary (e.g. a one-window digest) into
         this one; ``other``'s time extent is appended after ``end``."""
         for cls_key, totals in other.buckets.items():
             mine = self.buckets.setdefault(cls_key, ClassTotals())
@@ -498,7 +498,7 @@ class TimelineSummary:
                       count: int) -> None:
         """Fold ``count`` back-to-back copies of ``other`` in at once.
 
-        The cadence walker replays one memoized window digest for
+        The cadence walker replays one window digest for
         an entire plan-group in O(classes) work instead of ``count``
         :meth:`absorb` passes.  Totals scale linearly, so the result
         matches repeated absorption up to float re-association.

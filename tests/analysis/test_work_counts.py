@@ -46,11 +46,9 @@ def _counters() -> dict[str, float]:
 
 def work_counts(names=None) -> dict[str, dict[str, int]]:
     """Each exhibit's nonzero delta of every registry counter, from a
-    cold in-memory cache with the plan cache off and no tracer, run in
-    registry order.  The previous memo, plan-cache override and tracer
-    are restored after."""
+    cold in-memory cache and no tracer, run in registry order.  The
+    previous memo and tracer are restored after."""
     previous_memo = sim.active_run_memo()
-    previous_plan_cache = sim.set_plan_cache(False)
     previous_tracer = obs_trace.install(None)
     configure_cache()
     counts = {}
@@ -69,7 +67,6 @@ def work_counts(names=None) -> dict[str, dict[str, int]]:
             }
     finally:
         sim.install_run_memo(previous_memo)
-        sim.set_plan_cache(previous_plan_cache)
         obs_trace.install(previous_tracer)
     return counts
 
@@ -135,11 +132,10 @@ def test_plan_group_replay_off_is_caught(monkeypatch):
     assert "standby / sim.collapse.miss" in str(failure.value)
 
 
-def test_gate_ignores_ambient_state(monkeypatch, tmp_path):
-    """What ``REPRO_CACHE_DIR`` (a warm disk cache), ``REPRO_PLAN_CACHE``
-    and ``REPRO_TRACE`` (an active tracer) set up does not change the
-    counts the gate measures."""
-    monkeypatch.setenv("REPRO_PLAN_CACHE", "1")
+def test_gate_ignores_ambient_state(tmp_path):
+    """What ``REPRO_CACHE_DIR`` (a warm disk cache) and ``REPRO_TRACE``
+    (an active tracer) set up does not change the counts the gate
+    measures."""
     previous = sim.active_run_memo()
     try:
         configure_cache(directory=tmp_path)

@@ -1,4 +1,4 @@
-"""The cadence walker's plan groups and the cross-run plan cache.
+"""The cadence walker's plan groups.
 
 Untraced runs replay each distinct plan from its group; a traced run
 plans every window fresh.  Both go through the same groups and the same
@@ -16,7 +16,7 @@ from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.pipeline.sim import install_run_memo, set_plan_cache
+from repro.pipeline.sim import install_run_memo
 from repro.power import PowerModel
 from repro.video.source import AnalyticContentModel, RepeatingFrameSource
 
@@ -250,111 +250,22 @@ class TestBatchCounters:
         )
         assert histogram.count > before
 
-    def test_plan_cache_counters_silent_without_cache(
-        self, fhd_config, frames
-    ):
-        before_hit = _counter("sim.plan_cache.hit")
-        before_miss = _counter("sim.plan_cache.miss")
-        _run(
-            fhd_config, ConventionalScheme(), frames, 30.0
-        )
-        assert _counter("sim.plan_cache.hit") == before_hit
-        assert _counter("sim.plan_cache.miss") == before_miss
 
-
-class TestPlanCache:
+class TestStrictDeadlines:
     @pytest.fixture
-    def plan_cache(self, tmp_path):
+    def run_cache(self):
         from repro.analysis.runner import SimulationCache
 
-        cache = SimulationCache(directory=tmp_path)
-        previous_memo = install_run_memo(cache)
-        previous_active = set_plan_cache(True)
+        cache = SimulationCache()
+        previous = install_run_memo(cache)
         yield cache
-        set_plan_cache(previous_active)
-        install_run_memo(previous_memo)
+        install_run_memo(previous)
 
-    def test_cross_run_hits(self, fhd_config, plan_cache):
-        frame = AnalyticContentModel().frames(FHD, 1, seed=9)[0]
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 12), 30.0, max_windows=24,
-        )
-        assert plan_cache.stats.plan_stores > 0
-        baseline = dataclasses.replace(plan_cache.stats)
-        # A different window budget is a run-level miss but replays
-        # every plan from the cache.
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-        )
-        stats = plan_cache.stats
-        assert stats.misses - baseline.misses == 1
-        assert stats.plan_hits > baseline.plan_hits
-        assert stats.plan_misses == baseline.plan_misses
-
-    def test_disk_round_trip(self, fhd_config, tmp_path, plan_cache):
-        from repro.analysis.runner import SimulationCache
-
-        frame = AnalyticContentModel().frames(FHD, 1, seed=9)[0]
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 12), 30.0, max_windows=24,
-        )
-        # A cold cache sharing the directory reads plans from disk.
-        cold = SimulationCache(directory=plan_cache.directory)
-        install_run_memo(cold)
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-        )
-        assert cold.stats.plan_disk_hits > 0
-        assert cold.stats.plan_misses == 0
-
-    def test_config_change_invalidates(self, fhd_config, plan_cache):
-        frame = AnalyticContentModel().frames(FHD, 1, seed=9)[0]
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 12), 30.0, max_windows=24,
-        )
-        baseline = dataclasses.replace(plan_cache.stats)
-        changed = dataclasses.replace(
-            fhd_config,
-            orchestration=dataclasses.replace(
-                fhd_config.orchestration,
-                baseline_per_frame=(
-                    fhd_config.orchestration.baseline_per_frame * 2
-                ),
-            ),
-        )
-        _run(
-            changed, ConventionalScheme(),
-            RepeatingFrameSource(frame, 12), 30.0, max_windows=24,
-        )
-        stats = plan_cache.stats
-        assert stats.plan_hits == baseline.plan_hits
-        assert stats.plan_misses > baseline.plan_misses
-
-    def test_cached_run_matches_scalar(self, fhd_config, plan_cache):
-        frame = AnalyticContentModel().frames(FHD, 1, seed=9)[0]
-        _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 12), 30.0, max_windows=24,
-        )
-        warm = _run(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-        )
-        assert plan_cache.stats.plan_hits > 0
-        install_run_memo(None)
-        traced = _traced(
-            fhd_config, ConventionalScheme(),
-            RepeatingFrameSource(frame, 24), 30.0, max_windows=48,
-        )
-        _assert_same_aggregates(traced, warm)
-        _assert_same_power(traced, warm)
-
-    def test_strict_deadlines_raise_through_batch(self, plan_cache):
+    def test_strict_deadlines_raise_through_batch(self, run_cache):
+        """A strict config raises even after a lenient run of the same
+        windows filled the run memo: the strict flag is part of the run
+        fingerprint, so the strict run plans afresh and checks each
+        plan."""
         from repro.errors import DeadlineMissError
 
         config = skylake_tablet(FHD)
