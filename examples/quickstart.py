@@ -57,9 +57,9 @@ def main() -> None:
     print()
     print(f"BurstLink energy reduction: {saving:.1%}")
     print(f"DRAM traffic: baseline "
-          f"{baseline_run.timeline.dram_total_bytes / 2**30:.2f} GiB vs "
+          f"{baseline_run.dram_total_bytes / 2**30:.2f} GiB vs "
           f"BurstLink "
-          f"{burstlink_run.timeline.dram_total_bytes / 2**30:.2f} GiB "
+          f"{burstlink_run.dram_total_bytes / 2**30:.2f} GiB "
           f"over {baseline_run.duration:.2f}s of video")
 
     # What the DRFB costs (paper Sec. 4.4).

@@ -59,14 +59,14 @@ def compare_schemes(
     extras: PlatformExtras | None = None,
     workload: str = "",
     max_windows: int | None = None,
-    retain: str | None = None,
+    retain: str = "summary",
 ) -> SchemeComparison:
     """Run ``frames`` under the baseline and every candidate scheme.
 
     ``schemes`` maps a label to ``(scheme, needs_drfb)``; DRFB-requiring
     schemes run against the DRFB-extended panel.  ``frames`` may be a
-    materialised list or any :class:`FrameSource`; ``retain`` selects
-    full timelines vs streaming :class:`TimelineSummary` aggregation.
+    materialised list or any :class:`FrameSource`; ``retain="full"``
+    keeps each run's timeline beside its :class:`TimelineSummary`.
     """
     model = PowerModel(extras=extras) if extras else PowerModel()
     base_run = FrameWindowSimulator(config, baseline).run(

@@ -25,6 +25,10 @@ OLED      :func:`oled_brightness_sweep` (luminance-aware extension)
 Netstream :func:`network_streamed_playback` (ABR streaming extension)
 ========  ==========================================================
 
+Each takes ``seed_offset=`` (>= 0), added to every content seed it
+draws; 0 reproduces the canonical exhibits (see
+:func:`repro.analysis.runner.run_exhibit`).
+
 The benchmark harness (``benchmarks/``) wraps these and prints the same
 rows/series the paper reports; EXPERIMENTS.md records paper-vs-measured
 for each.
@@ -54,7 +58,6 @@ from ..core import (
     FrameBufferBypassScheme,
     FrameBurstingScheme,
 )
-from ..errors import ConfigurationError
 from ..pipeline.conventional import ConventionalScheme
 from ..pipeline.sim import FrameWindowSimulator, RunResult
 from ..power.breakdown import SystemBreakdown, breakdown_report
@@ -74,39 +77,11 @@ from .energy import compare_schemes, energy_reduction
 #: variation while keeping a full-suite regeneration fast.
 DEFAULT_FRAMES = 30
 
-#: Process-wide Monte Carlo seed offset.  Every exhibit draws its
-#: content from a deterministic per-workload base seed; the replication
-#: engine (:mod:`repro.stats.replicate`) shifts all of them at once by
-#: setting this offset, so "seed s" means "every workload's content
-#: re-drawn under base_seed + s".  Offset 0 is byte-identical to the
-#: pre-offset behavior (golden traces, drift gate, figure bytes).
-_seed_offset = 0
-
-
-def set_seed_offset(offset: int) -> int:
-    """Install a content-seed offset; returns the previous offset."""
-    global _seed_offset
-    offset = int(offset)
-    if offset < 0:
-        raise ConfigurationError("seed offset must be >= 0")
-    previous = _seed_offset
-    _seed_offset = offset
-    return previous
-
-
-def seed_offset() -> int:
-    """The active content-seed offset."""
-    return _seed_offset
-
-
-def content_seed(base: int = 0) -> int:
-    """The effective content seed for a workload's ``base`` seed."""
-    return base + _seed_offset
-
-
-def _streaming_frames(resolution: Resolution, count: int = DEFAULT_FRAMES):
+def _streaming_frames(
+    resolution: Resolution, seed_offset: int, count: int = DEFAULT_FRAMES
+):
     return AnalyticContentModel().frames(
-        resolution, count, seed=content_seed()
+        resolution, count, seed=seed_offset
     )
 
 
@@ -130,6 +105,7 @@ class Fig01Result:
 def fig01_energy_breakdown(
     resolutions: tuple[Resolution, ...] = (FHD, QHD, UHD_4K),
     fps: float = 30.0,
+    seed_offset: int = 0,
 ) -> Fig01Result:
     """Fig. 1: DRAM / Display / Others while streaming, per resolution."""
     model = PowerModel()
@@ -137,7 +113,7 @@ def fig01_energy_breakdown(
     for resolution in resolutions:
         config = skylake_tablet(resolution)
         run = FrameWindowSimulator(config, ConventionalScheme()).run(
-            _streaming_frames(resolution), fps
+            _streaming_frames(resolution, seed_offset), fps
         )
         breakdowns[str(resolution)] = breakdown_report(model.report(run))
     reference = breakdowns[str(resolutions[0])]
@@ -165,18 +141,20 @@ class TimelineResult:
     runs: dict[float, RunResult] = field(default_factory=dict)
 
 
-def _timeline_result(scheme_factory, needs_drfb: bool) -> TimelineResult:
+def _timeline_result(
+    scheme_factory, needs_drfb: bool, seed_offset: int
+) -> TimelineResult:
     config = skylake_tablet(FHD)
     if needs_drfb:
         config = config.with_drfb()
-    frames = _streaming_frames(FHD, 8)
+    frames = _streaming_frames(FHD, seed_offset, 8)
     runs = {}
     patterns = {}
     residencies = {}
     for fps in (30.0, 60.0):
         scheme = scheme_factory()
-        # These figures draw individual segments, so the run must keep
-        # its full timeline regardless of the process retain default.
+        # These figures draw individual segments, so the run keeps its
+        # full timeline.
         run = FrameWindowSimulator(config, scheme).run(
             frames, fps, retain="full"
         )
@@ -200,19 +178,25 @@ def _timeline_result(scheme_factory, needs_drfb: bool) -> TimelineResult:
     )
 
 
-def fig03_conventional_timeline() -> TimelineResult:
+def fig03_conventional_timeline(seed_offset: int = 0) -> TimelineResult:
     """Fig. 3: conventional timeline for 30/60 FPS on a 60 Hz panel."""
-    return _timeline_result(ConventionalScheme, needs_drfb=False)
+    return _timeline_result(
+        ConventionalScheme, needs_drfb=False, seed_offset=seed_offset
+    )
 
 
-def fig06_bypass_timeline() -> TimelineResult:
+def fig06_bypass_timeline(seed_offset: int = 0) -> TimelineResult:
     """Fig. 6: Frame Buffer Bypass timeline (C0 then C7/C7')."""
-    return _timeline_result(FrameBufferBypassScheme, needs_drfb=False)
+    return _timeline_result(
+        FrameBufferBypassScheme, needs_drfb=False, seed_offset=seed_offset
+    )
 
 
-def fig07_burstlink_timeline() -> TimelineResult:
+def fig07_burstlink_timeline(seed_offset: int = 0) -> TimelineResult:
     """Fig. 7: full BurstLink timeline (C0, C7/C7' burst, C9)."""
-    return _timeline_result(BurstLinkScheme, needs_drfb=True)
+    return _timeline_result(
+        BurstLinkScheme, needs_drfb=True, seed_offset=seed_offset
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +214,18 @@ class Fig04Result:
     streaming_residency: dict[PackageCState, float]
 
 
-def fig04_browsing_then_streaming(seed: int = 0) -> Fig04Result:
+def fig04_browsing_then_streaming(seed_offset: int = 0) -> Fig04Result:
     """Fig. 4: web browsing followed by FHD 60 FPS streaming."""
     config = skylake_tablet(FHD)
     model = PowerModel()
     browse = browsing_timeline(
-        config, duration_s=2.0, seed=content_seed(seed)
+        config, duration_s=2.0, seed=seed_offset
     )
     browse_report = model.report_timeline(
         browse, config.panel, scheme="browsing"
     )
     stream_run = FrameWindowSimulator(config, ConventionalScheme()).run(
-        _streaming_frames(FHD, 60), 60.0
+        _streaming_frames(FHD, seed_offset, 60), 60.0
     )
     stream_report = model.report(stream_run)
     return Fig04Result(
@@ -275,11 +259,13 @@ class Table2Result:
         return 1.0 - self.burstlink_avg_mw / self.baseline_avg_mw
 
 
-def table2_power_comparison(fps: float = 30.0) -> Table2Result:
+def table2_power_comparison(
+    fps: float = 30.0, seed_offset: int = 0
+) -> Table2Result:
     """Table 2: FHD 30 FPS on a 60 Hz display, both schemes."""
     model = PowerModel()
     config = skylake_tablet(FHD)
-    frames = _streaming_frames(FHD, 60)
+    frames = _streaming_frames(FHD, seed_offset, 60)
     base_run = FrameWindowSimulator(config, ConventionalScheme()).run(
         frames, fps
     )
@@ -311,14 +297,14 @@ class PlanarReductionResult:
     baseline_power_mw: dict[str, float]
 
 
-def _planar_reduction(fps: float) -> PlanarReductionResult:
+def _planar_reduction(fps: float, seed_offset: int) -> PlanarReductionResult:
     reductions: dict[str, dict[str, float]] = {}
     baseline_power: dict[str, float] = {}
     for resolution in PLANAR_RESOLUTIONS:
         config = skylake_tablet(resolution)
         comparison = compare_schemes(
             config,
-            _streaming_frames(resolution),
+            _streaming_frames(resolution, seed_offset),
             fps,
             schemes={
                 "burst": (FrameBurstingScheme(), True),
@@ -337,14 +323,18 @@ def _planar_reduction(fps: float) -> PlanarReductionResult:
     )
 
 
-def fig09_planar_reduction_30fps() -> PlanarReductionResult:
+def fig09_planar_reduction_30fps(
+    seed_offset: int = 0,
+) -> PlanarReductionResult:
     """Fig. 9: Burst / Bypass / BurstLink reductions, 30 FPS videos."""
-    return _planar_reduction(30.0)
+    return _planar_reduction(30.0, seed_offset)
 
 
-def fig12_planar_reduction_60fps() -> PlanarReductionResult:
+def fig12_planar_reduction_60fps(
+    seed_offset: int = 0,
+) -> PlanarReductionResult:
     """Fig. 12: the same sweep for 60 FPS videos."""
-    return _planar_reduction(60.0)
+    return _planar_reduction(60.0, seed_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -375,14 +365,16 @@ class Fig10Result:
         )
 
 
-def fig10_energy_breakdown_comparison(fps: float = 30.0) -> Fig10Result:
+def fig10_energy_breakdown_comparison(
+    fps: float = 30.0, seed_offset: int = 0
+) -> Fig10Result:
     """Fig. 10: DRAM/Display/Others, baseline vs BurstLink, FHD-5K."""
     model = PowerModel()
     baseline: dict[str, SystemBreakdown] = {}
     burstlink: dict[str, SystemBreakdown] = {}
     for resolution in PLANAR_RESOLUTIONS:
         config = skylake_tablet(resolution)
-        frames = _streaming_frames(resolution)
+        frames = _streaming_frames(resolution, seed_offset)
         base_run = FrameWindowSimulator(
             config, ConventionalScheme()
         ).run(frames, fps)
@@ -411,15 +403,15 @@ class Fig11aResult:
     baseline_power_mw: dict[str, float]
 
 
-def fig11a_vr_workloads(frame_count: int = DEFAULT_FRAMES) -> Fig11aResult:
+def fig11a_vr_workloads(
+    frame_count: int = DEFAULT_FRAMES, seed_offset: int = 0
+) -> Fig11aResult:
     """Fig. 11a: BurstLink reduction for the five VR workloads."""
     model = PowerModel()
     reductions: dict[str, float] = {}
     baseline_power: dict[str, float] = {}
     for name, workload in VR_WORKLOADS.items():
-        workload = replace(
-            workload, seed=content_seed(workload.seed)
-        )
+        workload = replace(workload, seed=workload.seed + seed_offset)
         base = model.report(
             vr_streaming_run(
                 workload, ConventionalScheme(), frame_count=frame_count
@@ -450,11 +442,12 @@ class Fig11bResult:
 def fig11b_vr_resolutions(
     workload_name: str = "Rhino",
     frame_count: int = DEFAULT_FRAMES,
+    seed_offset: int = 0,
 ) -> Fig11bResult:
     """Fig. 11b: reduction vs per-eye display resolution."""
     model = PowerModel()
     workload = VR_WORKLOADS[workload_name]
-    workload = replace(workload, seed=content_seed(workload.seed))
+    workload = replace(workload, seed=workload.seed + seed_offset)
     reductions: dict[str, float] = {}
     for per_eye in VR_EYE_RESOLUTIONS:
         base = model.report(
@@ -491,7 +484,9 @@ class Fig13Result:
     reductions: dict[str, dict[str, float]]
 
 
-def fig13_fbc_comparison(fps: float = 30.0) -> Fig13Result:
+def fig13_fbc_comparison(
+    fps: float = 30.0, seed_offset: int = 0
+) -> Fig13Result:
     """Fig. 13: baseline+FBC (20/30/50%) vs BurstLink at 4K and 5K on a
     60 Hz panel."""
     reductions: dict[str, dict[str, float]] = {}
@@ -499,7 +494,7 @@ def fig13_fbc_comparison(fps: float = 30.0) -> Fig13Result:
         config = skylake_tablet(resolution)
         comparison = compare_schemes(
             config,
-            _streaming_frames(resolution),
+            _streaming_frames(resolution, seed_offset),
             fps,
             schemes={
                 "fbc-20": (
@@ -531,10 +526,12 @@ class Sec64Result:
     dram_bw_reduction: dict[str, float]
 
 
-def sec64_related_work(fps: float = 30.0) -> Sec64Result:
+def sec64_related_work(
+    fps: float = 30.0, seed_offset: int = 0
+) -> Sec64Result:
     """Sec. 6.4: race-to-sleep+caching and VIP comparisons at 4K."""
     config = skylake_tablet(UHD_4K)
-    frames = _streaming_frames(UHD_4K)
+    frames = _streaming_frames(UHD_4K, seed_offset)
     comparison = compare_schemes(
         config,
         frames,
@@ -591,6 +588,7 @@ class StandbyAmbientResult:
 def standby_ambient(
     duration_s: float = 60.0,
     update_fps: float = 0.2,
+    seed_offset: int = 0,
 ) -> StandbyAmbientResult:
     """Ambient standby: a static FHD screen updating every few seconds.
 
@@ -602,7 +600,7 @@ def standby_ambient(
     workload = AmbientStandbyWorkload(
         duration_s=duration_s,
         update_fps=update_fps,
-        seed=content_seed(),
+        seed=seed_offset,
     )
     model = PowerModel(
         extras=PlatformExtras(streaming=False, local_playback=False)
@@ -614,9 +612,7 @@ def standby_ambient(
         ("conventional", ConventionalScheme(), False),
         ("burstlink", BurstLinkScheme(), True),
     ):
-        run = ambient_standby_run(
-            workload, scheme, with_drfb=with_drfb, retain="summary"
-        )
+        run = ambient_standby_run(workload, scheme, with_drfb=with_drfb)
         power[label] = model.report(run).average_power_mw
         residencies[label] = run.residency_fractions()
         repeat_fraction[label] = (
@@ -662,6 +658,7 @@ class OledBrightnessResult:
 
 def oled_brightness_sweep(
     brightness_levels: tuple[float, ...] = (0.4, 0.6, 0.8, 1.0),
+    seed_offset: int = 0,
 ) -> OledBrightnessResult:
     """OLED brightness sweep: FHD 30 FPS natural content, both schemes.
 
@@ -681,7 +678,7 @@ def oled_brightness_sweep(
         workload = OledVideoWorkload(
             brightness=brightness,
             frame_count=DEFAULT_FRAMES,
-            seed=content_seed(),
+            seed=seed_offset,
         )
         for label, scheme, with_drfb in (
             ("conventional", ConventionalScheme(), False),
@@ -751,6 +748,7 @@ class NetworkStreamResult:
 
 def network_streamed_playback(
     conditions: dict[str, float] | None = None,
+    seed_offset: int = 0,
 ) -> NetworkStreamResult:
     """Streamed playback: FHD 30 FPS through an ABR client, three
     bandwidth conditions, both schemes."""
@@ -768,7 +766,7 @@ def network_streamed_playback(
         workload = NetworkStreamWorkload(
             bandwidth_mbps=bandwidth_mbps,
             frame_count=3 * DEFAULT_FRAMES,
-            seed=content_seed(),
+            seed=seed_offset,
         )
         source = workload.source()
         stall_ratio[condition] = source.stall_ratio
@@ -806,7 +804,7 @@ class Fig14aResult:
     reductions: dict[str, float]
 
 
-def fig14a_local_playback() -> Fig14aResult:
+def fig14a_local_playback(seed_offset: int = 0) -> Fig14aResult:
     """Fig. 14a: 4K@144, 4K@120, 5K@60 local playback with Bypass."""
     model = PowerModel(
         extras=PlatformExtras(streaming=False, local_playback=True)
@@ -820,7 +818,7 @@ def fig14a_local_playback() -> Fig14aResult:
             fps=min(refresh, 60.0),
             refresh_hz=refresh,
             local=True,
-            seed=content_seed(),
+            seed=seed_offset,
         )
         base = model.report(
             local_playback_run(workload, ConventionalScheme())
@@ -842,9 +840,10 @@ class Fig14bResult:
     reductions: dict[str, dict[str, float]]
 
 
-def fig14b_mobile_workloads() -> Fig14bResult:
+def fig14b_mobile_workloads(seed_offset: int = 0) -> Fig14bResult:
     """Fig. 14b: Frame Bursting on conferencing/capture/gaming/
-    MobileMark at FHD/QHD/4K."""
+    MobileMark at FHD/QHD/4K.  The mobile workloads draw no content,
+    so ``seed_offset`` changes nothing."""
     reductions: dict[str, dict[str, float]] = {}
     for resolution in (FHD, QHD, UHD_4K):
         row: dict[str, float] = {}

@@ -72,21 +72,11 @@ from ..pipeline.timeline import (
 from ..soc.cstates import PackageCState
 
 #: On-disk payload schema version; bump on any layout change so stale
-#: cache files read as misses instead of garbage.  Format 2 added the
-#: online timeline summary and made the segment list optional
-#: (``retain="summary"`` runs persist without one).  Format 3 left run
-#: payloads unchanged and added per-window plan entries
-#: (``<key>.plan.json``); nothing reads or writes plan entries now, but
-#: format-2 and format-3 runs written by older builds still read
-#: cleanly.
+#: cache files read as misses instead of garbage.  Format 4 carries the
+#: online timeline summary, an optional segment list
+#: (``retain="summary"`` runs persist without one) and the
+#: content-attribute columns (segment ``apl``, class ``apl_seconds``).
 _DISK_FORMAT = 4
-
-#: Formats :func:`run_from_payload` accepts.  Format 4 appends the
-#: content-attribute columns (segment ``apl``, class ``apl_seconds``)
-#: to the positional records; older payloads read back with zeros —
-#: exactly the values a content-agnostic run would have written — so a
-#: cache directory written before the bump stays warm.
-_READABLE_FORMATS = frozenset({2, 3, 4})
 
 #: Default number of runs the in-process LRU retains.
 DEFAULT_CAPACITY = 128
@@ -171,7 +161,7 @@ def _segment_from_record(record: list[Any]) -> Segment:
         dc_active=record[11],
         panel_mode=PanelMode[record[12]],
         drfb_active=record[13],
-        apl=record[14] if len(record) > 14 else 0.0,
+        apl=record[14],
     )
 
 
@@ -221,7 +211,7 @@ def _class_from_record(
         dram_read_bytes=record[13],
         dram_write_bytes=record[14],
         edp_bytes=record[15],
-        apl_seconds=record[16] if len(record) > 16 else 0.0,
+        apl_seconds=record[16],
     )
     return cls_key, totals
 
@@ -288,7 +278,7 @@ def run_to_payload(run: RunResult) -> dict[str, Any]:
 def run_from_payload(payload: dict[str, Any]) -> RunResult:
     """Rebuild the exact :class:`RunResult` serialized by
     :func:`run_to_payload`."""
-    if payload.get("format") not in _READABLE_FORMATS:
+    if payload.get("format") != _DISK_FORMAT:
         raise ConfigurationError(
             f"unsupported cache payload format {payload.get('format')!r}"
         )
@@ -568,8 +558,10 @@ if sim.active_run_memo() is None:
 # ---------------------------------------------------------------------------
 
 
-def exhibit_registry() -> dict[str, Callable[[], Any]]:
+def exhibit_registry() -> dict[str, Callable[..., Any]]:
     """Every regenerable exhibit, in the paper's presentation order.
+
+    Each function takes ``seed_offset=`` (see :func:`run_exhibit`).
 
     Imported lazily so the registry can enumerate
     :mod:`repro.analysis.experiments` without an import cycle.
@@ -623,33 +615,31 @@ class ExhibitOutcome:
     metrics: ExperimentMetrics = field(repr=False)
 
 
-def run_exhibit(name: str) -> ExhibitOutcome:
+def run_exhibit(name: str, seed_offset: int = 0) -> ExhibitOutcome:
     """Regenerate one exhibit in-process, measuring its cost.
 
-    Exhibits run summary-first: the simulator's retain default is
-    ``"summary"`` for the call (restored after), since every report
-    prices class totals.  Only the exhibits that draw individual
-    segments keep timelines, by pinning ``retain="full"`` on their own
-    runs.
+    ``seed_offset`` (>= 0) shifts every workload's content seed, so
+    "seed s" means "every workload's content re-drawn under base seed
+    + s"; 0 reproduces the canonical exhibits exactly.  Exhibit runs
+    keep only their summaries (the simulator's default), except the
+    ones that draw individual segments, which ask for ``"full"``.
     """
     registry = exhibit_registry()
     if name not in registry:
         raise ConfigurationError(
             f"unknown exhibit {name!r}; known: {', '.join(registry)}"
         )
+    if seed_offset < 0:
+        raise ConfigurationError("seed offset must be >= 0")
     cache = active_cache()
     before = cache.stats.snapshot() if cache else CacheStats()
     tracer = obs_trace.active()
-    previous_retain = sim.set_default_retain("summary")
     started = time.perf_counter()
-    try:
-        if tracer is not None:
-            with tracer.span("exhibit", exhibit=name):
-                result = registry[name]()
-        else:
-            result = registry[name]()
-    finally:
-        sim.set_default_retain(previous_retain)
+    if tracer is not None:
+        with tracer.span("exhibit", exhibit=name):
+            result = registry[name](seed_offset=seed_offset)
+    else:
+        result = registry[name](seed_offset=seed_offset)
     elapsed = time.perf_counter() - started
     after = cache.stats.snapshot() if cache else CacheStats()
     metrics = obs_metrics.registry()
@@ -714,15 +704,9 @@ class ExhibitTask:
 
 def run_exhibit_task(task: ExhibitTask) -> ExhibitOutcome:
     """Regenerate one exhibit under the task's cache directory and
-    content-seed offset, restoring the latter after."""
-    from . import experiments
-
+    content-seed offset."""
     _apply_cache_dir(task.cache_dir)
-    previous_offset = experiments.set_seed_offset(task.seed_offset)
-    try:
-        outcome = run_exhibit(task.name)
-    finally:
-        experiments.set_seed_offset(previous_offset)
+    outcome = run_exhibit(task.name, seed_offset=task.seed_offset)
     if task.label is not None:
         outcome.metrics = dataclasses.replace(
             outcome.metrics, name=task.label
@@ -758,10 +742,8 @@ def run_exhibits(
     request order and are bit-identical to a sequential run (every
     exhibit function is pure and deterministic).  ``cache_dir`` points
     all workers (and the sequential path) at one shared on-disk cache.
-    Every exhibit runs summary-first (see :func:`run_exhibit`).
     ``seed_offset`` shifts every workload's content seed (see
-    :func:`repro.analysis.experiments.set_seed_offset`); 0 reproduces
-    the canonical exhibits exactly.
+    :func:`run_exhibit`); 0 reproduces the canonical exhibits exactly.
 
     The fan-out is :func:`repro.obs.dist.fan_out` under the
     ``"exhibits"`` namespace, so telemetry survives it: worker trace

@@ -22,7 +22,9 @@ def cmd_timeline(args: argparse.Namespace) -> str:
     resolution = _RESOLUTIONS[args.resolution]
     config = _config_for(resolution, needs_drfb)
     frames = AnalyticContentModel().frames(resolution, 6)
-    run = FrameWindowSimulator(config, factory()).run(frames, args.fps)
+    run = FrameWindowSimulator(config, factory()).run(
+        frames, args.fps, retain="full"
+    )
     return "\n\n".join(
         [
             f"{args.scheme} @ {args.resolution} {args.fps:g}FPS",
@@ -43,7 +45,9 @@ def cmd_export(args: argparse.Namespace) -> str:
     resolution = _RESOLUTIONS[args.resolution]
     config = _config_for(resolution, needs_drfb)
     frames = AnalyticContentModel().frames(resolution, args.frames)
-    run = FrameWindowSimulator(config, factory()).run(frames, args.fps)
+    run = FrameWindowSimulator(config, factory()).run(
+        frames, args.fps, retain="full"
+    )
     if args.format == "csv":
         payload = timeline_to_csv(run.timeline)
     else:

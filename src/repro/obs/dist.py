@@ -206,21 +206,6 @@ def heartbeat_path(context: TraceContext, worker_id: int) -> Path:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: The run id this worker process has initialized for.  Workers forked
-#: from a tracing parent inherit its registry (and tracer) — the first
-#: task under a new run resets the registry so the worker's snapshot
-#: counts only its own work and nothing double-merges.
-_worker_run_id: str | None = None
-
-
-def _ensure_worker(context: TraceContext) -> None:
-    global _worker_run_id
-    if _worker_run_id == context.run_id:
-        return
-    obs_metrics.registry().reset()
-    _worker_run_id = context.run_id
-
-
 def _append_jsonl(path: Path, lines: Iterable[str]) -> None:
     with open(path, "a", encoding="utf-8") as handle:
         for line in lines:
@@ -291,7 +276,6 @@ def run_worker_task(
     task's return value to the done-heartbeat payload).  Returns the
     thunk's result unchanged.
     """
-    _ensure_worker(context)
     worker_id = os.getpid()
     ns_tag: dict[str, Any] = (
         {}
@@ -347,14 +331,20 @@ def run_worker_task(
 PARENT_POLL_S = 0.5
 
 
-def _exit_with_parent(parent_pid: int) -> None:
-    """Pool-worker initializer: exit once ``parent_pid`` is gone.
+def _init_worker(parent_pid: int) -> None:
+    """Pool-worker initializer: start from an empty metrics registry,
+    and exit once ``parent_pid`` is gone.
 
-    A SIGKILLed parent never shuts its pool down, and an idle worker
-    blocked on the task queue never sees EOF (forked siblings hold the
-    queue's write end), so it would wait forever under init.  A daemon
-    thread watches for the re-parenting instead.
+    A pool lives for one :func:`fan_out`, so a worker forked from the
+    parent inherits its registry (and tracer) exactly once; resetting
+    it here makes the worker's snapshot count only its own tasks, and
+    nothing double-merges.  A SIGKILLed parent never shuts its pool
+    down, and an idle worker blocked on the task queue never sees EOF
+    (forked siblings hold the queue's write end), so it would wait
+    forever under init.  A daemon thread watches for the re-parenting
+    instead.
     """
+    obs_metrics.registry().reset()
 
     def watch() -> None:
         while os.getppid() == parent_pid:
@@ -371,7 +361,7 @@ def process_pool(workers: int) -> ProcessPoolExecutor:
     process dies, however it dies."""
     return ProcessPoolExecutor(
         max_workers=workers,
-        initializer=_exit_with_parent,
+        initializer=_init_worker,
         initargs=(os.getpid(),),
     )
 

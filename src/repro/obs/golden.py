@@ -21,7 +21,6 @@ from ..pipeline.sim import (
     FrameWindowSimulator,
     RunResult,
     install_run_memo,
-    set_default_retain,
 )
 from ..power.model import PowerModel
 from ..video.source import AnalyticContentModel
@@ -34,42 +33,44 @@ GOLDEN_FRAMES = 4
 GOLDEN_SEED = 7
 
 
-def _planar_run(scheme_factory, with_drfb: bool) -> RunResult:
+def _planar_run(scheme_factory, with_drfb: bool, retain: str) -> RunResult:
     config = skylake_tablet(FHD)
     if with_drfb:
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(
         FHD, GOLDEN_FRAMES, seed=GOLDEN_SEED
     )
-    return FrameWindowSimulator(config, scheme_factory()).run(frames, 30.0)
-
-
-def _conventional_run() -> RunResult:
-    from ..pipeline import ConventionalScheme
-
-    return _planar_run(ConventionalScheme, with_drfb=False)
-
-
-def _burstlink_run() -> RunResult:
-    from ..core import BurstLinkScheme
-
-    return _planar_run(BurstLinkScheme, with_drfb=True)
-
-
-def _vr_run() -> RunResult:
-    from ..core import BurstLinkScheme
-    from ..workloads.vr import VR_WORKLOADS, vr_streaming_run
-
-    return vr_streaming_run(
-        VR_WORKLOADS["Elephant"],
-        BurstLinkScheme(),
-        frame_count=GOLDEN_FRAMES,
-        with_drfb=True,
+    return FrameWindowSimulator(config, scheme_factory()).run(
+        frames, 30.0, retain=retain
     )
 
 
-#: Exhibit name -> canonical run builder.
-GOLDEN_EXHIBITS: dict[str, Callable[[], RunResult]] = {
+def _conventional_run(retain: str) -> RunResult:
+    from ..pipeline import ConventionalScheme
+
+    return _planar_run(ConventionalScheme, with_drfb=False, retain=retain)
+
+
+def _burstlink_run(retain: str) -> RunResult:
+    from ..core import BurstLinkScheme
+
+    return _planar_run(BurstLinkScheme, with_drfb=True, retain=retain)
+
+
+def _vr_run(retain: str) -> RunResult:
+    from ..core import BurstLinkScheme
+    from ..workloads.vr import VR_WORKLOADS, build_vr_setup
+
+    setup = build_vr_setup(
+        VR_WORKLOADS["Elephant"], frame_count=GOLDEN_FRAMES
+    )
+    return FrameWindowSimulator(
+        setup.config.with_drfb(), BurstLinkScheme()
+    ).run(setup.frames, 30.0, vr_work=setup.vr_work, retain=retain)
+
+
+#: Exhibit name -> canonical run builder (called with the retain mode).
+GOLDEN_EXHIBITS: dict[str, Callable[[str], RunResult]] = {
     "conventional": _conventional_run,
     "burstlink": _burstlink_run,
     "vr": _vr_run,
@@ -83,25 +84,22 @@ def capture_trace(
     model with a fresh tracer installed and memoization disabled, so
     the captured event stream is complete and reproducible.
 
-    Full timeline retention is pinned for the capture by default: the
-    golden JSONL bytes must not depend on whatever retain default the
-    surrounding process happens to run with.  Pass
-    ``retain="summary"`` to capture the streaming-aggregation path
-    instead (``repro profile --retain summary``)."""
+    The capture keeps the full timeline by default (the golden JSONL
+    pins it); pass ``retain="summary"`` to capture the
+    streaming-aggregation path instead (``repro profile --retain
+    summary``)."""
     if exhibit not in GOLDEN_EXHIBITS:
         raise ConfigurationError(
             f"unknown trace exhibit {exhibit!r}; "
             f"known: {', '.join(GOLDEN_EXHIBITS)}"
         )
     previous_memo = install_run_memo(None)
-    previous_retain = set_default_retain(retain)
     try:
         with tracing() as tracer:
-            run = GOLDEN_EXHIBITS[exhibit]()
+            run = GOLDEN_EXHIBITS[exhibit](retain)
             PowerModel().report(run)
     finally:
         install_run_memo(previous_memo)
-        set_default_retain(previous_retain)
     return tracer, run
 
 

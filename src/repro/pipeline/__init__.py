@@ -20,8 +20,6 @@ from .sim import (
     StreamingWindow,
     WindowContext,
     WindowResult,
-    default_retain,
-    set_default_retain,
 )
 from .conventional import ConventionalScheme
 
@@ -42,6 +40,4 @@ __all__ = [
     "VdMode",
     "WindowContext",
     "WindowResult",
-    "default_retain",
-    "set_default_retain",
 ]

@@ -312,7 +312,7 @@ def run_fingerprint(
     video_fps: float,
     vr_work: list[VrWork] | None = None,
     max_windows: int | None = None,
-    retain: str = "full",
+    retain: str = "summary",
 ) -> str | None:
     """A stable content hash identifying one simulator run, or ``None``
     when some input cannot be canonically frozen (such runs simply
@@ -384,30 +384,6 @@ def install_run_memo(memo: RunMemo | None) -> RunMemo | None:
 def active_run_memo() -> RunMemo | None:
     """The currently installed run memo, if any."""
     return _active_memo
-
-
-#: Process-wide retain default used when ``run(retain=None)``.
-_default_retain = "full"
-
-
-def set_default_retain(mode: str) -> str:
-    """Set the process-wide retain default; returns the previous mode.
-
-    :func:`repro.analysis.runner.run_exhibit` sets ``"summary"``
-    around every exhibit instead of threading ``retain=`` through each
-    call site; the golden-trace capture pins ``"full"``.
-    """
-    global _default_retain
-    if mode not in RETAIN_MODES:
-        raise SimulationError(f"unknown retain mode {mode!r}")
-    previous = _default_retain
-    _default_retain = mode
-    return previous
-
-
-def default_retain() -> str:
-    """The process-wide retain default."""
-    return _default_retain
 
 
 @dataclass(eq=False)
@@ -821,7 +797,7 @@ class FrameWindowSimulator:
         video_fps: float,
         vr_work: list[VrWork] | None = None,
         max_windows: int | None = None,
-        retain: str | None = None,
+        retain: str = "summary",
     ) -> RunResult:
         """Simulate displaying ``frames`` at ``video_fps``.
 
@@ -833,10 +809,10 @@ class FrameWindowSimulator:
         frames, or ``max_windows`` (at least 1) if given — mandatory for
         length-less sources.
 
-        ``retain`` selects what the result keeps: ``"full"`` (the
-        per-segment timeline, the historical behavior) or ``"summary"``
-        (only the online :class:`TimelineSummary`); ``None`` defers to
-        :func:`default_retain`.
+        ``retain`` selects what the result keeps: ``"summary"`` (only
+        the online :class:`TimelineSummary`, which every report prices)
+        or ``"full"`` (the per-segment timeline as well, for callers
+        that draw or export individual segments).
 
         Windows are grouped by ``(plan_key, kind, frame content, entry
         state)`` and each distinct plan is priced once (see
@@ -844,9 +820,8 @@ class FrameWindowSimulator:
         window is planned fresh and traced; the stats and summary are
         the same either way.
         """
-        retain_mode = _default_retain if retain is None else retain
-        if retain_mode not in RETAIN_MODES:
-            raise SimulationError(f"unknown retain mode {retain_mode!r}")
+        if retain not in RETAIN_MODES:
+            raise SimulationError(f"unknown retain mode {retain!r}")
         source = as_frame_source(frames)
         try:
             frame_count: int | None = len(source)  # type: ignore[arg-type]
@@ -869,7 +844,7 @@ class FrameWindowSimulator:
             key = run_fingerprint(
                 self.config, self.scheme, source, video_fps,
                 vr_work=vr_work, max_windows=max_windows,
-                retain=retain_mode,
+                retain=retain,
             )
             if key is not None:
                 cached = memo.load(key)
@@ -880,7 +855,7 @@ class FrameWindowSimulator:
             functools.partial(next, iter(source), None),
             vr_work=iter(vr_work) if vr_work is not None else None,
             max_windows=max_windows,
-            retain_full=retain_mode == "full",
+            retain_full=retain == "full",
         )
         if max_windows is not None:
             window_count = max_windows

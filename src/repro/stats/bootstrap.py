@@ -2,8 +2,8 @@
 
 Every exhibit number in this repo is a deterministic function of its
 content seed, so "uncertainty" here means *seed-to-seed spread*: run the
-same exhibit under N shifted seeds (see
-:func:`repro.analysis.experiments.set_seed_offset`), collect the N
+same exhibit under N shifted seeds (the ``seed_offset`` of
+:func:`repro.analysis.runner.run_exhibit`), collect the N
 values of each metric, and summarize them as an
 :class:`IntervalEstimate` — sample mean, sample standard deviation, and
 a percentile-bootstrap confidence interval on the mean.

@@ -6,8 +6,8 @@ through the same substrate a single-seed regeneration uses: the
 and its shard protocol (trace shards, heartbeats, merged
 metrics — namespace ``"stats"``), and the process-wide
 :class:`~repro.analysis.runner.SimulationCache`.  Seed offsets shift
-every workload's content seed at once
-(:func:`repro.analysis.experiments.set_seed_offset`), so distinct seeds
+every workload's content seed at once (each task passes its offset to
+:func:`repro.analysis.runner.run_exhibit`), so distinct seeds
 simulate distinct frame sequences while seed-invariant exhibits re-hit
 the cache — the per-task cache counters in the replication's metrics
 make that dedup visible.

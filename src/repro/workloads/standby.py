@@ -143,14 +143,13 @@ def ambient_standby_run(
     workload: AmbientStandbyWorkload,
     scheme: DisplayScheme,
     with_drfb: bool = False,
-    retain: str | None = "summary",
+    retain: str = "summary",
 ) -> RunResult:
     """Simulate an ambient-standby session under ``scheme``.
 
-    Defaults to ``retain="summary"`` (pass ``retain=None`` to follow the
-    process default, or ``"full"`` for segment-level inspection): ambient
-    sessions are long and repeat-dominated, exactly the case the
-    streaming summary + collapsing path exists for.
+    Keeps only the summary unless ``retain="full"`` asks for the
+    segments: ambient sessions are long and repeat-dominated, exactly
+    the case the streaming summary + collapsing path exists for.
     """
     config = workload.system_config()
     if with_drfb:

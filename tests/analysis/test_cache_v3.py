@@ -1,5 +1,5 @@
-"""Disk cache formats: run payloads write format 4 and older run
-payloads (formats 2 and 3) still read."""
+"""Disk cache formats: run payloads write and read format 4 only; an
+older payload is a stale entry."""
 
 import json
 
@@ -27,36 +27,30 @@ class TestFormatCompatibility:
             )
         assert run_to_payload(run)["format"] == 4
 
-    def test_older_format_runs_still_read(self):
-        """A cache directory written before the bump stays warm: format
-        4 only appends content-attribute columns, which older payloads
-        read back as zero — exactly what a content-agnostic run wrote."""
+    @pytest.mark.parametrize("older", [1, 2, 3])
+    def test_older_format_runs_rejected(self, older, tmp_path):
+        """An older payload does not read, and a cache directory
+        holding one reads it as a miss and removes the file."""
         with cache_disabled():
             run = FrameWindowSimulator(
                 skylake_tablet(FHD), ConventionalScheme()
             ).run(
-                AnalyticContentModel().frames(FHD, 4, seed=1), 30.0
+                AnalyticContentModel().frames(FHD, 4, seed=1), 30.0,
+                retain="full",
             )
-        for older in (2, 3):
-            payload = json.loads(json.dumps(run_to_payload(run)))
-            payload["format"] = older
-            for record in payload["segments"]:
-                del record[14:]
-            rebuilt = run_from_payload(payload)
-            assert rebuilt.stats == run.stats
-            assert list(rebuilt.timeline) == list(run.timeline)
-
-    def test_format_1_runs_rejected(self):
-        with cache_disabled():
-            run = FrameWindowSimulator(
-                skylake_tablet(FHD), ConventionalScheme()
-            ).run(
-                AnalyticContentModel().frames(FHD, 4, seed=1), 30.0
-            )
-        payload = run_to_payload(run)
-        payload["format"] = 1
+        payload = json.loads(json.dumps(run_to_payload(run)))
+        payload["format"] = older
+        # Formats 2 and 3 had no content-attribute columns.
+        for record in payload["segments"]:
+            del record[14:]
+        for record in payload["summary"]["buckets"]:
+            del record[16:]
         with pytest.raises(ConfigurationError):
             run_from_payload(payload)
+        path = tmp_path / "deadbeef.json"
+        path.write_text(json.dumps(payload), "utf-8")
+        assert SimulationCache(directory=tmp_path).load("deadbeef") is None
+        assert not path.exists()
 
     def test_leftover_plan_files_ignored_and_cleared(self, tmp_path):
         """Format 3 also wrote ``<key>.plan.json`` plan entries.  Nothing

@@ -30,7 +30,7 @@ def run():
     config = skylake_tablet(FHD).with_drfb()
     frames = AnalyticContentModel().frames(FHD, 6)
     return FrameWindowSimulator(config, BurstLinkScheme()).run(
-        frames, 30.0
+        frames, 30.0, retain="full"
     )
 
 

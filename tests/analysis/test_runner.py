@@ -29,7 +29,7 @@ def _simulate(frame_count=6, seed=1):
     frames = AnalyticContentModel().frames(FHD, frame_count, seed=seed)
     return FrameWindowSimulator(
         config, ConventionalScheme()
-    ).run(frames, 30.0)
+    ).run(frames, 30.0, retain="full")
 
 
 @pytest.fixture
@@ -127,14 +127,15 @@ class TestDiskCache:
         """A VR run (projection work, headset config) must survive the
         disk-cache serializers exactly."""
         from repro.core import BurstLinkScheme
-        from repro.workloads.vr import VR_WORKLOADS, vr_streaming_run
+        from repro.workloads.vr import VR_WORKLOADS, build_vr_setup
 
+        setup = build_vr_setup(VR_WORKLOADS["Elephant"], frame_count=3)
         with cache_disabled():
-            run = vr_streaming_run(
-                VR_WORKLOADS["Elephant"],
-                BurstLinkScheme(),
-                frame_count=3,
-                with_drfb=True,
+            run = FrameWindowSimulator(
+                setup.config.with_drfb(), BurstLinkScheme()
+            ).run(
+                setup.frames, 30.0, vr_work=setup.vr_work,
+                retain="full",
             )
         payload = json.loads(json.dumps(run_to_payload(run)))
         rebuilt = run_from_payload(payload)
@@ -157,7 +158,9 @@ class TestDiskCache:
         config = skylake_tablet(FHD)
         frames = AnalyticContentModel().frames(FHD, 4, seed=9)
         with cache_disabled():
-            run = FrameWindowSimulator(config, scheme).run(frames, 30.0)
+            run = FrameWindowSimulator(config, scheme).run(
+                frames, 30.0, retain="full"
+            )
         payload = json.loads(json.dumps(run_to_payload(run)))
         rebuilt = run_from_payload(payload)
         assert rebuilt.stats == run.stats
@@ -204,7 +207,7 @@ class TestDiskCache:
         with cache_disabled():
             run = FrameWindowSimulator(
                 config, BurstLinkScheme()
-            ).run(frames, 30.0)
+            ).run(frames, 30.0, retain="full")
         assert run.stats.psr_windows > 0
         payload = json.loads(json.dumps(run_to_payload(run)))
         rebuilt = run_from_payload(payload)
@@ -313,23 +316,33 @@ class TestExhibitEngine:
         with pytest.raises(ConfigurationError):
             run_exhibits(("fig01",), jobs=0)
 
-    def test_batch_retain_restored(self, isolated_cache, monkeypatch):
-        """Exhibits run summary-first, and only for the exhibit: the
-        process default is back afterwards."""
-        from repro.analysis import runner
-        from repro.pipeline.sim import default_retain
+    def test_exhibit_runs_keep_no_timeline(
+        self, isolated_cache, monkeypatch
+    ):
+        """Exhibits run summary-first; only the figures that draw
+        segments keep their runs' timelines."""
+        kept = []
+        simulate = FrameWindowSimulator.run
 
-        before = default_retain()
-        outcomes = run_exhibits(("standby",))
-        assert default_retain() == before
+        def recording_run(self, *args, **kwargs):
+            run = simulate(self, *args, **kwargs)
+            kept.append(run.timeline is not None)
+            return run
+
+        monkeypatch.setattr(FrameWindowSimulator, "run", recording_run)
+        outcomes = run_exhibits(("standby", "table2"))
         assert outcomes[0].name == "standby"
         assert 0 < outcomes[0].result.reduction < 1
-        monkeypatch.setattr(
-            runner, "exhibit_registry",
-            lambda: {"probe": default_retain},
-        )
-        assert run_exhibit("probe").result == "summary"
-        assert default_retain() == before
+        assert kept and not any(kept)
+        kept.clear()
+        run_exhibit("fig03")
+        assert kept and all(kept)
+
+    def test_negative_seed_offset_rejected(self):
+        with pytest.raises(ConfigurationError):
+            run_exhibits(["table2"], seed_offset=-1)
+        with pytest.raises(ConfigurationError):
+            run_exhibit("table2", seed_offset=-1)
 
     def test_metrics_track_cache_activity(self, isolated_cache):
         cold = run_exhibit("fig01")

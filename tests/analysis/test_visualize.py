@@ -24,7 +24,7 @@ def burstlink_run():
     config = skylake_tablet(FHD).with_drfb()
     frames = AnalyticContentModel().frames(FHD, 4)
     return FrameWindowSimulator(config, BurstLinkScheme()).run(
-        frames, 30.0
+        frames, 30.0, retain="full"
     )
 
 
@@ -33,7 +33,7 @@ def baseline_run():
     config = skylake_tablet(FHD)
     frames = AnalyticContentModel().frames(FHD, 4)
     return FrameWindowSimulator(config, ConventionalScheme()).run(
-        frames, 30.0
+        frames, 30.0, retain="full"
     )
 
 

@@ -17,7 +17,9 @@ def power(scheme, with_drfb=False, fps=30.0):
     if with_drfb:
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(UHD_4K, 24)
-    run = FrameWindowSimulator(config, scheme).run(frames, fps)
+    run = FrameWindowSimulator(config, scheme).run(
+        frames, fps, retain="full"
+    )
     return PowerModel().report(run), run
 
 

@@ -18,7 +18,9 @@ def run(scheme, resolution=UHD_4K, with_drfb=False, fps=30.0):
     if with_drfb:
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(resolution, 24)
-    return FrameWindowSimulator(config, scheme).run(frames, fps)
+    return FrameWindowSimulator(config, scheme).run(
+        frames, fps, retain="full"
+    )
 
 
 class TestChaining:

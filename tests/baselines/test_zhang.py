@@ -17,7 +17,9 @@ def run(scheme, with_drfb=False, fps=30.0):
     if with_drfb:
         config = config.with_drfb()
     frames = AnalyticContentModel().frames(UHD_4K, 24)
-    return FrameWindowSimulator(config, scheme).run(frames, fps)
+    return FrameWindowSimulator(config, scheme).run(
+        frames, fps, retain="full"
+    )
 
 
 class TestConfiguration:

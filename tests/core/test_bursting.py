@@ -15,7 +15,7 @@ def run(resolution=FHD, fps=30.0, frames=24):
     config = skylake_tablet(resolution).with_drfb()
     descriptors = AnalyticContentModel().frames(resolution, frames)
     return FrameWindowSimulator(config, FrameBurstingScheme()).run(
-        descriptors, fps
+        descriptors, fps, retain="full"
     )
 
 

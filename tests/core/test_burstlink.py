@@ -15,7 +15,7 @@ def run(resolution=FHD, fps=30.0, frames=24, vr=None):
     config = skylake_tablet(resolution).with_drfb()
     descriptors = AnalyticContentModel().frames(resolution, frames)
     return FrameWindowSimulator(config, BurstLinkScheme()).run(
-        descriptors, fps, vr_work=vr
+        descriptors, fps, vr_work=vr, retain="full"
     )
 
 

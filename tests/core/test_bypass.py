@@ -16,7 +16,7 @@ def run(resolution=FHD, fps=30.0, frames=24):
     descriptors = AnalyticContentModel().frames(resolution, frames)
     return FrameWindowSimulator(
         config, FrameBufferBypassScheme()
-    ).run(descriptors, fps)
+    ).run(descriptors, fps, retain="full")
 
 
 class TestFig6Shape:

@@ -32,7 +32,7 @@ def run(scheme, resolution=FHD, fps=30.0, with_drfb=False):
     if with_drfb:
         config = config.with_drfb()
     return FrameWindowSimulator(config, scheme).run(
-        capture_frames(resolution), fps
+        capture_frames(resolution), fps, retain="full"
     )
 
 

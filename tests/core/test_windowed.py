@@ -17,7 +17,7 @@ def run(scheme=None, frames=30, fps=30.0):
     descriptors = AnalyticContentModel().frames(FHD, frames)
     return FrameWindowSimulator(
         config, scheme or WindowedVideoScheme()
-    ).run(descriptors, fps)
+    ).run(descriptors, fps, retain="full")
 
 
 class TestValidation:

@@ -6,11 +6,14 @@ identical calls must return identical numbers — bit-for-bit, not just
 approximately.
 """
 
+from pathlib import Path
+
 from repro.analysis.experiments import (
     fig09_planar_reduction_30fps,
     fig11a_vr_workloads,
     table2_power_comparison,
 )
+from repro.analysis.figures import figure_csv, figure_records, get_figure
 from repro.analysis.runner import cache_disabled, run_exhibits
 from repro.config import FHD, skylake_tablet
 from repro.pipeline.sim import run_fingerprint
@@ -20,6 +23,8 @@ from repro.power import PowerModel
 from repro.video.source import AnalyticContentModel
 from repro.workloads.browsing import browsing_timeline
 from repro.workloads.scenario import streaming_session
+
+SPECS = Path(__file__).resolve().parent.parent / "golden" / "specs"
 
 
 class TestRunDeterminism:
@@ -40,7 +45,7 @@ class TestRunDeterminism:
             frames = AnalyticContentModel().frames(FHD, 8, seed=3)
             return FrameWindowSimulator(
                 config, ConventionalScheme()
-            ).run(frames, 60.0).timeline
+            ).run(frames, 60.0, retain="full").timeline
 
         a, b = once(), once()
         assert len(a) == len(b)
@@ -88,6 +93,33 @@ class TestEngineParity:
         for a, b in zip(sequential, parallel):
             assert a.result == b.result
 
+    def test_seed_offsets_interleave_without_reset(self):
+        """Offsets are arguments, not process state: interleaved offsets
+        in one process reproduce each other at one worker and at two,
+        and offset 0 is the pinned canonical figure."""
+        names = ("table2", "oled")
+        passes: dict[int, set[tuple[str, ...]]] = {}
+        for jobs in (1, 2):
+            for offset in (2, 0, 1, 0):
+                outcomes = run_exhibits(
+                    names, jobs=jobs, seed_offset=offset
+                )
+                passes.setdefault(offset, set()).add(
+                    tuple(
+                        figure_csv(
+                            get_figure(o.name),
+                            figure_records(get_figure(o.name), o.result),
+                        )
+                        for o in outcomes
+                    )
+                )
+        assert all(len(texts) == 1 for texts in passes.values())
+        assert len({texts for (texts,) in passes.values()}) == 3
+        (canonical,) = passes[0]
+        for name, text in zip(names, canonical):
+            pinned = SPECS / get_figure(name).csv_name()
+            assert text.encode("utf-8") == pinned.read_bytes()
+
     def test_memoized_run_equals_fresh_run(self):
         config = skylake_tablet(FHD).with_drfb()
         frames = AnalyticContentModel().frames(FHD, 10, seed=7)
@@ -95,7 +127,7 @@ class TestEngineParity:
         def once():
             return FrameWindowSimulator(
                 config, BurstLinkScheme()
-            ).run(frames, 30.0)
+            ).run(frames, 30.0, retain="full")
 
         with cache_disabled():
             fresh = once()

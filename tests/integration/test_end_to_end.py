@@ -45,7 +45,9 @@ class TestUniversalInvariants:
         if needs_drfb:
             config = config.with_drfb()
         frames = AnalyticContentModel().frames(resolution, 12)
-        return FrameWindowSimulator(config, factory()).run(frames, fps)
+        return FrameWindowSimulator(config, factory()).run(
+            frames, fps, retain="full"
+        )
 
     def test_timeline_covers_exactly_the_run(self, name, factory,
                                              needs_drfb, fps):

@@ -100,10 +100,10 @@ class TestGeneralTakeaway:
         model = PowerModel()
         base_run = FrameWindowSimulator(
             config, ConventionalScheme()
-        ).run(frames, 30.0)
+        ).run(frames, 30.0, retain="full")
         burst_run = FrameWindowSimulator(
             config.with_drfb(), BurstLinkScheme()
-        ).run(frames, 30.0)
+        ).run(frames, 30.0, retain="full")
         assert burst_run.timeline.dram_total_bytes < (
             0.01 * base_run.timeline.dram_total_bytes
         )

@@ -25,7 +25,7 @@ def long_baseline():
     config = skylake_tablet(FHD)
     frames = AnalyticContentModel().frames(FHD, FRAMES, seed=9)
     return FrameWindowSimulator(config, ConventionalScheme()).run(
-        frames, 30.0
+        frames, 30.0, retain="full"
     )
 
 

@@ -37,14 +37,11 @@ def context(tmp_path):
 
 @pytest.fixture
 def fresh_worker_state():
-    """Reset the per-process worker-run marker and global registry so
-    each test behaves like a freshly forked worker."""
-    saved = dist._worker_run_id
+    """Reset the global registry so each test behaves like a freshly
+    initialized pool worker."""
     snapshot = obs_metrics.registry().snapshot()
-    dist._worker_run_id = None
     obs_metrics.registry().reset()
     yield
-    dist._worker_run_id = saved
     obs_metrics.registry().reset()
     obs_metrics.registry().merge_snapshot(snapshot)
 
@@ -87,18 +84,18 @@ class TestWorkerSide:
         snapshots = read_worker_metrics(context)
         assert snapshots[0]["sim.windows"]["value"] == 2
 
-    def test_worker_registry_reset_once_per_run(
-        self, context, fresh_worker_state
-    ):
-        # Simulate fork inheritance: pre-existing registry state must
-        # not leak into the worker's published snapshot.
-        obs_metrics.registry().counter("inherited.noise").inc(99)
-        run_worker_task(context, 0, "a", lambda: _task("a"))
-        run_worker_task(context, 1, "b", lambda: _task("b"))
-        (snapshot,) = read_worker_metrics(context)
-        assert "inherited.noise" not in snapshot
-        # Two tasks accumulate in one worker snapshot.
-        assert snapshot["sim.windows"]["value"] == 4
+    def test_worker_registry_reset_once_per_run(self):
+        # Forked pool workers inherit the parent's registry; the pool
+        # initializer resets it, so only their own work merges back.
+        registry = obs_metrics.registry()
+        noise = registry.counter("fanout_test.noise")
+        noise.inc(99)
+        noise_before = noise.value
+        calls = registry.counter("fanout_test.calls")
+        calls_before = calls.value
+        dist.fan_out("test", [1, 2, 3, 4], _square, 2)
+        assert noise.value == noise_before
+        assert calls.value == calls_before + 4
 
     def test_heartbeats_stream_start_and_done(
         self, context, fresh_worker_state

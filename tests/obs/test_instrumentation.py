@@ -20,7 +20,7 @@ def _run(frame_count=2, seed=5, fps=30.0):
     frames = AnalyticContentModel().frames(FHD, frame_count, seed=seed)
     return FrameWindowSimulator(
         skylake_tablet(FHD), ConventionalScheme()
-    ).run(frames, fps)
+    ).run(frames, fps, retain="full")
 
 
 class TestNoOpDefault:

@@ -21,7 +21,7 @@ def run(resolution=FHD, fps=30.0, frames=24, **config_kwargs):
         config = replace(config, **config_kwargs)
     descriptors = AnalyticContentModel().frames(resolution, frames)
     return FrameWindowSimulator(config, ConventionalScheme()).run(
-        descriptors, fps
+        descriptors, fps, retain="full"
     )
 
 
@@ -144,10 +144,10 @@ class TestDerivedKnobs:
         frames = AnalyticContentModel().frames(FHD, 12)
         full = FrameWindowSimulator(
             config, ConventionalScheme()
-        ).run(frames, 60.0)
+        ).run(frames, 60.0, retain="full")
         halved = FrameWindowSimulator(
             config, ConventionalScheme(fetch_scale=0.5)
-        ).run(frames, 60.0)
+        ).run(frames, 60.0, retain="full")
         assert halved.timeline.dram_read_bytes < (
             0.75 * full.timeline.dram_read_bytes
         )
@@ -157,10 +157,10 @@ class TestDerivedKnobs:
         frames = AnalyticContentModel().frames(FHD, 12)
         full = FrameWindowSimulator(
             config, ConventionalScheme()
-        ).run(frames, 60.0)
+        ).run(frames, 60.0, retain="full")
         halved = FrameWindowSimulator(
             config, ConventionalScheme(writeback_scale=0.5)
-        ).run(frames, 60.0)
+        ).run(frames, 60.0, retain="full")
         assert halved.timeline.dram_write_bytes < (
             0.8 * full.timeline.dram_write_bytes
         )

@@ -8,11 +8,7 @@ from repro.errors import ConfigurationError, SimulationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.pipeline.sim import (
-    default_retain,
-    install_run_memo,
-    set_default_retain,
-)
+from repro.pipeline.sim import install_run_memo
 from repro.power import PowerModel
 from repro.video.source import AnalyticContentModel
 
@@ -122,21 +118,18 @@ class TestRetainModes:
                 fhd_config, ConventionalScheme()
             ).run(frames, 30.0, retain="segments")
 
-    def test_default_retain_round_trip(self, fhd_config, frames):
-        previous = set_default_retain("summary")
-        try:
-            assert default_retain() == "summary"
-            run = FrameWindowSimulator(
-                fhd_config, ConventionalScheme()
-            ).run(frames, 30.0)
-            assert run.timeline is None
-        finally:
-            assert set_default_retain(previous) == "summary"
-        assert default_retain() == previous
+    def test_default_retain_is_summary(self, fhd_config, frames):
+        simulator = FrameWindowSimulator(fhd_config, ConventionalScheme())
+        run = simulator.run(frames, 30.0)
+        assert run.timeline is None
+        assert run == simulator.run(frames, 30.0, retain="summary")
 
-    def test_default_retain_rejects_unknown(self):
+    def test_default_retain_rejects_unknown(self, fhd_config, frames):
+        # ``None`` no longer defers to a process-wide default.
         with pytest.raises(SimulationError):
-            set_default_retain("everything")
+            FrameWindowSimulator(
+                fhd_config, ConventionalScheme()
+            ).run(frames, 30.0, retain=None)
 
 
 class TestCollapse:

@@ -77,7 +77,7 @@ class TestModelWithCustomRegistry:
         frames = AnalyticContentModel().frames(FHD, 12)
         return FrameWindowSimulator(
             config, ConventionalScheme()
-        ).run(frames, 30.0)
+        ).run(frames, 30.0, retain="full")
 
     def test_zero_cost_term_leaves_totals_unchanged(self, run):
         base = PowerModel().report(run)

@@ -120,7 +120,7 @@ def test_bypass_eliminates_display_dram_traffic(resolution, fps):
     frames = AnalyticContentModel().frames(resolution, 6)
     run = FrameWindowSimulator(
         config, FrameBufferBypassScheme()
-    ).run(frames, fps)
+    ).run(frames, fps, retain="full")
     encoded = 2 * sum(f.encoded_bytes for f in frames)
     assert run.timeline.dram_total_bytes == pytest.approx(
         encoded, rel=0.05

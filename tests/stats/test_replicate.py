@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.experiments import seed_offset
 from repro.errors import ConfigurationError
 from repro.stats.replicate import (
     EFFECT_PAIRS,
@@ -39,7 +38,17 @@ class TestReplicateExhibits:
         }
 
     def test_seed_offset_restored(self, replication):
-        assert seed_offset() == 0
+        """Each task's offset reaches only its own exhibit: seed 1
+        replays through an explicit offset, and a plain run after the
+        replication is the canonical seed 0."""
+        from repro.analysis.runner import run_exhibit
+
+        seed0, seed1 = replication.results["fig04"]
+        assert seed0.browsing_power_mw != seed1.browsing_power_mw
+        shifted = run_exhibit("fig04", seed_offset=1).result
+        assert shifted.browsing_power_mw == seed1.browsing_power_mw
+        canonical = run_exhibit("fig04").result
+        assert canonical.browsing_power_mw == seed0.browsing_power_mw
 
     def test_seed_zero_matches_canonical_run(self, replication):
         from repro.analysis.runner import run_exhibit
@@ -121,11 +130,15 @@ class TestDriftIntervalReplication:
         )
 
     def test_multi_seed_restores_seed_offset(self):
-        from repro.obs.drift import check_drift_interval
+        from repro.obs.drift import check_drift, check_drift_interval
 
+        before = check_drift(sections=("fig04",))
         report = check_drift_interval(sections=("fig04",), seeds=2)
         assert all(r.estimate.n == 2 for r in report.rows)
-        assert seed_offset() == 0
+        after = check_drift(sections=("fig04",))
+        assert [r.actual for r in after.rows] == [
+            r.actual for r in before.rows
+        ]
 
     def test_rejects_unknown_section(self):
         from repro.obs.drift import check_drift_interval

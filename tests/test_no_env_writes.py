@@ -1,10 +1,13 @@
-"""No code under ``src/repro`` writes the process environment.
+"""No code under ``src/repro`` writes the process environment, and
+only the process hooks rebind module globals.
 
 Run options travel as arguments, not as environment variables that
-worker processes happen to inherit.  This walks the AST of every module
-in the package and fails on any write to ``os.environ`` (item
-assignment or ``del``, or a mutating method), and on ``os.putenv`` /
-``os.unsetenv``.  Reads (``os.environ.get``) are fine.
+worker processes happen to inherit or module globals a caller sets and
+restores.  This walks the AST of every module in the package and fails
+on any write to ``os.environ`` (item assignment or ``del``, or a
+mutating method), on ``os.putenv`` / ``os.unsetenv``, and on a
+``global`` statement outside :data:`GLOBAL_ALLOWLIST`.  Reads
+(``os.environ.get``) are fine.
 """
 
 import ast
@@ -18,6 +21,13 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 ENVIRON_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear"}
 #: ``os`` functions that change the environment.
 OS_WRITERS = {"putenv", "unsetenv"}
+#: The functions that may rebind a module global: the run-memo and
+#: tracer hooks (``module path:function``).
+GLOBAL_ALLOWLIST = {
+    "pipeline/sim.py:install_run_memo",
+    "obs/trace.py:install",
+    "obs/trace.py:install_env_tracer",
+}
 
 
 def environment_writes(source: str) -> list[int]:
@@ -119,3 +129,50 @@ def test_detects_writes(snippet):
 )
 def test_ignores_reads(snippet):
     assert environment_writes(snippet) == []
+
+
+def global_statements(source: str) -> list[str]:
+    """The enclosing function of every ``global`` statement in
+    ``source`` (``<module>`` at top level)."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Global):
+                found.append(scope)
+            inner = (
+                child.name
+                if isinstance(
+                    child,
+                    (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef),
+                )
+                else scope
+            )
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_globals_rebound_only_in_process_hooks():
+    found = {
+        f"{path.relative_to(SRC).as_posix()}:{scope}"
+        for path in sorted(SRC.rglob("*.py"))
+        for scope in global_statements(path.read_text(encoding="utf-8"))
+    }
+    assert found <= GLOBAL_ALLOWLIST, "global outside the hooks:\n  " + (
+        "\n  ".join(sorted(found - GLOBAL_ALLOWLIST))
+    )
+
+
+def test_global_statements_named_by_function():
+    source = (
+        "global a\n"
+        "def f():\n"
+        "    global b\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        def h():\n"
+        "            global c\n"
+    )
+    assert global_statements(source) == ["<module>", "f", "h"]

@@ -1,10 +1,12 @@
 """The multi-phase scenario engine with dynamic fallback."""
 
+import functools
+
 import pytest
 
 from repro.config import FHD, skylake_tablet
 from repro.errors import ConfigurationError
-from repro.pipeline.sim import set_default_retain
+from repro.pipeline import FrameWindowSimulator
 from repro.soc.registers import RegisterFile
 from repro.workloads.scenario import (
     Phase,
@@ -180,14 +182,15 @@ class TestRegisterEvents:
 
 
 class TestSummaryRetain:
-    def test_play_with_summary_only_runs(self, config):
+    def test_play_with_summary_only_runs(self, config, monkeypatch):
+        summary = streaming_session(config).play()
+        monkeypatch.setattr(
+            FrameWindowSimulator, "run",
+            functools.partialmethod(FrameWindowSimulator.run, retain="full"),
+        )
         full = streaming_session(config).play()
-        previous = set_default_retain("summary")
-        try:
-            summary = streaming_session(config).play()
-        finally:
-            set_default_retain(previous)
         assert all(o.run.timeline is None for o in summary.outcomes)
+        assert all(o.run.timeline is not None for o in full.outcomes)
         assert summary.scheme_sequence() == full.scheme_sequence()
         assert summary.duration_s == pytest.approx(
             full.duration_s, rel=1e-12
@@ -212,7 +215,7 @@ class TestPhaseOutcomeAccounting:
 
     def test_each_outcome_covers_its_phase(self, result):
         for outcome in result.outcomes:
-            assert outcome.run.timeline.duration == pytest.approx(
+            assert outcome.run.duration == pytest.approx(
                 outcome.phase.duration_s, rel=0.05
             )
 

@@ -54,7 +54,7 @@ class TestStreamedRuns:
         workload = NetworkStreamWorkload()
         run = network_stream_run(workload, ConventionalScheme())
         expected = workload.frame_count / workload.fps
-        assert run.timeline.duration == pytest.approx(expected, rel=0.05)
+        assert run.duration == pytest.approx(expected, rel=0.05)
 
     def test_burstlink_beats_conventional(self):
         base = self._avg_power(ConventionalScheme())
