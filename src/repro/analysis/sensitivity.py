@@ -9,7 +9,9 @@ tornado analysis over the model's knobs.
 
 The result (see ``benchmarks/bench_sensitivity.py``) is the robustness
 statement behind EXPERIMENTS.md: the *who-wins* conclusion is insensitive
-to every constant at +/-20%; only the magnitude breathes by a few points.
+to each :data:`PERTURBABLE` constant at +/-20% (an SoC floor capped at
+its shallower neighbour's, see :func:`perturb_library`); only the
+magnitude breathes by a few points.
 """
 
 from __future__ import annotations
@@ -96,8 +98,10 @@ def perturb_library(
                               .upper()]
         floors = dict(base.soc_floor)
         floors[state] *= factor
-        # Keep the monotonicity invariant: scale the prime sub-state of
-        # C7 alongside C7 itself, and clamp neighbours if needed.
+        # Keep the monotonicity invariant by capping every floor at its
+        # shallower neighbour's.  A floor scaled up stops there, so
+        # soc_floor_c8 at +20% moves 180 -> 185 mW (C7's prime
+        # sub-state), not to 216; deeper floors follow one scaled down.
         ordered = sorted(floors, key=lambda s: s.depth)
         for shallower, deeper in zip(ordered, ordered[1:]):
             floors[deeper] = min(floors[deeper], floors[shallower])

@@ -33,7 +33,7 @@ from .metrics import (
     MetricsRegistry,
     RollingGauge,
 )
-from .metrics import registry as default_registry
+from .metrics import registry as process_registry
 from .trace import COUNTER, EVENT, SPAN_END, SPAN_START, Tracer
 
 #: Simulated seconds -> trace-event microseconds.
@@ -397,7 +397,7 @@ def prometheus_text(
     one ``# HELP`` / ``# TYPE`` header per family, and ``# HELP`` text
     is escaped per the spec (backslash, line feed).
     """
-    registry = registry if registry is not None else default_registry()
+    registry = registry if registry is not None else process_registry()
     # Group label-bearing keys by family so every family emits exactly
     # one HELP/TYPE header.  Grouping cannot rely on sort adjacency:
     # "a.b_x" sorts between "a.b" and 'a.b{sid="1"}'.

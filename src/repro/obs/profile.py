@@ -336,7 +336,7 @@ def energy_ledger(
     for cls_key, energies in zip(cls_keys, matrix.tolist()):
         state = state_id(cls_key.state.reporting_state)
         kind = cls_key.window_kind or OUTSIDE_WINDOWS
-        for key, energy in zip(model.registry.keys, energies):
+        for key, energy in zip(COMPONENT_KEYS, energies):
             if energy == 0.0:
                 continue
             cells[(key, state, kind)] = (

@@ -50,7 +50,7 @@ from typing import Any, Callable
 from ..errors import ConfigurationError, ReproError
 from ..pipeline.sim import PlanGroup, StreamingSimulator, StreamingWindow
 from ..pipeline.timeline import TimelineSummary
-from ..power.model import PowerModel
+from ..power.model import COMPONENT_KEYS, PowerModel
 from ..video.source import (
     AnalyticContentModel,
     ContentClass,
@@ -173,9 +173,7 @@ class _DigestPricer:
             group.result.timeline, group.effective_kind, window.duration
         )
         _, _, matrix = self.model.price_summary(digest, self.panel)
-        energies = dict(
-            zip(self.model.registry.keys, matrix.sum(axis=0).tolist())
-        )
+        energies = dict(zip(COMPONENT_KEYS, matrix.sum(axis=0).tolist()))
         price = (
             energies["panel"],
             energies["dram_background"] + energies["dram_traffic"],

@@ -6,14 +6,16 @@ The paper computes average system power as::
 
 i.e. per-C-state power weighted by residency, plus the energy of state
 entry/exit excursions.  This module evaluates exactly that — as a sum
-over segment classes: every power term is linear in a class's
-accumulated quantities (seconds, DRAM and eDP bytes, APL-seconds), so a
-run's :class:`~repro.pipeline.timeline.TimelineSummary` is priced by one
-matrix product over calibrated per-class coefficients, and the
-per-state powers ``P_Ci`` of a Table 2-style report emerge as
-energy-weighted averages.  Excursion classes carry the library's
-``transition_extra`` on top of the shallower state's floor — the
-``P_en/P_ex`` terms.
+over segment classes.  Every component's energy is linear in a class's
+accumulated quantities (:data:`QUANTITY_COLUMNS`: seconds, DRAM and eDP
+bytes, APL-seconds), so each class has one fixed coefficient table
+(:meth:`PowerModel._class_coefficients`, quantities × components) read
+straight from the calibrated library, and a run's
+:class:`~repro.pipeline.timeline.TimelineSummary` is priced by one
+matrix product over those tables.  The per-state powers ``P_Ci`` of a
+Table 2-style report emerge as energy-weighted averages.  Excursion
+classes carry the library's ``transition_extra`` on top of the
+shallower state's floor — the ``P_en/P_ex`` terms.
 """
 
 from __future__ import annotations
@@ -28,22 +30,17 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..pipeline.sim import RunResult
 from ..pipeline.timeline import (
-    ClassTotals,
+    PanelMode,
     Segment,
     SegmentClass,
     Timeline,
     TimelineSummary,
+    VdMode,
 )
 from ..soc.cstates import PackageCState
+from ..units import to_gbps
 from . import calibration
 from .calibration import ComponentPowerLibrary
-from .terms import (
-    QUANTITY_COLUMNS,
-    PowerTerm,
-    PowerTermRegistry,
-    TermContext,
-    default_registry,
-)
 
 __all__ = [
     "COMPONENT_IDS",
@@ -52,24 +49,50 @@ __all__ = [
     "EnergyReport",
     "PlatformExtras",
     "PowerModel",
-    "PowerTerm",
-    "PowerTermRegistry",
-    "TermContext",
+    "QUANTITY_COLUMNS",
     "component_id",
-    "default_registry",
     "state_id",
 ]
 
-#: Component keys an :class:`EnergyReport` decomposes energy into — the
-#: default power-term registry's keys (see :mod:`repro.power.terms`).
-COMPONENT_KEYS = default_registry().keys
+#: Quantity columns a class's energy is linear in (through the origin),
+#: in the row order of its coefficient table and of a plan matrix.
+QUANTITY_COLUMNS = (
+    "seconds",
+    "dram_read_bytes",
+    "dram_write_bytes",
+    "edp_bytes",
+    "apl_seconds",
+)
+
+#: Component keys an :class:`EnergyReport` decomposes energy into, in
+#: the column order of a class's coefficient table.
+COMPONENT_KEYS = (
+    "soc_floor",
+    "always_on",
+    "cpu",
+    "vd",
+    "gpu",
+    "dc",
+    "edp",
+    "panel",
+    "drfb",
+    "dram_background",
+    "dram_traffic",
+    "platform",
+    "transition",
+)
 
 #: Stable component identifiers.  ``power.component`` trace events name
 #: components by these keys, and consumers (the attribution profiler,
 #: exporters) join on them — so the mapping is append-only: a component
 #: may be added, never renamed or renumbered.  Pinned by
 #: ``tests/obs/test_profile.py``.
-COMPONENT_IDS: dict[str, int] = dict(default_registry().ids)
+COMPONENT_IDS: dict[str, int] = {
+    key: index for index, key in enumerate(COMPONENT_KEYS)
+}
+
+#: Row indices of the quantity columns in a coefficient table.
+_SECONDS, _READ, _WRITE, _EDP, _APL = range(len(QUANTITY_COLUMNS))
 
 
 def component_id(key: str) -> int:
@@ -177,7 +200,6 @@ class PowerModel:
         self,
         library: ComponentPowerLibrary | None = None,
         extras: PlatformExtras | None = None,
-        registry: PowerTermRegistry | None = None,
     ) -> None:
         #: The calibrated library; the default resolves
         #: ``calibration.SKYLAKE_TABLET_POWER`` at construction.
@@ -186,17 +208,9 @@ class PowerModel:
             else calibration.SKYLAKE_TABLET_POWER
         )
         self.extras = extras if extras is not None else PlatformExtras()
-        #: The power-term registry this model prices with.  The default
-        #: reproduces the historical ``COMPONENT_KEYS`` set byte-exactly.
-        self.registry = (
-            registry if registry is not None else default_registry()
-        )
-        self._context = TermContext(
-            library=self.library, extras=self.extras
-        )
-        #: Per-(class, panel) pricing coefficients for the vectorized
-        #: path (see :meth:`price_plan_matrix`).  Keyed per instance:
-        #: library, extras, and registry are fixed at construction.
+        #: Per-(class, panel) coefficient tables for the vectorized path
+        #: (see :meth:`price_plan_matrix`).  Keyed per instance: library
+        #: and extras are fixed at construction.
         self._coefficients: dict[tuple, np.ndarray] = {}
 
     # -- per-segment composition -------------------------------------------------
@@ -205,9 +219,9 @@ class PowerModel:
         self, segment: Segment, panel: PanelConfig
     ) -> dict[str, float]:
         """Instantaneous power per component during ``segment`` (mW),
-        keyed in registry order: the segment's class coefficients (see
-        :meth:`_class_coefficients`) times its quantity row per second
-        of the segment."""
+        keyed in :data:`COMPONENT_KEYS` order: the segment's class
+        coefficients (see :meth:`_class_coefficients`) times its
+        quantity row per second of the segment."""
         rates = np.array(
             [
                 1.0,
@@ -220,7 +234,7 @@ class PowerModel:
         powers = rates @ self._class_coefficients(
             SegmentClass.of(segment), panel
         )
-        return dict(zip(self.registry.keys, powers.tolist()))
+        return dict(zip(COMPONENT_KEYS, powers.tolist()))
 
     def segment_power(self, segment: Segment, panel: PanelConfig) -> float:
         """Total instantaneous power during ``segment`` (mW)."""
@@ -228,60 +242,90 @@ class PowerModel:
 
     # -- per-class composition -----------------------------------------------------
 
-    def class_component_energies(
-        self,
-        cls_key: SegmentClass,
-        totals: ClassTotals,
-        panel: PanelConfig,
-    ) -> dict[str, float]:
-        """Energy per component (mJ) for one summary bucket.
-
-        Every term's energy is either constant-power over a segment
-        class (charged as power × accumulated seconds) or linear in a
-        quantity whose time integral the bucket carries exactly (eDP
-        payload bytes, DRAM read/write bytes, APL-seconds) — the
-        linearity :meth:`_class_coefficients` probes.
-        """
-        context = self._context
-        return {
-            term.key: term.energy(cls_key, totals, panel, context)
-            for term in self.registry
-        }
-
-    #: Quantity columns a plan matrix prices: accumulated seconds, DRAM
-    #: read/write bytes, eDP payload bytes, and APL-seconds per segment
-    #: class (see :data:`repro.power.terms.QUANTITY_COLUMNS`).
-    QUANTITY_COLUMNS = QUANTITY_COLUMNS
-
     def _class_coefficients(
         self, cls_key: SegmentClass, panel: PanelConfig
     ) -> np.ndarray:
-        """The ``(quantities, components)`` pricing coefficients of one
-        segment class: every term's energy is linear (through the
-        origin) in the quantity columns, so probing with unit
-        quantities recovers the exact coefficient rows.  Cached per
+        """The ``(quantities, components)`` coefficient table of one
+        segment class: energy in mJ per unit of each
+        :data:`QUANTITY_COLUMNS` entry (per second, per DRAM/eDP byte,
+        per APL-second), one column per :data:`COMPONENT_KEYS` entry.
+        Each entry is the component's energy expression at unit
+        quantity, spelled so the float matches it exactly.  Cached per
         ``(class, panel)`` — the cadence walker prices the same handful
         of classes across thousands of reports."""
         cache_key = (cls_key, panel)
-        coefficients = self._coefficients.get(cache_key)
-        if coefficients is None:
-            probes = tuple(
-                ClassTotals(**{column: 1.0})
-                for column in self.QUANTITY_COLUMNS
+        table = self._coefficients.get(cache_key)
+        if table is not None:
+            return table
+        lib = self.library
+        table = np.zeros((len(QUANTITY_COLUMNS), len(COMPONENT_KEYS)))
+        column = COMPONENT_IDS
+        # soc_floor: the SoC floor of the package C-state.
+        table[_SECONDS, column["soc_floor"]] = lib.floor(cls_key.state)
+        # always_on: the always-on platform rail.
+        table[_SECONDS, column["always_on"]] = lib.always_on
+        # cpu: cores running orchestration code.
+        if cls_key.cpu_active:
+            table[_SECONDS, column["cpu"]] = lib.cpu_active
+        # vd: the video decoder at its DVFS mode (off draws nothing).
+        vd_power = {
+            VdMode.ACTIVE: lib.vd_active,
+            VdMode.LOW_POWER: lib.vd_low_power,
+            VdMode.HALTED: lib.vd_clock_gated,
+        }.get(cls_key.vd_mode)
+        if vd_power is not None:
+            table[_SECONDS, column["vd"]] = vd_power
+        # gpu: projection/render work.
+        if cls_key.gpu_active:
+            table[_SECONDS, column["gpu"]] = lib.gpu_active
+        # dc: base power plus a datapath cost per eDP payload byte
+        # (dc_power's rate term, integrated over the bucket).
+        if cls_key.dc_active:
+            table[_SECONDS, column["dc"]] = lib.dc_base
+            table[_EDP, column["dc"]] = lib.dc_mw_per_gbs / 1e9
+        # edp: the link power-gates between transfers, so edp_power is
+        # discontinuous at rate 0 — which is why the class key carries
+        # the edp_active indicator.
+        if cls_key.edp_active:
+            table[_SECONDS, column["edp"]] = lib.edp_base
+            table[_EDP, column["edp"]] = (
+                lib.edp_mw_per_gbps * to_gbps(1.0)
             )
-            coefficients = np.array(
-                [
-                    [
-                        self.class_component_energies(
-                            cls_key, probe, panel
-                        )[key]
-                        for key in self.registry.keys
-                    ]
-                    for probe in probes
-                ]
+        # panel: LCD scan/backlight, or OLED drive plus the luminance-
+        # dependent emission (Duinkharjav et al. 2022), linear in the
+        # APL-weighted seconds the bucket integrated.
+        displaying = cls_key.panel_mode is not PanelMode.OFF
+        if panel.is_oled:
+            table[_SECONDS, column["panel"]] = lib.oled_power(
+                panel, displaying=displaying, receiving=cls_key.edp_active
             )
-            self._coefficients[cache_key] = coefficients
-        return coefficients
+            if displaying:
+                table[_APL, column["panel"]] = lib.oled_emission_mw(panel)
+        else:
+            table[_SECONDS, column["panel"]] = lib.panel_power(
+                panel, displaying=displaying, receiving=cls_key.edp_active
+            )
+        # drfb: the double remote framebuffer write overhead.
+        if cls_key.drfb_active:
+            table[_SECONDS, column["drfb"]] = lib.drfb_active
+        # dram_background: the background power the state implies.
+        table[_SECONDS, column["dram_background"]] = lib.dram_background(
+            cls_key.state
+        )
+        # dram_traffic: energy per byte read and per byte written.
+        table[_READ, column["dram_traffic"]] = lib.dram.traffic_energy(
+            1.0, 0.0
+        )
+        table[_WRITE, column["dram_traffic"]] = lib.dram.traffic_energy(
+            0.0, 1.0
+        )
+        # platform: WiFi/storage/idle devices for this workload shape.
+        table[_SECONDS, column["platform"]] = self.extras.power(lib)
+        # transition: the C-state entry/exit excursion extra.
+        if cls_key.transition:
+            table[_SECONDS, column["transition"]] = lib.transition_extra
+        self._coefficients[cache_key] = table
+        return table
 
     def price_plan_matrix(
         self,
@@ -294,11 +338,12 @@ class PowerModel:
         ``quantities`` is ``(len(cls_keys), len(QUANTITY_COLUMNS))``
         with the :data:`QUANTITY_COLUMNS` per class (e.g. a summary's
         bucket totals, as :meth:`price_summary` builds it).  Returns
-        the ``(classes, components)`` energy matrix in mJ, equal to
-        calling :meth:`class_component_energies` per class up to float
-        re-association — the one pricing path behind every report.
+        the ``(classes, components)`` energy matrix in mJ: each row is
+        the class's quantities times its coefficient table
+        (:meth:`_class_coefficients`) — the one pricing path behind
+        every report.
         """
-        columns = len(self.QUANTITY_COLUMNS)
+        columns = len(QUANTITY_COLUMNS)
         quantities = np.asarray(quantities, dtype=float)
         if quantities.shape != (len(cls_keys), columns):
             raise SimulationError(
@@ -306,7 +351,7 @@ class PowerModel:
                 f"{quantities.shape} for {len(cls_keys)} classes"
             )
         if not cls_keys:
-            return np.zeros((0, len(self.registry)))
+            return np.zeros((0, len(COMPONENT_KEYS)))
         coefficients = np.stack(
             [
                 self._class_coefficients(cls_key, panel)
@@ -334,7 +379,7 @@ class PowerModel:
                 ]
                 for totals in summary.buckets.values()
             ]
-        ).reshape(len(cls_keys), len(self.QUANTITY_COLUMNS))
+        ).reshape(len(cls_keys), len(QUANTITY_COLUMNS))
         return (
             cls_keys,
             quantities,
@@ -382,7 +427,7 @@ class PowerModel:
             )
         cls_keys, quantities, matrix = self.price_summary(summary, panel)
         by_component = dict(
-            zip(self.registry.keys, matrix.sum(axis=0).tolist())
+            zip(COMPONENT_KEYS, matrix.sum(axis=0).tolist())
         )
         class_energies = matrix.sum(axis=1).tolist()
         state_energy: dict[PackageCState, float] = {}
@@ -427,7 +472,7 @@ class PowerModel:
             "power.avg_mw", "run-average system power per report"
         ).observe(report.average_power_mw)
         if tracer is not None:
-            for key in self.registry.keys:
+            for key in COMPONENT_KEYS:
                 tracer.event(
                     "power.component", component=key,
                     energy_mj=by_component[key],

@@ -66,6 +66,20 @@ class TestPerturbLibrary:
             perturbed.floor(PackageCState.C8)
         )
 
+    def test_soc_floor_capped_at_shallower_neighbour(self):
+        """C8 at +20% stops at C7''s floor: 180 -> 185 mW, not 216."""
+        perturbed = perturb_library(
+            SKYLAKE_TABLET_POWER, "soc_floor_c8", 1.2
+        )
+        assert SKYLAKE_TABLET_POWER.floor(PackageCState.C8) == 180.0
+        assert perturbed.floor(PackageCState.C8) == 185.0
+        assert perturbed.floor(PackageCState.C7_PRIME) == (
+            SKYLAKE_TABLET_POWER.floor(PackageCState.C7_PRIME)
+        )
+        assert perturbed.floor(PackageCState.C7) == (
+            SKYLAKE_TABLET_POWER.floor(PackageCState.C7)
+        )
+
     def test_base_library_untouched(self):
         before = SKYLAKE_TABLET_POWER.cpu_active
         perturb_library(SKYLAKE_TABLET_POWER, "cpu_active", 3.0)

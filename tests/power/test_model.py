@@ -23,6 +23,7 @@ from repro.pipeline.timeline import (
     VdMode,
 )
 from repro.power.model import (
+    COMPONENT_IDS,
     COMPONENT_KEYS,
     EnergyReport,
     PlatformExtras,
@@ -44,6 +45,31 @@ def panel():
 
 def segment(state=PackageCState.C9, duration=1.0, **kwargs):
     return Segment(start=0.0, end=duration, state=state, **kwargs)
+
+
+class TestComponentTable:
+    def test_keys_in_historical_order(self):
+        assert COMPONENT_KEYS == (
+            "soc_floor",
+            "always_on",
+            "cpu",
+            "vd",
+            "gpu",
+            "dc",
+            "edp",
+            "panel",
+            "drfb",
+            "dram_background",
+            "dram_traffic",
+            "platform",
+            "transition",
+        )
+
+    def test_ids_are_stable_positions(self):
+        assert COMPONENT_IDS["soc_floor"] == 0
+        assert [COMPONENT_IDS[key] for key in COMPONENT_KEYS] == list(
+            range(len(COMPONENT_KEYS))
+        )
 
 
 class TestSegmentPower:

@@ -2,8 +2,8 @@
 be indistinguishable from planning every window fresh (a traced run, the
 per-window reference) for every scheme, cadence, and retain mode —
 equal stats, equal summary payloads and equal energy reports, compared
-exactly — and vectorized plan pricing must match the scalar per-class
-pricer.
+exactly — and vectorized plan pricing must match the per-segment
+scalar composition of the library.
 (Byte-equal summaries and pushed-vs-offline streams are checked in
 ``test_property_summary.py``.)"""
 
@@ -20,10 +20,12 @@ from repro.core import (
 from repro.obs.trace import tracing
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.pipeline.sim import install_run_memo
+from repro.pipeline.timeline import SegmentClass, TimelineSummary
 from repro.power import PowerModel
+from repro.power.model import COMPONENT_KEYS, QUANTITY_COLUMNS
 from repro.video.source import AnalyticContentModel
 
-QUANTITY_COLUMNS = PowerModel.QUANTITY_COLUMNS
+from .test_property_power import oracle_component_powers
 
 
 @pytest.fixture(autouse=True)
@@ -78,19 +80,21 @@ def test_batch_matches_scalar(
 def test_price_plan_matrix_matches_scalar_pricer(
     resolution, fps, count, seed
 ):
-    """The vectorized pricer is the scalar per-class pricer, stacked."""
+    """The vectorized pricer is the per-segment scalar oracle, summed
+    over each class's segments."""
     import numpy as np
 
     config = skylake_tablet(resolution)
     frames = AnalyticContentModel().frames(resolution, count, seed=seed)
     run = FrameWindowSimulator(config, ConventionalScheme()).run(
-        frames, fps, retain="summary"
+        frames, fps, retain="full"
     )
     model = PowerModel()
-    cls_keys = list(run.summary.buckets)
+    summary = TimelineSummary.from_timeline(run.timeline)
+    cls_keys = list(summary.buckets)
     quantities = np.array(
         [
-            [getattr(run.summary.buckets[k], column)
+            [getattr(summary.buckets[k], column)
              for column in QUANTITY_COLUMNS]
             for k in cls_keys
         ]
@@ -98,11 +102,14 @@ def test_price_plan_matrix_matches_scalar_pricer(
     matrix = model.price_plan_matrix(
         cls_keys, quantities, config.panel
     )
+    expected = {k: [0.0] * len(COMPONENT_KEYS) for k in cls_keys}
+    for segment in run.timeline:
+        powers = oracle_component_powers(model, segment, config.panel)
+        row = expected[SegmentClass.of(segment)]
+        for col, key in enumerate(COMPONENT_KEYS):
+            row[col] += powers[key] * segment.duration
     for row, cls_key in enumerate(cls_keys):
-        scalar = model.class_component_energies(
-            cls_key, run.summary.buckets[cls_key], config.panel
-        )
-        for col, component in enumerate(scalar):
+        for col, energy in enumerate(expected[cls_key]):
             assert matrix[row, col] == pytest.approx(
-                scalar[component], rel=1e-9, abs=1e-18
+                energy, rel=1e-9, abs=1e-18
             )

@@ -14,7 +14,7 @@ from repro.pipeline.timeline import (
     TimelineSummary,
     VdMode,
 )
-from repro.power.model import PowerModel
+from repro.power.model import COMPONENT_KEYS, PowerModel
 from repro.soc.cstates import PackageCState
 
 #: 0 or a normal float: a subnormal product keeps fewer than 53
@@ -169,6 +169,43 @@ def segments(draw):
     )
 
 
+def oracle_component_powers(model, segment, panel):
+    """Per-component power (mW) during ``segment``, composed from the
+    library's own scalar methods — the Sec. 5.2 sum, independent of the
+    model's coefficient tables."""
+    lib = model.library
+    displaying = segment.panel_mode is not PanelMode.OFF
+    receiving = segment.edp_rate > 0
+    vd = {
+        VdMode.ACTIVE: lib.vd_active,
+        VdMode.LOW_POWER: lib.vd_low_power,
+        VdMode.HALTED: lib.vd_clock_gated,
+    }.get(segment.vd_mode, 0.0)
+    if panel.is_oled:
+        panel_power = lib.oled_power(panel, displaying, receiving)
+        if displaying:
+            panel_power += lib.oled_emission_mw(panel) * segment.apl
+    else:
+        panel_power = lib.panel_power(panel, displaying, receiving)
+    return {
+        "soc_floor": lib.floor(segment.state),
+        "always_on": lib.always_on,
+        "cpu": lib.cpu_active if segment.cpu_active else 0.0,
+        "vd": vd,
+        "gpu": lib.gpu_active if segment.gpu_active else 0.0,
+        "dc": lib.dc_power(segment.edp_rate) if segment.dc_active else 0.0,
+        "edp": lib.edp_power(segment.edp_rate),
+        "panel": panel_power,
+        "drfb": lib.drfb_active if segment.drfb_active else 0.0,
+        "dram_background": lib.dram_background(segment.state),
+        "dram_traffic": lib.dram.operating_power(
+            segment.dram_read_bw, segment.dram_write_bw
+        ),
+        "platform": model.extras.power(lib),
+        "transition": lib.transition_extra if segment.transition else 0.0,
+    }
+
+
 @given(
     segments(),
     resolutions,
@@ -179,9 +216,9 @@ def segments(draw):
 def test_segment_power_is_class_energy_rate(
     segment, resolution, oled, brightness
 ):
-    """A segment's component power times its duration is what each
-    term charges the one-segment summary of it: segment power comes
-    from the same class coefficients the summary path prices with."""
+    """A segment's component power is the library's scalar composition,
+    and that power times the segment's duration is what the summary
+    path charges the one-segment summary of it."""
     model = PowerModel()
     panel = PanelConfig(
         resolution=resolution,
@@ -189,12 +226,15 @@ def test_segment_power_is_class_energy_rate(
         brightness=brightness,
     )
     summary = TimelineSummary.from_timeline(Timeline([segment]))
-    ((cls_key, totals),) = summary.buckets.items()
-    energies = model.class_component_energies(cls_key, totals, panel)
+    _, _, matrix = model.price_summary(summary, panel)
+    oracle = oracle_component_powers(model, segment, panel)
     powers = model.segment_component_powers(segment, panel)
-    assert list(powers) == list(energies)
-    for key, energy in energies.items():
+    assert tuple(powers) == tuple(oracle) == COMPONENT_KEYS
+    for key, energy in zip(COMPONENT_KEYS, matrix[0].tolist()):
         assert math.isclose(
-            powers[key] * segment.duration, energy,
+            powers[key], oracle[key], rel_tol=1e-12, abs_tol=0.0
+        ), key
+        assert math.isclose(
+            oracle[key] * segment.duration, energy,
             rel_tol=1e-12, abs_tol=0.0,
         ), key
