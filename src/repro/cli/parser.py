@@ -434,10 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="append JSONL lifecycle events to this file",
     )
     serve.add_argument(
-        "--heartbeat-dir", default=None,
-        help="watch this REPRO_HEARTBEAT_DIR for fan-out progress",
-    )
-    serve.add_argument(
         "--window", type=float, default=10.0,
         help="rolling-metric window in simulated seconds",
     )

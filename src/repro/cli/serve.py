@@ -25,7 +25,6 @@ def cmd_serve(args: argparse.Namespace) -> str:
         port=args.port,
         http_port=args.http_port,
         events_path=args.events,
-        heartbeat_dir=args.heartbeat_dir,
         window_s=args.window,
         log_level=args.log_level,
         ready=ready,

@@ -25,16 +25,15 @@ lazily; not re-exported here to keep hot-path imports light):
 * :mod:`repro.obs.dist` — cross-process propagation: a serializable
   trace context, per-worker JSONL trace shards merged back into the
   parent tracer, worker metrics-registry snapshots folded into the
-  parent registry, and live fan-out heartbeats (``repro figures
-  --jobs N --trace/--progress``).
+  parent registry, and start/done heartbeats the parent tails for
+  live progress (``repro figures --jobs N --trace/--progress``).
 * :mod:`repro.obs.diff` — structural trace/profile diffing (``repro
   obs diff``): added/removed/count-shifted spans, counter deltas,
   simulated-duration shifts.
 * :mod:`repro.obs.serve` — the live telemetry plane (``repro serve``):
   long-lived power-advisor sessions over a local NDJSON socket, rolling
-  per-session power/residency/fps gauges, fan-out progress from the
-  heartbeat plane, and an embedded ``GET /metrics`` Prometheus scrape
-  endpoint.
+  per-session power/residency/fps gauges, and an embedded ``GET
+  /metrics`` Prometheus scrape endpoint.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ die with the worker, so the pool path follows a shard protocol:
 * each worker wraps its task in :func:`run_worker_task`: a fresh tracer
   per task, events appended to a per-worker JSONL *shard* (keyed by run
   id and worker id), the worker's metrics registry snapshot written
-  alongside, and start/done *heartbeat* lines streamed for live
-  progress;
+  alongside, and — under ``--progress`` — start/done *heartbeat* lines
+  that the parent tails from the same private directory;
 * after the pool drains, the parent calls :func:`absorb_trace` — shards
   merge into the parent tracer as one coherent stream, task groups
   ordered by request order (which equals sequential execution order)
@@ -23,12 +23,13 @@ die with the worker, so the pool path follows a shard protocol:
   snapshot into the parent registry (counters/gauges sum, histograms
   add bucket-wise).
 
-Merged worker events carry two extra fields the in-process tracer never
-emits: ``w`` (a stable 1-based worker index) and ``task`` (the task's
-position in the request order).  The Chrome exporter renders ``w`` as
-one thread track per worker; :func:`normalize_events` strips both (and
-renumbers ids) so a merged parallel trace compares byte-for-byte
-against a sequential one.
+Merged worker events carry three extra fields the in-process tracer
+never emits: ``w`` (a stable 1-based worker index), ``task`` (the
+task's position in the request order) and ``ns`` (the fan-out's
+namespace).  The Chrome exporter renders ``w`` as one thread track per
+worker; :func:`normalize_events` strips all three (and renumbers ids)
+so a merged parallel trace compares byte-for-byte against a sequential
+one.
 """
 
 from __future__ import annotations
@@ -65,10 +66,6 @@ TASK_FIELD = "task"
 #: from colliding.
 NAMESPACE_FIELD = "ns"
 
-#: Namespace used when a context does not declare one (the historical
-#: figure-exhibit fan-out shape).
-DEFAULT_NAMESPACE = "task"
-
 #: Attributes that describe execution topology rather than simulated
 #: behavior — :func:`normalize_events` strips them so traces captured
 #: at different ``--jobs`` settings compare equal.
@@ -77,19 +74,6 @@ VOLATILE_ATTRS = frozenset({"workers", "jobs"})
 _SHARD_SUFFIX = ".shard.jsonl"
 _METRICS_SUFFIX = ".metrics.json"
 _HEARTBEAT_SUFFIX = ".hb.jsonl"
-
-#: Environment variable pinning every fan-out's heartbeat files to one
-#: shared directory so an external observer (``repro serve``) can watch
-#: live shard progress across processes.  Setting it also forces
-#: heartbeats on for every context minted in the process tree.
-HEARTBEAT_DIR_ENV = "REPRO_HEARTBEAT_DIR"
-
-
-def heartbeat_dir() -> Path | None:
-    """The pinned heartbeat directory, when :data:`HEARTBEAT_DIR_ENV`
-    names one (empty values count as unset)."""
-    value = os.environ.get(HEARTBEAT_DIR_ENV, "").strip()
-    return Path(value) if value else None
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +91,10 @@ class TraceContext:
 
     run_id: str
     shard_dir: str
+    #: The fan-out's task-index namespace.  Task indexes from contexts
+    #: with different namespaces never collide when their shards merge
+    #: into the same parent trace.
+    namespace: str
     #: Record a per-task tracer and write event shards.
     collect_trace: bool = True
     #: Run the task with simulator memoization disabled (propagates the
@@ -115,65 +103,28 @@ class TraceContext:
     disable_memo: bool = False
     #: Stream start/done heartbeat lines for the live progress surface.
     heartbeat: bool = False
-    #: The fan-out's task-index namespace.  Task indexes from contexts
-    #: with different namespaces never collide when their shards merge
-    #: into the same parent trace.
-    namespace: str = DEFAULT_NAMESPACE
 
 
 def new_context(
+    namespace: str,
     collect_trace: bool = True,
     disable_memo: bool = False,
     heartbeat: bool = False,
-    shard_root: str | Path | None = None,
-    namespace: str = DEFAULT_NAMESPACE,
 ) -> TraceContext:
-    """Mint a context for one fan-out, creating its shard directory
-    (a private temp dir unless ``shard_root`` or the
-    :data:`HEARTBEAT_DIR_ENV` environment variable pins one).  A
-    pinned heartbeat directory also forces ``heartbeat=True`` so a
-    concurrent ``repro serve`` observes progress without the run
-    passing ``--progress``."""
-    pinned = heartbeat_dir()
-    if shard_root is not None:
-        base = Path(shard_root)
-        base.mkdir(parents=True, exist_ok=True)
-    elif pinned is not None:
-        base = pinned
-        base.mkdir(parents=True, exist_ok=True)
-        heartbeat = True
-    else:
-        base = Path(tempfile.mkdtemp(prefix="repro-shards-"))
+    """Mint a context for one fan-out under ``namespace``, creating its
+    private temp shard directory."""
     return TraceContext(
         run_id=uuid.uuid4().hex[:12],
-        shard_dir=str(base),
+        shard_dir=tempfile.mkdtemp(prefix="repro-shards-"),
+        namespace=namespace,
         collect_trace=collect_trace,
         disable_memo=disable_memo,
         heartbeat=heartbeat,
-        namespace=namespace,
     )
 
 
 def cleanup(context: TraceContext) -> None:
-    """Remove the context's shard directory (best-effort).
-
-    In a pinned heartbeat directory (see :func:`heartbeat_dir`) the
-    directory is shared and outlives the run: only this run's shard
-    and metrics files are removed, and its heartbeat files are kept so
-    a live observer polling the directory never loses the final
-    ``done`` lines to a cleanup race.
-    """
-    pinned = heartbeat_dir()
-    shard_dir = Path(context.shard_dir)
-    if pinned is not None and shard_dir == pinned:
-        for path in shard_dir.glob(f"{context.run_id}-w*"):
-            if path.name.endswith(_HEARTBEAT_SUFFIX):
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                pass
-        return
+    """Remove the context's shard directory (best-effort)."""
     shutil.rmtree(context.shard_dir, ignore_errors=True)
 
 
@@ -277,11 +228,7 @@ def run_worker_task(
     thunk's result unchanged.
     """
     worker_id = os.getpid()
-    ns_tag: dict[str, Any] = (
-        {}
-        if context.namespace == DEFAULT_NAMESPACE
-        else {NAMESPACE_FIELD: context.namespace}
-    )
+    ns_tag = {NAMESPACE_FIELD: context.namespace}
     _emit_heartbeat(
         context,
         worker_id,
@@ -397,8 +344,8 @@ class TaskGroup:
 
     worker_id: int
     task: int
+    namespace: str
     events: list[dict[str, Any]] = field(default_factory=list)
-    namespace: str = DEFAULT_NAMESPACE
 
 
 def read_shards(context: TraceContext) -> list[TaskGroup]:
@@ -421,14 +368,10 @@ def read_shards(context: TraceContext) -> list[TaskGroup]:
                     continue
                 event = json.loads(line)
                 task = int(event.pop(TASK_FIELD, 0))
-                namespace = str(
-                    event.pop(NAMESPACE_FIELD, DEFAULT_NAMESPACE)
-                )
+                namespace = str(event.pop(NAMESPACE_FIELD))
                 groups.setdefault(
                     (namespace, task, worker_id),
-                    TaskGroup(
-                        worker_id, task, namespace=namespace
-                    ),
+                    TaskGroup(worker_id, task, namespace),
                 ).events.append(event)
     return [groups[key] for key in sorted(groups)]
 
@@ -469,8 +412,7 @@ def merge_groups(
                 record["parent"] = parent_span
             record[WORKER_FIELD] = worker_index[group.worker_id]
             record[TASK_FIELD] = group.task
-            if group.namespace != DEFAULT_NAMESPACE:
-                record[NAMESPACE_FIELD] = group.namespace
+            record[NAMESPACE_FIELD] = group.namespace
             merged.append(record)
     return merged
 
@@ -621,49 +563,6 @@ def tail_complete_lines(
     return records, offset + consumed
 
 
-def pinned_heartbeat_emitter(
-    namespace: str = DEFAULT_NAMESPACE,
-) -> Callable[[dict[str, Any]], None] | None:
-    """A heartbeat writer for *sequential* execution paths.
-
-    Parallel fan-outs pick up the pinned directory through
-    :func:`new_context`; the sequential paths feed their progress
-    records straight to a monitor and would otherwise stay invisible
-    to an external observer.  When :data:`HEARTBEAT_DIR_ENV` pins a
-    directory this returns an ``emit(record)`` callable appending the
-    same shard-protocol records to a per-process heartbeat file there
-    (namespace-tagged like a worker's); otherwise ``None``.
-    """
-    pinned = heartbeat_dir()
-    if pinned is None:
-        return None
-    try:
-        pinned.mkdir(parents=True, exist_ok=True)
-    except OSError:
-        return None
-    path = pinned / (
-        f"{uuid.uuid4().hex[:12]}-w{os.getpid():08d}"
-        f"{_HEARTBEAT_SUFFIX}"
-    )
-    ns_tag: dict[str, Any] = (
-        {}
-        if namespace == DEFAULT_NAMESPACE
-        else {NAMESPACE_FIELD: namespace}
-    )
-
-    def emit(record: dict[str, Any]) -> None:
-        try:
-            _append_jsonl(
-                path,
-                [json.dumps({**record, **ns_tag}, sort_keys=True)],
-            )
-        except OSError:
-            # Heartbeats are advisory, never fatal.
-            pass
-
-    return emit
-
-
 class ProgressMonitor:
     """Streams fan-out progress lines from worker heartbeats.
 
@@ -791,9 +690,9 @@ def fan_out(
     process registry.  Either way the fan-out is recorded under
     ``namespace`` (:func:`record_fanout`), each task publishes a start
     and a done heartbeat named ``str(task)`` (the done record extended
-    with ``summarize(result)``) to ``progress`` and to a pinned
-    heartbeat directory, and ``on_result(index, result)`` fires in the
-    calling process as each task completes.
+    with ``summarize(result)``) to ``progress`` when one is given, and
+    ``on_result(index, result)`` fires in the calling process as each
+    task completes.
 
     ``run``, ``summarize`` and the tasks must be picklable for the pool
     path; ``on_result`` only runs in the calling process.
@@ -807,14 +706,9 @@ def fan_out(
         else None
     )
     if workers == 1:
-        emit = pinned_heartbeat_emitter(namespace)
-
-        def publish(record: dict[str, Any]) -> None:
-            if emit is not None:
-                emit(record)
-            if monitor is not None:
-                monitor.feed(record)
-
+        publish: Callable[[dict[str, Any]], None] = (
+            monitor.feed if monitor is not None else lambda record: None
+        )
         results = []
         for index, task in enumerate(tasks):
             name = str(task)
@@ -831,10 +725,10 @@ def fan_out(
 
     tracer = obs_trace.active()
     context = new_context(
+        namespace,
         collect_trace=tracer is not None,
         disable_memo=sim.active_run_memo() is None,
         heartbeat=monitor is not None,
-        namespace=namespace,
     )
     results = [None] * len(tasks)
     try:
@@ -869,8 +763,6 @@ def fan_out(
 
 
 __all__ = [
-    "DEFAULT_NAMESPACE",
-    "HEARTBEAT_DIR_ENV",
     "NAMESPACE_FIELD",
     "TASK_FIELD",
     "TraceContext",
@@ -880,7 +772,6 @@ __all__ = [
     "cleanup",
     "fan_out",
     "fanout_workers",
-    "heartbeat_dir",
     "heartbeat_path",
     "merge_groups",
     "merge_worker_metrics",
@@ -888,7 +779,6 @@ __all__ = [
     "new_context",
     "normalize_events",
     "normalized_jsonl",
-    "pinned_heartbeat_emitter",
     "progress_record",
     "read_shards",
     "read_worker_metrics",

@@ -22,11 +22,6 @@ advisor* service:
 * **An embedded HTTP endpoint** serves ``GET /metrics`` (live
   Prometheus text exposition, correct ``text/plain; version=0.0.4``
   content type), ``GET /healthz``, and ``GET /sessions``.
-* **The heartbeat plane** — a :class:`HeartbeatWatcher` tails
-  ``*.hb.jsonl`` files in the directory ``REPRO_HEARTBEAT_DIR`` pins,
-  so a concurrent ``repro figures --jobs N`` or ``repro fleet run``
-  publishes live shard-progress series to the same ``/metrics``
-  endpoint.
 * **A leveled JSONL event log** records the service's lifecycle
   (``session.open``/``session.close``, ``source.exhausted``,
   ``backpressure.stall``) with the tracer's append/flush/fsync write
@@ -57,7 +52,7 @@ from ..video.source import (
     descriptor_from_payload,
 )
 from . import metrics as obs_metrics
-from .dist import _append_jsonl, tail_complete_lines
+from .dist import _append_jsonl
 from .export import prometheus_text
 from .metrics import labelled
 
@@ -69,10 +64,6 @@ DEFAULT_WINDOW_S = 10.0
 
 #: Prometheus text exposition content type (format 0.0.4).
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
-
-#: The fan-out namespaces the heartbeat watcher expects to see (others
-#: are surfaced too, under their own label).
-KNOWN_NAMESPACES = ("task", "exhibits", "fleet")
 
 
 # ---------------------------------------------------------------------------
@@ -312,73 +303,38 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# The heartbeat watcher: fan-out progress on the same /metrics plane
-# ---------------------------------------------------------------------------
-
-
-class HeartbeatWatcher:
-    """Tails ``*.hb.jsonl`` shard-protocol heartbeat files in one
-    directory and publishes live progress series.
-
-    Any fan-out running with ``REPRO_HEARTBEAT_DIR`` pointed at the
-    watched directory (``repro figures --jobs N``, ``repro fleet run``)
-    lands here: ``start``/``done`` records become
-    ``serve.progress.started`` / ``serve.progress.done`` counters and a
-    ``serve.progress.active`` gauge, labelled by fan-out namespace
-    (``exhibits`` for figures, ``fleet`` for fleet shards).  Torn
-    trailing lines from mid-write workers are left for the next poll
-    (:func:`tail_complete_lines`).
-    """
-
-    def __init__(self, directory: str | Path) -> None:
-        self.directory = Path(directory)
-        self._offsets: dict[Path, int] = {}
-
-    def poll(self) -> int:
-        """Ingest new heartbeat records; returns how many."""
-        handled = 0
-        if not self.directory.is_dir():
-            return 0
-        registry = obs_metrics.registry()
-        for path in sorted(self.directory.glob("*.hb.jsonl")):
-            records, offset = tail_complete_lines(
-                path, self._offsets.get(path, 0)
-            )
-            self._offsets[path] = offset
-            for record in records:
-                event = record.get("event")
-                if event not in ("start", "done"):
-                    continue
-                ns = str(record.get("ns", "task"))
-                handled += 1
-                if event == "start":
-                    registry.counter(
-                        labelled("serve.progress.started", {"ns": ns}),
-                        "fan-out tasks started, by namespace",
-                    ).inc()
-                    registry.gauge(
-                        labelled("serve.progress.active", {"ns": ns}),
-                        "fan-out tasks currently running, by namespace",
-                    ).inc()
-                else:
-                    registry.counter(
-                        labelled("serve.progress.done", {"ns": ns}),
-                        "fan-out tasks completed, by namespace",
-                    ).inc()
-                    registry.gauge(
-                        labelled("serve.progress.active", {"ns": ns}),
-                        "fan-out tasks currently running, by namespace",
-                    ).dec()
-        return handled
-
-
-# ---------------------------------------------------------------------------
 # The service core (synchronous, socket-free)
 # ---------------------------------------------------------------------------
 
 
 def _stats_payload(stats: Any) -> dict[str, Any]:
     return dataclasses.asdict(stats)
+
+
+def _field(
+    payload: dict[str, Any], key: str, kind: type, default: Any
+) -> Any:
+    """``payload[key]`` converted by ``kind`` (``default`` when absent
+    or null); a value that does not convert is a configuration error
+    naming the field, not an exception that drops the connection."""
+    value = payload.get(key)
+    if value is None:
+        return default
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        expected = "an integer" if kind is int else "a number"
+        raise ConfigurationError(
+            f"{key} must be {expected}, got {value!r}"
+        ) from None
+
+
+def _window_s(window_s: float) -> float:
+    """A rolling-window width, rejected unless positive (a session with
+    no window could advance but never be observed)."""
+    if not window_s > 0:
+        raise ConfigurationError(f"window_s must be > 0, got {window_s}")
+    return window_s
 
 
 class PowerAdvisorService:
@@ -392,12 +348,10 @@ class PowerAdvisorService:
     def __init__(
         self,
         events: EventLog | None = None,
-        heartbeat_watcher: HeartbeatWatcher | None = None,
         window_s: float = DEFAULT_WINDOW_S,
     ) -> None:
         self.events = events if events is not None else EventLog()
-        self.heartbeats = heartbeat_watcher
-        self.window_s = window_s
+        self.window_s = _window_s(window_s)
         self.sessions: dict[str, Session] = {}
         self._session_counter = 0
         self.shutting_down = False
@@ -449,9 +403,13 @@ class PowerAdvisorService:
                 f"unknown resolution {resolution_label!r} "
                 f"(choose from {sorted(_RESOLUTIONS)})"
             )
-        fps = float(payload.get("fps", 30.0))
-        if fps <= 0:
+        fps = _field(payload, "fps", float, 30.0)
+        if not fps > 0:
             raise ConfigurationError("fps must be > 0")
+        window_s = _window_s(
+            _field(payload, "window_s", float, self.window_s)
+        )
+        max_windows = _field(payload, "max_windows", int, None)
         sid = str(payload.get("session", "")) or self._mint_sid()
         if sid in self.sessions:
             raise ConfigurationError(f"session {sid!r} already open")
@@ -459,16 +417,9 @@ class PowerAdvisorService:
         config = _config_for(
             _RESOLUTIONS[resolution_label], needs_drfb
         )
-        max_windows = payload.get("max_windows")
         sim = StreamingSimulator(
-            config,
-            factory(),
-            fps,
-            max_windows=(
-                int(max_windows) if max_windows is not None else None
-            ),
+            config, factory(), fps, max_windows=max_windows
         )
-        window_s = float(payload.get("window_s", self.window_s))
         session = Session(
             sid=sid,
             scheme_label=scheme_label,
@@ -515,10 +466,10 @@ class PowerAdvisorService:
         session = self._session(payload)
         from ..cli._helpers import _RESOLUTIONS
 
-        count = int(payload.get("count", 0))
+        count = _field(payload, "count", int, 0)
         if count <= 0:
             raise ConfigurationError("stream op needs count > 0")
-        start = int(payload.get("start", session.frames_pushed))
+        start = _field(payload, "start", int, session.frames_pushed)
         content_label = str(payload.get("content", "natural")).upper()
         try:
             content = ContentClass[content_label]
@@ -528,10 +479,10 @@ class PowerAdvisorService:
             ) from None
         model = AnalyticContentModel(
             content=content,
-            variability=float(payload.get("variability", 0.18)),
+            variability=_field(payload, "variability", float, 0.18),
         )
         resolution = _RESOLUTIONS[session.resolution_label]
-        seed = int(payload.get("seed", 0))
+        seed = _field(payload, "seed", int, 0)
         windows: list[StreamingWindow] = []
         pushed = 0
         for frame in model.iter_frames(
@@ -634,11 +585,6 @@ class PowerAdvisorService:
 
     # -- the read-only HTTP surface ----------------------------------------
 
-    def poll_heartbeats(self) -> int:
-        if self.heartbeats is None:
-            return 0
-        return self.heartbeats.poll()
-
     def healthz(self) -> dict[str, Any]:
         return {
             "ok": True,
@@ -655,7 +601,6 @@ class PowerAdvisorService:
         }
 
     def metrics_text(self) -> str:
-        self.poll_heartbeats()
         return prometheus_text(obs_metrics.registry())
 
 
@@ -785,7 +730,6 @@ async def serve_async(
     port: int = 7070,
     http_port: int = 7071,
     ready: Callable[[dict[str, Any]], None] | None = None,
-    poll_interval: float = 0.2,
 ) -> None:
     """Run the session and HTTP servers until a ``shutdown`` op.
 
@@ -815,17 +759,8 @@ async def serve_async(
         ready(bound)
     service.events.emit("serve.start", **bound)
     try:
-        while not stop.is_set():
-            service.poll_heartbeats()
-            try:
-                await asyncio.wait_for(
-                    stop.wait(), timeout=poll_interval
-                )
-            except asyncio.TimeoutError:
-                continue
+        await stop.wait()
     finally:
-        # One last sweep so final done-heartbeats land before exit.
-        service.poll_heartbeats()
         service.events.emit("serve.stop", sessions=len(service.sessions))
         session_server.close()
         http_server.close()
@@ -838,7 +773,6 @@ def run_server(
     port: int = 7070,
     http_port: int = 7071,
     events_path: str | Path | None = None,
-    heartbeat_dir: str | Path | None = None,
     window_s: float = DEFAULT_WINDOW_S,
     log_level: str = "info",
     ready: Callable[[dict[str, Any]], None] | None = None,
@@ -848,14 +782,8 @@ def run_server(
     Returns the service after shutdown, so callers can inspect final
     state (tests assert on the event log).
     """
-    watcher = (
-        HeartbeatWatcher(heartbeat_dir)
-        if heartbeat_dir is not None
-        else None
-    )
     service = PowerAdvisorService(
         events=EventLog(events_path, level=log_level),
-        heartbeat_watcher=watcher,
         window_s=window_s,
     )
     asyncio.run(
@@ -915,7 +843,6 @@ class SessionClient:
 __all__ = [
     "DEFAULT_WINDOW_S",
     "EventLog",
-    "HeartbeatWatcher",
     "LOG_LEVELS",
     "PROMETHEUS_CONTENT_TYPE",
     "PowerAdvisorService",

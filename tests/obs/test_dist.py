@@ -26,11 +26,8 @@ from repro.obs.trace import Tracer
 
 
 @pytest.fixture
-def context(tmp_path):
-    ctx = new_context(
-        collect_trace=True, heartbeat=True,
-        shard_root=tmp_path / "shards",
-    )
+def context():
+    ctx = new_context("test", collect_trace=True, heartbeat=True)
     yield ctx
     dist.cleanup(ctx)
 
@@ -77,6 +74,7 @@ class TestWorkerSide:
         assert result == "alpha"
         groups = read_shards(context)
         assert len(groups) == 1
+        assert groups[0].namespace == "test"
         names = [
             e["name"] for e in groups[0].events if e["kind"] == "B"
         ]
@@ -115,16 +113,15 @@ class TestWorkerSide:
         assert [r["event"] for r in records] == ["start", "done"]
         assert records[1]["wall_s"] == 0.5
 
-    def test_no_shard_without_collect_trace(
-        self, tmp_path, fresh_worker_state
-    ):
-        ctx = new_context(
-            collect_trace=False, shard_root=tmp_path / "s"
-        )
-        run_worker_task(ctx, 0, "alpha", lambda: _task("alpha"))
-        assert read_shards(ctx) == []
-        # Metrics still publish — the merge path works untraced.
-        assert read_worker_metrics(ctx)
+    def test_no_shard_without_collect_trace(self, fresh_worker_state):
+        ctx = new_context("test", collect_trace=False)
+        try:
+            run_worker_task(ctx, 0, "alpha", lambda: _task("alpha"))
+            assert read_shards(ctx) == []
+            # Metrics still publish — the merge path works untraced.
+            assert read_worker_metrics(ctx)
+        finally:
+            dist.cleanup(ctx)
 
 
 class TestMerge:
@@ -179,7 +176,7 @@ class TestMerge:
             tracer = Tracer()
             with tracer.span("exhibit", exhibit=f"t{task}"):
                 pass
-            return dist.TaskGroup(worker, task, tracer.events)
+            return dist.TaskGroup(worker, task, "test", tracer.events)
 
         merged = merge_groups(
             [group(4242, 0), group(1111, 1)]
@@ -310,45 +307,6 @@ class TestTailCompleteLines:
         assert offset == 7
 
 
-class TestPinnedHeartbeats:
-    def test_unpinned_environment_yields_no_emitter(self, monkeypatch):
-        monkeypatch.delenv(dist.HEARTBEAT_DIR_ENV, raising=False)
-        assert dist.pinned_heartbeat_emitter("fleet") is None
-
-    def test_emitter_appends_namespaced_records(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(dist.HEARTBEAT_DIR_ENV, str(tmp_path))
-        emit = dist.pinned_heartbeat_emitter("fleet")
-        assert emit is not None
-        emit(progress_record("start", 0, "shard-0"))
-        emit(progress_record("done", 0, "shard-0", windows=8))
-        files = list(tmp_path.glob("*.hb.jsonl"))
-        assert len(files) == 1
-        records, _ = dist.tail_complete_lines(files[0], 0)
-        assert [r["event"] for r in records] == ["start", "done"]
-        assert all(r["ns"] == "fleet" for r in records)
-
-    def test_new_context_pins_and_keeps_heartbeats(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv(dist.HEARTBEAT_DIR_ENV, str(tmp_path))
-        context = new_context()
-        assert Path(context.shard_dir) == tmp_path
-        assert context.heartbeat is True
-        hb = tmp_path / f"{context.run_id}-w1.hb.jsonl"
-        hb.write_text(json.dumps({"event": "start", "index": 0}) + "\n")
-        other = tmp_path / f"{context.run_id}-w1.trace.jsonl"
-        other.write_text("{}\n")
-        dist.cleanup(context)
-        # The pinned directory survives cleanup and so do heartbeat
-        # files (the serve watcher may still be tailing them); other
-        # shard files are removed as usual.
-        assert tmp_path.is_dir()
-        assert hb.exists()
-        assert not other.exists()
-
-
 def _square(value):
     obs_metrics.registry().counter("fanout_test.calls").inc()
     return value * value
@@ -362,19 +320,6 @@ def _fail_on_two(value):
 
 class TestFanOut:
     """One fan-out engine, identical behaviour in-process and pooled."""
-
-    @pytest.fixture
-    def heartbeats(self, tmp_path, monkeypatch):
-        directory = tmp_path / "hb"
-        monkeypatch.setenv(dist.HEARTBEAT_DIR_ENV, str(directory))
-
-        def read():
-            records = []
-            for path in sorted(directory.glob("*.hb.jsonl")):
-                records.extend(dist.tail_complete_lines(path)[0])
-            return records
-
-        return read
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_results_in_request_order(self, jobs):
@@ -396,15 +341,28 @@ class TestFanOut:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_start_and_done_heartbeat_per_task(
-        self, jobs, heartbeats
+        self, jobs, tmp_path, monkeypatch
     ):
-        dist.fan_out("test", [1, 2, 3], _square, jobs)
-        records = heartbeats()
-        for event in ("start", "done"):
-            assert sorted(
-                r["name"] for r in records if r["event"] == event
-            ) == ["1", "2", "3"]
-        assert all(r["ns"] == "test" for r in records)
+        import re
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        lines = []
+        dist.fan_out(
+            "test", [1, 2, 3], _square, jobs, progress=lines.append
+        )
+        started = [
+            re.fullmatch(r"(\S+) started \[worker \d+\]", line)
+            for line in lines
+        ]
+        done = [
+            re.fullmatch(r"\[\d/3\] (\S+) done \[worker \d+\]", line)
+            for line in lines
+        ]
+        assert len(lines) == 6
+        for matches in (started, done):
+            assert sorted(m[1] for m in matches if m) == ["1", "2", "3"]
+        assert not list(tmp_path.glob("repro-shards-*"))
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_metrics_merge_into_parent(self, jobs):
@@ -419,7 +377,6 @@ class TestFanOut:
     ):
         import tempfile
 
-        monkeypatch.delenv(dist.HEARTBEAT_DIR_ENV, raising=False)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(ValueError, match="task two failed"):
             dist.fan_out("test", [1, 2, 3], _fail_on_two, jobs)

@@ -17,7 +17,6 @@ from repro.obs.dist import tail_complete_lines
 from repro.obs.serve import (
     PROMETHEUS_CONTENT_TYPE,
     EventLog,
-    HeartbeatWatcher,
     PowerAdvisorService,
     SessionClient,
 )
@@ -87,6 +86,20 @@ class TestServiceOps:
         service = PowerAdvisorService()
         response = service.handle({"op": "explode"})
         assert response == {"ok": False, "error": "unknown op 'explode'"}
+
+    @pytest.mark.parametrize("window_s", [0, -1.0])
+    def test_open_rejects_nonpositive_window(self, window_s):
+        service = PowerAdvisorService()
+        response = service.handle(
+            {"op": "open", "session": "flat", "window_s": window_s}
+        )
+        assert not response["ok"]
+        assert "window_s must be > 0" in response["error"]
+        assert "flat" not in service.sessions
+
+    def test_service_rejects_nonpositive_window(self):
+        with pytest.raises(ConfigurationError, match="window_s"):
+            PowerAdvisorService(window_s=0.0)
 
     def test_duplicate_session_rejected(self):
         service = PowerAdvisorService()
@@ -295,56 +308,6 @@ class TestOfflineParity:
         )
 
 
-class TestHeartbeatWatcher:
-    def _write(self, path, records):
-        path.write_text(
-            "".join(json.dumps(r) + "\n" for r in records)
-        )
-
-    def test_progress_series_by_namespace(self, tmp_path):
-        self._write(
-            tmp_path / "a-w1.hb.jsonl",
-            [
-                {"event": "start", "index": 0, "ns": "exhibits"},
-                {"event": "done", "index": 0, "ns": "exhibits"},
-                {"event": "start", "index": 1, "ns": "exhibits"},
-            ],
-        )
-        self._write(
-            tmp_path / "b-w2.hb.jsonl",
-            [{"event": "start", "index": 0, "ns": "fleet"}],
-        )
-        watcher = HeartbeatWatcher(tmp_path)
-        reg = obs_metrics.registry()
-        started = reg.counter(
-            'serve.progress.started{ns="exhibits"}'
-        ).value
-        assert watcher.poll() == 4
-        assert (
-            reg.counter('serve.progress.started{ns="exhibits"}').value
-            == started + 2
-        )
-        assert (
-            reg.gauge('serve.progress.active{ns="exhibits"}').value == 1
-        )
-        assert reg.gauge('serve.progress.active{ns="fleet"}').value == 1
-
-    def test_poll_is_incremental_and_torn_tolerant(self, tmp_path):
-        path = tmp_path / "c-w3.hb.jsonl"
-        whole = json.dumps({"event": "start", "index": 0, "ns": "fleet"})
-        torn = json.dumps({"event": "done", "index": 0, "ns": "fleet"})
-        path.write_text(whole + "\n" + torn[:10])
-        watcher = HeartbeatWatcher(tmp_path)
-        assert watcher.poll() == 1
-        path.write_text(whole + "\n" + torn + "\n")
-        assert watcher.poll() == 1
-        assert watcher.poll() == 0
-
-    def test_missing_directory_is_quiet(self, tmp_path):
-        watcher = HeartbeatWatcher(tmp_path / "nope")
-        assert watcher.poll() == 0
-
-
 class TestHttpPlane:
     """One real server exercises the socket + HTTP surface end to end."""
 
@@ -357,15 +320,12 @@ class TestHttpPlane:
             ports.update(bound)
             up.set()
 
-        hb_dir = tmp_path / "hb"
-        hb_dir.mkdir()
         thread = threading.Thread(
             target=serve.run_server,
             kwargs={
                 "port": 0,
                 "http_port": 0,
                 "events_path": tmp_path / "events.jsonl",
-                "heartbeat_dir": hb_dir,
                 "window_s": 2.0,
                 "ready": ready,
             },
@@ -373,7 +333,7 @@ class TestHttpPlane:
         )
         thread.start()
         assert up.wait(10), "serve never came up"
-        yield {**ports, "hb_dir": hb_dir, "events": tmp_path / "events.jsonl"}
+        yield {**ports, "events": tmp_path / "events.jsonl"}
         with SessionClient("127.0.0.1", ports["port"]) as client:
             client.call(op="shutdown")
         thread.join(10)
@@ -386,10 +346,6 @@ class TestHttpPlane:
         return response.headers.get("Content-Type"), response.read()
 
     def test_full_session_over_the_wire(self, server):
-        (server["hb_dir"] / "x-w9.hb.jsonl").write_text(
-            json.dumps({"event": "start", "index": 0, "ns": "fleet"})
-            + "\n"
-        )
         with SessionClient("127.0.0.1", server["port"]) as client:
             assert client.call(op="ping")["pong"]
             client.call(
@@ -408,11 +364,6 @@ class TestHttpPlane:
             assert ctype == PROMETHEUS_CONTENT_TYPE
             text = body.decode()
             assert 'repro_serve_win_total_mw{sid="wire"}' in text
-            # The registry is process-wide (other tests may have fed
-            # it), so assert the series exists rather than its value.
-            assert (
-                'repro_serve_progress_started_total{ns="fleet"}' in text
-            )
 
             ctype, body = self._get(server, "/healthz")
             assert ctype == "application/json"
@@ -449,11 +400,44 @@ class TestHttpPlane:
             assert not response["ok"]
             assert "JSON" in response["error"]
 
+            def call(**payload):
+                handle.write((json.dumps(payload) + "\n").encode())
+                handle.flush()
+                return json.loads(handle.readline())
+
+            # A numeric field that does not convert is reported by
+            # name, and the connection stays up for the next op.
+            assert call(op="open", session="bad-fields")["ok"]
+            for op, field_name in (
+                ("open", "fps"),
+                ("open", "max_windows"),
+                ("open", "window_s"),
+                ("stream", "count"),
+                ("stream", "start"),
+                ("stream", "seed"),
+                ("stream", "variability"),
+            ):
+                fields = {"count": 4, field_name: "fast"}
+                if op == "stream":
+                    fields["session"] = "bad-fields"
+                response = call(op=op, **fields)
+                assert not response["ok"], (op, field_name)
+                assert response["error"].startswith(field_name)
+                assert call(op="ping")["pong"]
+
 
 class TestCliSurface:
     def test_list_mentions_serve(self, capsys):
         assert main(["list"]) == 0
         assert "serve" in capsys.readouterr().out
+
+    def test_zero_window_exits_with_error(self, capsys, monkeypatch):
+        async def never_bind(service, **kwargs):
+            raise AssertionError("serve bound ports with window 0")
+
+        monkeypatch.setattr(serve, "serve_async", never_bind)
+        assert main(["serve", "--window", "0"]) == 1
+        assert "error: window_s must be > 0" in capsys.readouterr().out
 
     def test_parser_defaults(self):
         from repro.cli import build_parser

@@ -24,13 +24,8 @@ ENVIRON_MUTATORS = {"update", "setdefault", "pop", "popitem", "clear"}
 #: ``os`` functions that change the environment.
 OS_WRITERS = {"putenv", "unsetenv"}
 #: The environment variables code under ``src/repro`` may read: the
-#: process tracing hook, the disk cache directory, and serve's pinned
-#: heartbeat directory.
-ENV_READ_ALLOWLIST = {
-    "REPRO_TRACE",
-    "REPRO_CACHE_DIR",
-    "REPRO_HEARTBEAT_DIR",
-}
+#: process tracing hook and the disk cache directory.
+ENV_READ_ALLOWLIST = {"REPRO_TRACE", "REPRO_CACHE_DIR"}
 #: The functions that may rebind a module global: the run-memo and
 #: tracer hooks (``module path:function``).
 GLOBAL_ALLOWLIST = {
