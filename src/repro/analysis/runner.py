@@ -306,23 +306,6 @@ def run_from_payload(payload: dict[str, Any]) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CacheStats:
-    """Counters over a cache's lifetime."""
-
-    hits: int = 0
-    misses: int = 0
-    disk_hits: int = 0
-    stores: int = 0
-    #: Refresh windows actually simulated (cache misses only) — the
-    #: work the cache did *not* avoid.
-    windows_simulated: int = 0
-
-    def snapshot(self) -> "CacheStats":
-        """An immutable copy for before/after deltas."""
-        return dataclasses.replace(self)
-
-
 class SimulationCache:
     """Memoizes simulator runs by content hash.
 
@@ -342,7 +325,6 @@ class SimulationCache:
             raise ConfigurationError("cache capacity must be >= 1")
         self.capacity = capacity
         self.directory = Path(directory) if directory else None
-        self.stats = CacheStats()
         self._memory: OrderedDict[str, RunResult] = OrderedDict()
 
     def __len__(self) -> int:
@@ -396,17 +378,13 @@ class SimulationCache:
             cached = self._memory.get(key)
             if cached is not None:
                 self._memory.move_to_end(key)
-                self.stats.hits += 1
                 self._observe("hit", key, layer="memory")
                 return self._detached(cached)
             run = self._load_disk(key)
             if run is not None:
-                self.stats.hits += 1
-                self.stats.disk_hits += 1
                 self._remember(key, run)
                 self._observe("hit", key, layer="disk")
                 return self._detached(run)
-            self.stats.misses += 1
             self._observe("miss", key)
             return None
         finally:
@@ -418,8 +396,6 @@ class SimulationCache:
         """Record a freshly simulated run."""
         started = time.perf_counter()
         try:
-            self.stats.stores += 1
-            self.stats.windows_simulated += run.stats.windows
             self._observe("store", key, windows=run.stats.windows)
             self._remember(key, self._detached(run))
             if self.directory is not None:
@@ -606,6 +582,35 @@ class ExperimentMetrics:
     windows_simulated: int
 
 
+#: The registry counter behind each cost field of an exhibit or fleet
+#: shard.
+_COST_COUNTERS = {
+    "hits": "cache.hit",
+    "misses": "cache.miss",
+    "windows": "sim.windows",
+}
+
+
+def cost_counts() -> dict[str, int]:
+    """The registry's running cache-hit, cache-miss and
+    simulated-window counts; a task's cost is the delta of two reads
+    (:func:`cost_since`)."""
+    registry = obs_metrics.registry()
+    return {
+        key: int(registry.get(name).value) if name in registry else 0
+        for key, name in _COST_COUNTERS.items()
+    }
+
+
+def cost_since(before: dict[str, int]) -> dict[str, int]:
+    """The cost fields accrued since the :func:`cost_counts` read
+    ``before``."""
+    return {
+        key: count - before[key]
+        for key, count in cost_counts().items()
+    }
+
+
 @dataclass
 class ExhibitOutcome:
     """One regenerated exhibit: its result object plus cost metrics."""
@@ -631,8 +636,7 @@ def run_exhibit(name: str, seed_offset: int = 0) -> ExhibitOutcome:
         )
     if seed_offset < 0:
         raise ConfigurationError("seed offset must be >= 0")
-    cache = active_cache()
-    before = cache.stats.snapshot() if cache else CacheStats()
+    before = cost_counts()
     tracer = obs_trace.active()
     started = time.perf_counter()
     if tracer is not None:
@@ -641,7 +645,7 @@ def run_exhibit(name: str, seed_offset: int = 0) -> ExhibitOutcome:
     else:
         result = registry[name](seed_offset=seed_offset)
     elapsed = time.perf_counter() - started
-    after = cache.stats.snapshot() if cache else CacheStats()
+    cost = cost_since(before)
     metrics = obs_metrics.registry()
     metrics.counter("exhibit.runs", "exhibits regenerated").inc()
     metrics.histogram(
@@ -653,11 +657,9 @@ def run_exhibit(name: str, seed_offset: int = 0) -> ExhibitOutcome:
         metrics=ExperimentMetrics(
             name=name,
             wall_clock_s=elapsed,
-            cache_hits=after.hits - before.hits,
-            cache_misses=after.misses - before.misses,
-            windows_simulated=(
-                after.windows_simulated - before.windows_simulated
-            ),
+            cache_hits=cost["hits"],
+            cache_misses=cost["misses"],
+            windows_simulated=cost["windows"],
         ),
     )
 
@@ -674,9 +676,9 @@ def _apply_cache_dir(cache_dir: str | Path | None) -> None:
         configure_cache(directory=cache_dir)
 
 
-def _metrics_heartbeat(outcome: ExhibitOutcome) -> dict[str, Any]:
-    """The done-heartbeat payload for one outcome (the live-progress
-    fields: wall clock, cache hit/miss, windows simulated)."""
+def progress_fields(outcome: ExhibitOutcome) -> dict[str, Any]:
+    """The progress-line cost fields of one outcome: wall clock,
+    cache hits and misses, windows simulated."""
     m = outcome.metrics
     return {
         "wall_s": m.wall_clock_s,
@@ -694,7 +696,7 @@ class ExhibitTask:
     name: str
     seed_offset: int = 0
     cache_dir: str | None = None
-    #: Heartbeat name and ``metrics.name`` of the outcome, when not the
+    #: Progress name and ``metrics.name`` of the outcome, when not the
     #: exhibit name (the replication engine tags ``name@s<seed>``).
     label: str | None = None
 
@@ -746,12 +748,12 @@ def run_exhibits(
     :func:`run_exhibit`); 0 reproduces the canonical exhibits exactly.
 
     The fan-out is :func:`repro.obs.dist.fan_out` under the
-    ``"exhibits"`` namespace, so telemetry survives it: worker trace
-    shards merge back into the calling process's tracer (one coherent
-    stream, request order) and worker metrics registries fold into its
+    ``"exhibits"`` namespace, so telemetry survives it: each worker
+    task's trace events merge back into the calling process's tracer
+    (one coherent stream, request order) and its metrics into the
     registry, so aggregated counters match a sequential run.
-    ``progress``, when given, receives one line per exhibit
-    start/finish (streamed live from worker heartbeats under fan-out).
+    ``progress``, when given, receives one line per exhibit start and
+    finish.
     """
     tasks = [
         ExhibitTask(
@@ -763,7 +765,7 @@ def run_exhibits(
     ]
     return dist.fan_out(
         "exhibits", tasks, run_exhibit_task, jobs,
-        summarize=_metrics_heartbeat, progress=progress,
+        summarize=progress_fields, progress=progress,
     )
 
 

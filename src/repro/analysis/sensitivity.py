@@ -3,9 +3,11 @@
 The power library's constants are solved from the paper's published
 anchors, but any decomposition has freedom in it — so the right question
 is: *do the conclusions survive perturbing the constants?*  This module
-perturbs one calibrated parameter at a time by a +/- spread, re-runs the
-headline comparison, and reports how the BurstLink reduction moves — a
-tornado analysis over the model's knobs.
+simulates the headline comparison once, perturbs one calibrated
+parameter at a time by a +/- spread, reprices both runs under each
+perturbed library, and reports how the BurstLink reduction moves — a
+tornado analysis over the model's knobs.  No simulation reads the power
+library, so the runs need no repeating.
 
 The result (see ``benchmarks/bench_sensitivity.py``) is the robustness
 statement behind EXPERIMENTS.md: the *who-wins* conclusion is insensitive
@@ -20,10 +22,9 @@ from dataclasses import dataclass, replace
 
 from ..config import Resolution, skylake_tablet
 from ..core.burstlink import BurstLinkScheme
-from ..dram.power import DramPowerModel
 from ..errors import ConfigurationError
 from ..pipeline.conventional import ConventionalScheme
-from ..pipeline.sim import FrameWindowSimulator
+from ..pipeline.sim import FrameWindowSimulator, RunResult
 from ..power.calibration import (
     SKYLAKE_TABLET_POWER,
     ComponentPowerLibrary,
@@ -69,28 +70,18 @@ def perturb_library(
 
             background = dict(dram.background_mw)
             background[DramPowerState.ACTIVE] *= factor
-            new_dram = DramPowerModel(
-                background_mw=background,
-                read_mw_per_gbs=dram.read_mw_per_gbs,
-                write_mw_per_gbs=dram.write_mw_per_gbs,
-            )
+            changes = {"background_mw": background}
         elif parameter == "dram_read_slope":
-            new_dram = DramPowerModel(
-                background_mw=dict(dram.background_mw),
-                read_mw_per_gbs=dram.read_mw_per_gbs * factor,
-                write_mw_per_gbs=dram.write_mw_per_gbs,
-            )
+            changes = {"read_mw_per_gbs": dram.read_mw_per_gbs * factor}
         elif parameter == "dram_write_slope":
-            new_dram = DramPowerModel(
-                background_mw=dict(dram.background_mw),
-                read_mw_per_gbs=dram.read_mw_per_gbs,
-                write_mw_per_gbs=dram.write_mw_per_gbs * factor,
-            )
+            changes = {
+                "write_mw_per_gbs": dram.write_mw_per_gbs * factor
+            }
         else:
             raise ConfigurationError(
                 f"unknown DRAM parameter {parameter!r}"
             )
-        return replace(base, dram=new_dram)
+        return replace(base, dram=replace(dram, **changes))
     if parameter.startswith("soc_floor_"):
         from ..soc.cstates import PackageCState
 
@@ -131,21 +122,26 @@ class SensitivityRow:
         return self.reduction_low > 0 and self.reduction_high > 0
 
 
-def _reduction(library: ComponentPowerLibrary, resolution: Resolution,
-               fps: float, frame_count: int) -> float:
+def _headline_runs(
+    resolution: Resolution, fps: float, frame_count: int
+) -> tuple[RunResult, RunResult]:
+    """The conventional and BurstLink runs every library prices."""
     config = skylake_tablet(resolution)
     frames = AnalyticContentModel().frames(resolution, frame_count)
+    conventional = FrameWindowSimulator(
+        config, ConventionalScheme()
+    ).run(frames, fps)
+    burstlink = FrameWindowSimulator(
+        config.with_drfb(), BurstLinkScheme()
+    ).run(frames, fps)
+    return conventional, burstlink
+
+
+def _reduction(
+    library: ComponentPowerLibrary, runs: tuple[RunResult, RunResult]
+) -> float:
     model = PowerModel(library=library)
-    base = model.report(
-        FrameWindowSimulator(config, ConventionalScheme()).run(
-            frames, fps
-        )
-    )
-    burst = model.report(
-        FrameWindowSimulator(
-            config.with_drfb(), BurstLinkScheme()
-        ).run(frames, fps)
-    )
+    base, burst = (model.report(run) for run in runs)
     return 1.0 - burst.average_power_mw / base.average_power_mw
 
 
@@ -162,22 +158,16 @@ def sensitivity_analysis(
         raise ConfigurationError("need at least one parameter")
     if not 0 < spread < 1:
         raise ConfigurationError("spread must be in (0, 1)")
-    base_reduction = _reduction(
-        SKYLAKE_TABLET_POWER, resolution, fps, frame_count
-    )
+    runs = _headline_runs(resolution, fps, frame_count)
+    base_reduction = _reduction(SKYLAKE_TABLET_POWER, runs)
     rows = []
     for parameter in parameters:
-        low = _reduction(
-            perturb_library(
-                SKYLAKE_TABLET_POWER, parameter, 1.0 - spread
-            ),
-            resolution, fps, frame_count,
-        )
-        high = _reduction(
-            perturb_library(
-                SKYLAKE_TABLET_POWER, parameter, 1.0 + spread
-            ),
-            resolution, fps, frame_count,
+        low, high = (
+            _reduction(
+                perturb_library(SKYLAKE_TABLET_POWER, parameter, factor),
+                runs,
+            )
+            for factor in (1.0 - spread, 1.0 + spread)
         )
         rows.append(
             SensitivityRow(

@@ -57,7 +57,7 @@ def cmd_figures(args: argparse.Namespace) -> str:
         from ..analysis.runner import cache_disabled
         from ..obs.trace import tracing
 
-        # Workers ship per-task trace shards home (repro.obs.dist), so
+        # Workers return each task's trace events (repro.obs.dist), so
         # --trace composes with --jobs.  Memoization is disabled for
         # the capture: cache hits skip simulation (and its spans), so
         # an uncached run is the only jobs-invariant trace.

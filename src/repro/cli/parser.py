@@ -144,13 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--trace", default=None, metavar="PATH",
         help="write a JSONL trace of the regeneration (composes with "
-             "--jobs: worker shards merge into one stream; runs "
+             "--jobs: worker events merge into one stream; runs "
              "uncached so the trace is jobs-invariant)",
     )
     figures.add_argument(
         "--progress", action="store_true",
-        help="stream per-exhibit progress lines to stderr (live "
-             "worker heartbeats under --jobs)",
+        help="stream per-exhibit start/done lines to stderr",
     )
     figures.set_defaults(handler=cmd_figures)
 
@@ -284,8 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet_run.add_argument(
         "--progress", action="store_true",
-        help="stream per-shard progress lines to stderr (live "
-             "worker heartbeats under --jobs)",
+        help="stream per-shard start/done lines to stderr",
     )
     fleet_run.add_argument(
         "--json", action="store_true",

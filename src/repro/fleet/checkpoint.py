@@ -77,7 +77,7 @@ class FleetCheckpoint:
     def cursor_path(self) -> Path:
         return self.directory / _CURSOR_FILE
 
-    def shard_path(self, index: int) -> Path:
+    def shard_file(self, index: int) -> Path:
         return (
             self.directory / _SHARD_DIR / f"shard_{index:08d}.json"
         )
@@ -142,7 +142,7 @@ class FleetCheckpoint:
     ) -> None:
         """Atomically persist one completed shard's aggregate."""
         _write_atomic(
-            self.shard_path(index),
+            self.shard_file(index),
             {
                 "shard": index,
                 "start": start,
@@ -155,7 +155,7 @@ class FleetCheckpoint:
         self, spec: FleetSpec, index: int
     ) -> tuple[tuple[int, int], FleetAggregate]:
         """One completed shard's device range and aggregate."""
-        path = self.shard_path(index)
+        path = self.shard_file(index)
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError) as error:

@@ -9,10 +9,10 @@ an uninterrupted one.
 
 Shards fan out through :func:`repro.obs.dist.fan_out` under the
 ``"fleet"`` task namespace, and each is checkpointed the moment it
-completes: worker trace shards merge back into the parent tracer
-without colliding with figure-exhibit fan-outs, worker metrics
-registries fold into the parent registry, and start/done heartbeats
-stream the live ``--progress`` surface.  Fleet counters
+completes: worker trace events merge back into the parent tracer
+without colliding with figure-exhibit fan-outs, worker metrics fold
+into the parent registry, and the parent renders a start and a done
+line per shard for ``--progress``.  Fleet counters
 (``fleet.devices_simulated``, ``fleet.shards_completed``, ...) flow
 through the process-wide registry and out the existing Prometheus
 exposition.
@@ -112,27 +112,6 @@ def _simulate_range(
     return aggregate
 
 
-def _shard_heartbeat(
-    wall_s: float,
-    devices: int,
-    before: "runner.CacheStats | None",
-) -> dict[str, Any]:
-    """The done-heartbeat payload for one shard (live-progress
-    fields, advisory only — never part of the report)."""
-    record: dict[str, Any] = {
-        "wall_s": wall_s,
-        "devices": devices,
-    }
-    cache = runner.active_cache()
-    if cache is not None and before is not None:
-        record["hits"] = cache.stats.hits - before.hits
-        record["misses"] = cache.stats.misses - before.misses
-        record["windows"] = (
-            cache.stats.windows_simulated - before.windows_simulated
-        )
-    return record
-
-
 @dataclass(frozen=True)
 class _Shard:
     """One shard of devices as a :func:`repro.obs.dist.fan_out` task."""
@@ -151,10 +130,10 @@ def _run_shard(
     shard: _Shard,
 ) -> tuple[dict[str, Any], dict[str, Any]]:
     """Simulate one shard; returns its aggregate as an exact JSON-safe
-    payload plus the done-heartbeat fields."""
+    payload plus its progress-line fields (advisory only, never part
+    of the report)."""
     _ensure_fleet_cache(shard.cache_dir)
-    cache = runner.active_cache()
-    before = cache.stats.snapshot() if cache is not None else None
+    before = runner.cost_counts()
     began = time.perf_counter()
     aggregate = _simulate_range(shard.spec, shard.start, shard.stop)
     wall_s = time.perf_counter() - began
@@ -166,9 +145,10 @@ def _run_shard(
         "wall-clock seconds per fleet shard",
         buckets=obs_metrics.LATENCY_BUCKETS,
     ).observe(wall_s)
-    return aggregate.to_payload(), _shard_heartbeat(
-        wall_s, shard.stop - shard.start, before
-    )
+    return aggregate.to_payload(), {
+        "wall_s": wall_s,
+        **runner.cost_since(before),
+    }
 
 
 def run_fleet(

@@ -22,11 +22,11 @@ lazily; not re-exported here to keep hot-path imports light):
   the Prometheus text exposition (``repro metrics --prom``).
 * :mod:`repro.obs.drift` — the paper-drift regression gate (``repro
   validate``).
-* :mod:`repro.obs.dist` — cross-process propagation: a serializable
-  trace context, per-worker JSONL trace shards merged back into the
-  parent tracer, worker metrics-registry snapshots folded into the
-  parent registry, and start/done heartbeats the parent tails for
-  live progress (``repro figures --jobs N --trace/--progress``).
+* :mod:`repro.obs.dist` — the process fan-out: each worker task's
+  trace events and metrics-registry snapshot ride home with its
+  result and merge into the parent tracer and registry in request
+  order, and the parent renders start/done progress lines
+  (``repro figures --jobs N --trace/--progress``).
 * :mod:`repro.obs.diff` — structural trace/profile diffing (``repro
   obs diff``): added/removed/count-shifted spans, counter deltas,
   simulated-duration shifts.

@@ -45,7 +45,10 @@ def load_artifact(path: str | Path) -> tuple[str, Any]:
     with a ``summary`` key is a serve-session run summary (the shape
     ``repro serve`` reports on session close).
     """
-    text = Path(path).read_text(encoding="utf-8").strip()
+    try:
+        text = Path(path).read_text(encoding="utf-8").strip()
+    except (OSError, UnicodeDecodeError) as error:
+        raise ConfigurationError(f"cannot read {path}: {error}") from None
     if not text:
         raise ConfigurationError(f"{path} is empty")
     try:

@@ -1,27 +1,21 @@
-"""Cross-process observability: trace shards, merges, heartbeats.
+"""Cross-process observability: worker telemetry, merges, progress.
 
 Every process fan-out in the package — exhibit regeneration
 (:func:`repro.analysis.runner.run_exhibits`), multi-seed replication
 (:func:`repro.stats.replicate.replicate_exhibits`) and fleet shards
 (:func:`repro.fleet.pool.run_fleet`) — goes through one entry point,
 :func:`fan_out`.  It runs tasks in-process at ``jobs=1`` and over a
-worker pool otherwise; worker tracer spans and metrics registries would
-die with the worker, so the pool path follows a shard protocol:
-
-* the parent mints a :class:`TraceContext` (a picklable record naming a
-  run id and a shard directory) and passes it to every worker task;
-* each worker wraps its task in :func:`run_worker_task`: a fresh tracer
-  per task, events appended to a per-worker JSONL *shard* (keyed by run
-  id and worker id), the worker's metrics registry snapshot written
-  alongside, and — under ``--progress`` — start/done *heartbeat* lines
-  that the parent tails from the same private directory;
-* after the pool drains, the parent calls :func:`absorb_trace` — shards
-  merge into the parent tracer as one coherent stream, task groups
-  ordered by request order (which equals sequential execution order)
-  with sequence numbers renumbered to continue the parent's own — and
-  :func:`merge_worker_metrics`, which folds every worker registry
-  snapshot into the parent registry (counters/gauges sum, histograms
-  add bucket-wise).
+worker pool otherwise.  Worker tracer spans and metrics registries
+would die with the worker, so each pool task runs under
+:func:`run_worker_task`, which resets the worker's registry, records
+the task under a fresh tracer when the parent is tracing, and returns
+``(result, worker pid, events, registry snapshot)`` over the pool's
+result pipe.  The parent merges what comes home in request order
+(which equals sequential execution order): :func:`absorb_trace` folds
+the task event groups into its tracer as one coherent stream, sequence
+numbers renumbered to continue its own, and
+:func:`merge_worker_metrics` folds every task's registry snapshot into
+its registry (counters/gauges sum, histograms add bucket-wise).
 
 Merged worker events carry three extra fields the in-process tracer
 never emits: ``w`` (a stable 1-based worker index), ``task`` (the
@@ -36,20 +30,17 @@ from __future__ import annotations
 
 import json
 import os
-import shutil
-import tempfile
 import threading
 import time
-import uuid
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait as futures_wait,
 )
 from dataclasses import dataclass, field
 from functools import partial
-from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..errors import ConfigurationError
 from . import metrics as obs_metrics
@@ -71,207 +62,29 @@ NAMESPACE_FIELD = "ns"
 #: at different ``--jobs`` settings compare equal.
 VOLATILE_ATTRS = frozenset({"workers", "jobs"})
 
-_SHARD_SUFFIX = ".shard.jsonl"
-_METRICS_SUFFIX = ".metrics.json"
-_HEARTBEAT_SUFFIX = ".hb.jsonl"
-
-
-# ---------------------------------------------------------------------------
-# The propagated context
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """Everything a worker needs to ship telemetry home.
-
-    Plain strings and booleans only, so the context pickles across any
-    :mod:`multiprocessing` start method.
-    """
-
-    run_id: str
-    shard_dir: str
-    #: The fan-out's task-index namespace.  Task indexes from contexts
-    #: with different namespaces never collide when their shards merge
-    #: into the same parent trace.
-    namespace: str
-    #: Record a per-task tracer and write event shards.
-    collect_trace: bool = True
-    #: Run the task with simulator memoization disabled (propagates the
-    #: parent's ``cache_disabled()`` state so traced parallel runs stay
-    #: deterministic).
-    disable_memo: bool = False
-    #: Stream start/done heartbeat lines for the live progress surface.
-    heartbeat: bool = False
-
-
-def new_context(
-    namespace: str,
-    collect_trace: bool = True,
-    disable_memo: bool = False,
-    heartbeat: bool = False,
-) -> TraceContext:
-    """Mint a context for one fan-out under ``namespace``, creating its
-    private temp shard directory."""
-    return TraceContext(
-        run_id=uuid.uuid4().hex[:12],
-        shard_dir=tempfile.mkdtemp(prefix="repro-shards-"),
-        namespace=namespace,
-        collect_trace=collect_trace,
-        disable_memo=disable_memo,
-        heartbeat=heartbeat,
-    )
-
-
-def cleanup(context: TraceContext) -> None:
-    """Remove the context's shard directory (best-effort)."""
-    shutil.rmtree(context.shard_dir, ignore_errors=True)
-
-
-def _worker_stem(context: TraceContext, worker_id: int) -> Path:
-    return Path(context.shard_dir) / (
-        f"{context.run_id}-w{worker_id:08d}"
-    )
-
-
-def shard_path(context: TraceContext, worker_id: int) -> Path:
-    """Where worker ``worker_id`` appends its trace events."""
-    return _worker_stem(context, worker_id).with_suffix(_SHARD_SUFFIX)
-
-
-def metrics_path(context: TraceContext, worker_id: int) -> Path:
-    """Where worker ``worker_id`` publishes its registry snapshot."""
-    return _worker_stem(context, worker_id).with_suffix(
-        _METRICS_SUFFIX
-    )
-
-
-def heartbeat_path(context: TraceContext, worker_id: int) -> Path:
-    """Where worker ``worker_id`` appends progress heartbeats."""
-    return _worker_stem(context, worker_id).with_suffix(
-        _HEARTBEAT_SUFFIX
-    )
-
 
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-def _append_jsonl(path: Path, lines: Iterable[str]) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _emit_heartbeat(
-    context: TraceContext, worker_id: int, record: dict[str, Any]
-) -> None:
-    if not context.heartbeat:
-        return
-    try:
-        _append_jsonl(
-            heartbeat_path(context, worker_id),
-            [json.dumps(record, sort_keys=True)],
-        )
-    except OSError:
-        # Heartbeats are advisory; a full disk must not fail the task.
-        pass
-
-
-def _publish_metrics(context: TraceContext, worker_id: int) -> None:
-    """Atomically overwrite this worker's cumulative registry snapshot
-    (the last write, after its final task, is what the parent merges)."""
-    path = metrics_path(context, worker_id)
-    payload = json.dumps(
-        obs_metrics.registry().snapshot(), sort_keys=True
-    )
-    handle = tempfile.NamedTemporaryFile(
-        "w",
-        dir=path.parent,
-        prefix=f".{path.name}-",
-        suffix=".tmp",
-        delete=False,
-        encoding="utf-8",
-    )
-    tmp_name = handle.name
-    try:
-        with handle:
-            handle.write(payload)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_name, path)
-        tmp_name = None
-    finally:
-        if tmp_name is not None:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-
 
 def run_worker_task(
-    context: TraceContext,
-    task_index: int,
-    name: str,
-    thunk: Callable[[], Any],
-    summarize: Callable[[Any], dict[str, Any]] | None = None,
-) -> Any:
-    """Run one fan-out task under the shard protocol.
+    thunk: Callable[[], Any], collect_trace: bool
+) -> tuple[Any, int, list[dict[str, Any]], dict[str, Any]]:
+    """Run one fan-out task in a pool worker.
 
-    Installs a fresh per-task tracer (when ``collect_trace``), runs
-    ``thunk``, appends the captured events — each tagged with the task
-    index — to this worker's shard, republishes the worker's metrics
-    snapshot, and emits start/done heartbeats (``summarize`` maps the
-    task's return value to the done-heartbeat payload).  Returns the
-    thunk's result unchanged.
+    Resets the worker's metrics registry, so the returned snapshot
+    holds this task's metrics only, and runs ``thunk`` under a fresh
+    tracer when ``collect_trace``.  Returns ``(result, worker pid,
+    trace events, registry snapshot)``.
     """
-    worker_id = os.getpid()
-    ns_tag = {NAMESPACE_FIELD: context.namespace}
-    _emit_heartbeat(
-        context,
-        worker_id,
-        {
-            "event": "start",
-            "task": task_index,
-            "name": name,
-            "worker": worker_id,
-            **ns_tag,
-        },
-    )
-    tracer = obs_trace.Tracer() if context.collect_trace else None
-    if tracer is not None:
-        previous = obs_trace.install(tracer)
-        try:
-            result = thunk()
-        finally:
-            obs_trace.install(previous)
-        _append_jsonl(
-            shard_path(context, worker_id),
-            (
-                json.dumps(
-                    {**event, TASK_FIELD: task_index, **ns_tag},
-                    sort_keys=True,
-                    separators=(",", ":"),
-                )
-                for event in tracer.events
-            ),
-        )
-    else:
+    registry = obs_metrics.registry()
+    registry.reset()
+    if not collect_trace:
+        return thunk(), os.getpid(), [], registry.snapshot()
+    with obs_trace.tracing() as tracer:
         result = thunk()
-    _publish_metrics(context, worker_id)
-    done: dict[str, Any] = {
-        "event": "done",
-        "task": task_index,
-        "name": name,
-        "worker": worker_id,
-        **ns_tag,
-    }
-    if summarize is not None:
-        done.update(summarize(result))
-    _emit_heartbeat(context, worker_id, done)
-    return result
+    return result, os.getpid(), tracer.events, registry.snapshot()
 
 
 #: How often a pool worker checks that its parent is still alive (s).
@@ -279,19 +92,13 @@ PARENT_POLL_S = 0.5
 
 
 def _init_worker(parent_pid: int) -> None:
-    """Pool-worker initializer: start from an empty metrics registry,
-    and exit once ``parent_pid`` is gone.
+    """Pool-worker initializer: exit once ``parent_pid`` is gone.
 
-    A pool lives for one :func:`fan_out`, so a worker forked from the
-    parent inherits its registry (and tracer) exactly once; resetting
-    it here makes the worker's snapshot count only its own tasks, and
-    nothing double-merges.  A SIGKILLed parent never shuts its pool
-    down, and an idle worker blocked on the task queue never sees EOF
-    (forked siblings hold the queue's write end), so it would wait
-    forever under init.  A daemon thread watches for the re-parenting
-    instead.
+    A SIGKILLed parent never shuts its pool down, and an idle worker
+    blocked on the task queue never sees EOF (forked siblings hold the
+    queue's write end), so it would wait forever under init.  A daemon
+    thread watches for the re-parenting instead.
     """
-    obs_metrics.registry().reset()
 
     def watch() -> None:
         while os.getppid() == parent_pid:
@@ -334,7 +141,7 @@ def record_fanout(
 
 
 # ---------------------------------------------------------------------------
-# Parent side: shard reading and merging
+# Parent side: merging
 # ---------------------------------------------------------------------------
 
 
@@ -346,34 +153,6 @@ class TaskGroup:
     task: int
     namespace: str
     events: list[dict[str, Any]] = field(default_factory=list)
-
-
-def read_shards(context: TraceContext) -> list[TaskGroup]:
-    """Every shard in the context's directory, split into per-task
-    groups and sorted by (namespace, task index) — within one
-    namespace, task index is the request order, which is also the
-    order a sequential run would have emitted them."""
-    groups: dict[tuple[str, int, int], TaskGroup] = {}
-    pattern = f"{context.run_id}-w*{_SHARD_SUFFIX}"
-    for path in sorted(Path(context.shard_dir).glob(pattern)):
-        worker_id = int(
-            path.name[
-                len(context.run_id) + 2 : -len(_SHARD_SUFFIX)
-            ]
-        )
-        with open(path, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                event = json.loads(line)
-                task = int(event.pop(TASK_FIELD, 0))
-                namespace = str(event.pop(NAMESPACE_FIELD))
-                groups.setdefault(
-                    (namespace, task, worker_id),
-                    TaskGroup(worker_id, task, namespace),
-                ).events.append(event)
-    return [groups[key] for key in sorted(groups)]
 
 
 def merge_groups(
@@ -418,12 +197,12 @@ def merge_groups(
 
 
 def absorb_trace(
-    tracer: obs_trace.Tracer, context: TraceContext
+    tracer: obs_trace.Tracer, groups: list[TaskGroup]
 ) -> int:
-    """Merge every worker shard into ``tracer`` as one coherent
-    stream; returns the number of events absorbed."""
+    """Merge task groups (in request order) into ``tracer`` as one
+    coherent stream; returns the number of events absorbed."""
     merged = merge_groups(
-        read_shards(context),
+        groups,
         base_seq=tracer.next_seq,
         parent_span=tracer.innermost_open_span,
     )
@@ -431,30 +210,12 @@ def absorb_trace(
     return len(merged)
 
 
-def read_worker_metrics(
-    context: TraceContext,
-) -> list[dict[str, dict[str, Any]]]:
-    """Every worker's published registry snapshot, in worker-id order."""
-    snapshots = []
-    pattern = f"{context.run_id}-w*{_METRICS_SUFFIX}"
-    for path in sorted(Path(context.shard_dir).glob(pattern)):
-        try:
-            snapshots.append(
-                json.loads(path.read_text(encoding="utf-8"))
-            )
-        except (OSError, ValueError):
-            raise ConfigurationError(
-                f"unreadable worker metrics snapshot {path}"
-            ) from None
-    return snapshots
-
-
 def merge_worker_metrics(
-    registry: obs_metrics.MetricsRegistry, context: TraceContext
+    registry: obs_metrics.MetricsRegistry,
+    snapshots: list[dict[str, Any]],
 ) -> int:
-    """Fold every worker registry snapshot into ``registry``; returns
-    the number of worker snapshots merged."""
-    snapshots = read_worker_metrics(context)
+    """Fold per-task registry snapshots into ``registry``; returns
+    the number of snapshots merged."""
     for snapshot in snapshots:
         registry.merge_snapshot(snapshot)
     return len(snapshots)
@@ -525,51 +286,12 @@ def normalized_jsonl(events: list[dict[str, Any]]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def tail_complete_lines(
-    path: Path | str, offset: int = 0
-) -> tuple[list[dict[str, Any]], int]:
-    """New JSONL records appended to ``path`` past ``offset``.
-
-    Built for files a live worker is still appending to: a torn final
-    line (no trailing newline — the writer is mid-``write``) is left
-    for the next poll rather than parsed or counted, complete lines
-    that fail to parse are skipped, and an unreadable file reads as
-    empty.  Returns ``(records, new_offset)`` where ``new_offset``
-    covers exactly the complete lines consumed.
-    """
-    path = Path(path)
-    try:
-        with open(path, "rb") as handle:
-            handle.seek(offset)
-            payload = handle.read()
-    except OSError:
-        return [], offset
-    records: list[dict[str, Any]] = []
-    consumed = 0
-    for line in payload.splitlines(keepends=True):
-        # A writer may be mid-line; only complete lines parse.
-        if not line.endswith(b"\n"):
-            break
-        consumed += len(line)
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            record = json.loads(text.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-    return records, offset + consumed
-
-
 class ProgressMonitor:
-    """Streams fan-out progress lines from worker heartbeats.
+    """Renders fan-out progress lines through ``sink``.
 
-    The parent polls :meth:`poll` while futures are pending; each new
-    heartbeat line renders as one human-readable progress line through
-    ``sink``.  The sequential path feeds the same records directly via
-    :meth:`feed`, so ``--progress`` reads identically at any ``--jobs``.
+    The fan-out calls :meth:`start` as it runs or submits a task and
+    :meth:`finish` as the task's result lands, so ``--progress`` reads
+    the same at any ``--jobs``.
     """
 
     def __init__(
@@ -580,62 +302,29 @@ class ProgressMonitor:
         self.sink = sink
         self.total = total
         self.done = 0
-        self._offsets: dict[Path, int] = {}
 
-    def feed(self, record: dict[str, Any]) -> None:
-        """Render one heartbeat record."""
-        event = record.get("event")
-        name = record.get("name", "?")
-        worker = record.get("worker", 0)
-        if event == "start":
-            self.sink(f"{name} started [worker {worker}]")
-        elif event == "done":
-            self.done += 1
-            cost = ""
-            if "wall_s" in record:
-                cost = (
-                    f" in {record['wall_s']:.2f}s "
-                    f"(hits={record.get('hits', 0)} "
-                    f"misses={record.get('misses', 0)} "
-                    f"windows={record.get('windows', 0)})"
-                )
-            self.sink(
-                f"[{self.done}/{self.total}] {name} done{cost} "
-                f"[worker {worker}]"
+    def start(self, name: str) -> None:
+        """Render one task's start."""
+        self.sink(f"{name} started")
+
+    def finish(
+        self, name: str, worker: int, summary: dict[str, Any]
+    ) -> None:
+        """Render one task's completion on ``worker`` (0 in-process);
+        ``summary`` carries the optional cost fields."""
+        self.done += 1
+        cost = ""
+        if "wall_s" in summary:
+            cost = (
+                f" in {summary['wall_s']:.2f}s "
+                f"(hits={summary.get('hits', 0)} "
+                f"misses={summary.get('misses', 0)} "
+                f"windows={summary.get('windows', 0)})"
             )
-
-    def poll(self, context: TraceContext) -> int:
-        """Read any new heartbeat lines from the context's shard
-        directory; returns how many records were rendered."""
-        handled = 0
-        pattern = f"{context.run_id}-w*{_HEARTBEAT_SUFFIX}"
-        for path in sorted(Path(context.shard_dir).glob(pattern)):
-            records, new_offset = tail_complete_lines(
-                path, self._offsets.get(path, 0)
-            )
-            for record in records:
-                self.feed(record)
-                handled += 1
-            self._offsets[path] = new_offset
-        return handled
-
-
-def progress_record(
-    event: str,
-    task_index: int,
-    name: str,
-    worker: int = 0,
-    **extra: Any,
-) -> dict[str, Any]:
-    """A heartbeat record in the shard-protocol shape (the sequential
-    path builds these inline instead of writing heartbeat files)."""
-    return {
-        "event": event,
-        "task": task_index,
-        "name": name,
-        "worker": worker,
-        **extra,
-    }
+        self.sink(
+            f"[{self.done}/{self.total}] {name} done{cost} "
+            f"[worker {worker}]"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -654,21 +343,16 @@ def fanout_workers(jobs: int, tasks: int) -> int:
 def _pool_task(
     run: Callable[[Any], Any],
     task: Any,
-    context: TraceContext,
-    task_index: int,
-    name: str,
-    summarize: Callable[[Any], dict[str, Any]] | None,
-) -> Any:
-    """Worker entry point: ``run(task)`` under the shard protocol, with
-    memoization off when the parent ran without it."""
-    if context.disable_memo:
+    collect_trace: bool,
+    disable_memo: bool,
+) -> tuple[Any, int, list[dict[str, Any]], dict[str, Any]]:
+    """Worker entry point: ``run(task)`` under :func:`run_worker_task`,
+    with memoization off when the parent ran without it."""
+    if disable_memo:
         from ..pipeline import sim
 
         sim.install_run_memo(None)
-    return run_worker_task(
-        context, task_index, name, partial(run, task),
-        summarize=summarize,
-    )
+    return run_worker_task(partial(run, task), collect_trace)
 
 
 def fan_out(
@@ -684,18 +368,19 @@ def fan_out(
     order.
 
     At one worker (see :func:`fanout_workers`) the tasks run in-process
-    in order; otherwise they spread over :func:`process_pool` under the
-    shard protocol, and after the pool drains every worker's trace
-    shards merge into the active tracer and its metrics into the
-    process registry.  Either way the fan-out is recorded under
-    ``namespace`` (:func:`record_fanout`), each task publishes a start
-    and a done heartbeat named ``str(task)`` (the done record extended
-    with ``summarize(result)``) to ``progress`` when one is given, and
-    ``on_result(index, result)`` fires in the calling process as each
-    task completes.
+    in order; otherwise they spread over :func:`process_pool`, one task
+    per free worker, and once the last result lands every task's trace
+    events merge into the active tracer and its metrics into the
+    process registry, in request order.  Either way the fan-out is
+    recorded under ``namespace`` (:func:`record_fanout`), each task
+    renders a start and a done line named ``str(task)`` (the done line
+    extended with ``summarize(result)``) to ``progress`` when one is
+    given, and ``on_result(index, result)`` fires in the calling
+    process as each task completes.
 
-    ``run``, ``summarize`` and the tasks must be picklable for the pool
-    path; ``on_result`` only runs in the calling process.
+    ``run`` and the tasks must be picklable for the pool path;
+    ``summarize`` and ``on_result`` only run in the calling process.
+    A raising task propagates once the tasks in flight end.
     """
     tasks = list(tasks)
     workers = fanout_workers(jobs, len(tasks))
@@ -705,86 +390,90 @@ def fan_out(
         if progress is not None
         else None
     )
+    results: list[Any] = [None] * len(tasks)
+
+    def land(index: int, result: Any, worker: int) -> None:
+        if monitor is not None:
+            monitor.finish(
+                str(tasks[index]),
+                worker,
+                summarize(result) if summarize is not None else {},
+            )
+        if on_result is not None:
+            on_result(index, result)
+        results[index] = result
+
     if workers == 1:
-        publish: Callable[[dict[str, Any]], None] = (
-            monitor.feed if monitor is not None else lambda record: None
-        )
-        results = []
         for index, task in enumerate(tasks):
-            name = str(task)
-            publish(progress_record("start", index, name))
-            result = run(task)
-            summary = summarize(result) if summarize is not None else {}
-            publish(progress_record("done", index, name, **summary))
-            if on_result is not None:
-                on_result(index, result)
-            results.append(result)
+            if monitor is not None:
+                monitor.start(str(task))
+            land(index, run(task), 0)
         return results
 
     from ..pipeline import sim
 
     tracer = obs_trace.active()
-    context = new_context(
-        namespace,
+    worker_task = partial(
+        _pool_task,
+        run,
         collect_trace=tracer is not None,
         disable_memo=sim.active_run_memo() is None,
-        heartbeat=monitor is not None,
     )
-    results = [None] * len(tasks)
-    try:
-        with process_pool(workers) as pool:
-            futures = {
-                pool.submit(
-                    _pool_task, run, task, context, index, str(task),
-                    summarize,
-                ): index
-                for index, task in enumerate(tasks)
-            }
-            pending = set(futures)
-            while pending:
-                finished, pending = futures_wait(
-                    pending,
-                    timeout=0.1 if monitor is not None else None,
-                    return_when=FIRST_COMPLETED,
-                )
+    telemetry: list[Any] = [None] * len(tasks)
+    queue = iter(enumerate(tasks))
+    with process_pool(workers) as pool:
+        in_flight: dict[Future, int] = {}
+
+        def submit() -> None:
+            entry = next(queue, None)
+            if entry is not None:
+                index, task = entry
                 if monitor is not None:
-                    monitor.poll(context)
-                for future in sorted(finished, key=futures.__getitem__):
-                    index = futures[future]
-                    results[index] = future.result()
-                    if on_result is not None:
-                        on_result(index, results[index])
-        if tracer is not None:
-            absorb_trace(tracer, context)
-        merge_worker_metrics(obs_metrics.registry(), context)
-    finally:
-        cleanup(context)
+                    monitor.start(str(task))
+                in_flight[pool.submit(worker_task, task)] = index
+
+        for _ in range(workers):
+            submit()
+        while in_flight:
+            finished, _ = futures_wait(
+                in_flight, return_when=FIRST_COMPLETED
+            )
+            for future in sorted(finished, key=in_flight.__getitem__):
+                index = in_flight.pop(future)
+                result, worker, events, snapshot = future.result()
+                telemetry[index] = (worker, events, snapshot)
+                land(index, result, worker)
+                submit()
+    if tracer is not None:
+        absorb_trace(
+            tracer,
+            [
+                TaskGroup(worker, index, namespace, events)
+                for index, (worker, events, _) in enumerate(telemetry)
+                if events
+            ],
+        )
+    merge_worker_metrics(
+        obs_metrics.registry(),
+        [snapshot for _, _, snapshot in telemetry],
+    )
     return results
 
 
 __all__ = [
     "NAMESPACE_FIELD",
     "TASK_FIELD",
-    "TraceContext",
     "VOLATILE_ATTRS",
     "WORKER_FIELD",
+    "ProgressMonitor",
+    "TaskGroup",
     "absorb_trace",
-    "cleanup",
     "fan_out",
     "fanout_workers",
-    "heartbeat_path",
     "merge_groups",
     "merge_worker_metrics",
-    "metrics_path",
-    "new_context",
     "normalize_events",
     "normalized_jsonl",
-    "progress_record",
-    "read_shards",
-    "read_worker_metrics",
     "record_fanout",
     "run_worker_task",
-    "shard_path",
-    "tail_complete_lines",
-    "ProgressMonitor",
 ]

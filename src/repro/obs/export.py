@@ -297,7 +297,7 @@ def chrome_trace_from_events(
     events: list[dict[str, Any]],
     time_scale: float = MICROSECONDS_PER_SECOND,
 ) -> dict[str, Any]:
-    """A flat event stream (e.g. a merged shard trace read back from
+    """A flat event stream (e.g. a merged --jobs trace read back from
     JSONL) as a loadable Chrome trace object."""
     return {
         "traceEvents": chrome_trace_events(

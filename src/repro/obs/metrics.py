@@ -513,13 +513,13 @@ class MetricsRegistry:
     def merge_snapshot(
         self, snapshot: dict[str, dict[str, object]]
     ) -> int:
-        """Fold a :meth:`snapshot` (possibly JSON-round-tripped from
-        another process) into this registry.
+        """Fold a :meth:`snapshot` (possibly taken in another process)
+        into this registry.
 
         Counters and gauges sum; histograms add bucket-wise (same
         bounds required).  Metrics absent here are created, so merging
         into an empty registry reconstructs the snapshot exactly.
-        Merging is commutative and associative — the worker shard
+        Merging is commutative and associative — the per-task worker
         merge in :mod:`repro.obs.dist` relies on both.  Returns the
         number of metrics merged.
         """

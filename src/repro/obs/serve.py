@@ -38,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import dataclasses
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -52,7 +53,6 @@ from ..video.source import (
     descriptor_from_payload,
 )
 from . import metrics as obs_metrics
-from .dist import _append_jsonl
 from .export import prometheus_text
 from .metrics import labelled
 
@@ -71,12 +71,18 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 # ---------------------------------------------------------------------------
 
 
+def _append_line(path: Path, line: str) -> None:
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 class EventLog:
     """A leveled, structured JSONL event log.
 
-    Writes reuse the shard protocol's append/flush/fsync discipline
-    (:func:`repro.obs.dist._append_jsonl`), so a concurrent reader
-    using :func:`tail_complete_lines` never sees a torn record.  No
+    Each record is appended, flushed and fsynced as one whole line,
+    so a concurrent line reader never sees a torn record.  No
     wall-clock value enters an event: ordering is the ``seq`` ordinal
     and any timestamp fields callers attach are simulated seconds —
     the same determinism contract the tracer keeps.
@@ -123,8 +129,8 @@ class EventLog:
             del self.recent[: -self._recent_cap]
         if self.path is not None:
             try:
-                _append_jsonl(
-                    self.path, [json.dumps(record, sort_keys=True)]
+                _append_line(
+                    self.path, json.dumps(record, sort_keys=True)
                 )
             except OSError:
                 # The log is advisory; a full disk must not kill serve.

@@ -149,7 +149,7 @@ class Tracer:
     def next_seq(self) -> int:
         """The sequence number the next emitted event will get — the
         base :func:`repro.obs.dist.absorb_trace` renumbers worker
-        shards against."""
+        events against."""
         return self._seq
 
     @property
@@ -158,10 +158,10 @@ class Tracer:
         return self._stack[-1] if self._stack else None
 
     def ingest(self, events: list[dict[str, Any]]) -> None:
-        """Append pre-renumbered events (a merged worker shard).
+        """Append pre-renumbered events (merged worker task events).
 
         Every event's ``seq`` must continue this tracer's own
-        numbering — the shard merger renumbers against
+        numbering — the fan-out merger renumbers against
         :attr:`next_seq` before calling this, so the combined stream
         stays one strictly ordered sequence.
         """

@@ -3,8 +3,8 @@
 One replication = the cross product of exhibits × seed offsets, fanned
 through the same substrate a single-seed regeneration uses: the
 :mod:`repro.analysis.runner` exhibit task, :func:`repro.obs.dist.fan_out`
-and its shard protocol (trace shards, heartbeats, merged
-metrics — namespace ``"stats"``), and the process-wide
+(worker trace events and metrics merged home, progress lines —
+namespace ``"stats"``), and the process-wide
 :class:`~repro.analysis.runner.SimulationCache`.  Seed offsets shift
 every workload's content seed at once (each task passes its offset to
 :func:`repro.analysis.runner.run_exhibit`), so distinct seeds
@@ -36,9 +36,9 @@ from .bootstrap import (
     estimate_metrics,
 )
 
-#: Shard-protocol namespace for replication fan-outs (worker heartbeats
-#: and trace shards are tagged with it, distinguishing a ``repro stats
-#: run`` from a plain ``repro figures`` in the telemetry plane).
+#: Fan-out namespace for replications (merged worker trace events are
+#: tagged with it, distinguishing a ``repro stats run`` from a plain
+#: ``repro figures`` in one trace).
 STATS_NAMESPACE = "stats"
 
 #: Treatment-vs-baseline metric pairs the effect-size report covers:
@@ -140,7 +140,7 @@ def replicate_exhibits(
     """
     from ..analysis.runner import (
         ExhibitTask,
-        _metrics_heartbeat,
+        progress_fields,
         select_exhibits,
         run_exhibit_task,
     )
@@ -160,7 +160,7 @@ def replicate_exhibits(
     ]
     outcomes = dist.fan_out(
         STATS_NAMESPACE, tasks, run_exhibit_task, jobs,
-        summarize=_metrics_heartbeat, progress=progress,
+        summarize=progress_fields, progress=progress,
     )
     results: dict[str, list[Any]] = {name: [] for name in selected}
     for outcome in outcomes:

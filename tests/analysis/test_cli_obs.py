@@ -145,6 +145,26 @@ class TestObsDiffCommand:
         assert payload["deltas"]["ledger.total_mj"]["delta"] == 1.0
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("diff", "nope.jsonl", "x.jsonl"), ("chrome", "nope.jsonl", "o")],
+        ids=["diff", "chrome"],
+    )
+    @pytest.mark.parametrize(
+        "content", [None, b"\xff\xfe\x00bad"], ids=["missing", "binary"]
+    )
+    def test_unreadable_input_is_a_clean_error(
+        self, capsys, tmp_path, monkeypatch, argv, content
+    ):
+        monkeypatch.chdir(tmp_path)
+        if content is not None:
+            (tmp_path / "nope.jsonl").write_bytes(content)
+        code, out = run_cli(capsys, "obs", *argv)
+        assert code == 1
+        assert out.startswith("error: ")
+        assert "nope.jsonl" in out
+
+
 class TestParallelTraceSmoke:
     """End to end: a parallel traced regeneration diffs clean against
     the sequential one, and the merged trace converts to Chrome JSON

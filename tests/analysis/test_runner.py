@@ -19,6 +19,8 @@ from repro.analysis.runner import (
 )
 from repro.config import FHD, skylake_tablet
 from repro.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
+from repro.obs.trace import tracing
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.pipeline.sim import install_run_memo, run_fingerprint
 from repro.video.source import AnalyticContentModel
@@ -32,6 +34,29 @@ def _simulate(frame_count=6, seed=1):
     ).run(frames, 30.0, retain="full")
 
 
+def _counter(name):
+    registry = obs_metrics.registry()
+    return registry.get(name).value if name in registry else 0
+
+
+@pytest.fixture
+def counted():
+    """``counted(name)``: how far the registry counter ``name`` has
+    grown since the test began."""
+    names = ("cache.hit", "cache.miss", "cache.store", "sim.windows")
+    before = {name: _counter(name) for name in names}
+    return lambda name: _counter(name) - before[name]
+
+
+def _disk_hits(tracer):
+    return sum(
+        1
+        for event in tracer.events
+        if event["name"] == "cache.hit"
+        and event["attrs"]["layer"] == "disk"
+    )
+
+
 @pytest.fixture
 def isolated_cache():
     """A private cache installed for the test's duration."""
@@ -42,24 +67,26 @@ def isolated_cache():
 
 
 class TestSimulationCache:
-    def test_miss_then_hit(self, isolated_cache):
+    def test_miss_then_hit(self, isolated_cache, counted):
         first = _simulate()
-        assert isolated_cache.stats.misses == 1
-        assert isolated_cache.stats.stores == 1
+        assert counted("cache.miss") == 1
+        assert counted("cache.store") == 1
         second = _simulate()
-        assert isolated_cache.stats.hits == 1
+        assert counted("cache.hit") == 1
         assert first.stats == second.stats
         assert list(first.timeline) == list(second.timeline)
 
-    def test_windows_counted_on_miss_only(self, isolated_cache):
+    def test_windows_counted_on_miss_only(self, isolated_cache, counted):
         run = _simulate()
         _simulate()
-        assert isolated_cache.stats.windows_simulated == run.stats.windows
+        assert counted("sim.windows") == run.stats.windows
 
-    def test_different_inputs_different_entries(self, isolated_cache):
+    def test_different_inputs_different_entries(
+        self, isolated_cache, counted
+    ):
         _simulate(seed=1)
         _simulate(seed=2)
-        assert isolated_cache.stats.misses == 2
+        assert counted("cache.miss") == 2
         assert len(isolated_cache) == 2
 
     def test_loads_are_defensive_copies(self, isolated_cache):
@@ -71,7 +98,7 @@ class TestSimulationCache:
         assert clean.stats.windows > 0
         assert len(clean.timeline) > 0
 
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, counted):
         cache = SimulationCache(capacity=2)
         previous = install_run_memo(cache)
         try:
@@ -80,7 +107,7 @@ class TestSimulationCache:
             _simulate(seed=3)
             assert len(cache) == 2
             _simulate(seed=1)  # evicted -> a fresh miss
-            assert cache.stats.misses == 4
+            assert counted("cache.miss") == 4
         finally:
             install_run_memo(previous)
 
@@ -88,11 +115,11 @@ class TestSimulationCache:
         with pytest.raises(ConfigurationError):
             SimulationCache(capacity=0)
 
-    def test_cache_disabled_bypasses(self, isolated_cache):
+    def test_cache_disabled_bypasses(self, isolated_cache, counted):
         with cache_disabled():
             run = _simulate()
         assert run.cache_key is None
-        assert isolated_cache.stats.misses == 0
+        assert counted("cache.miss") == 0
         assert len(isolated_cache) == 0
 
 
@@ -103,10 +130,10 @@ class TestDiskCache:
             original = _simulate()
             assert len(list(tmp_path.glob("*.json"))) == 1
             # A brand-new process-equivalent: empty memory, same disk.
-            reloaded_cache = SimulationCache(directory=tmp_path)
-            install_run_memo(reloaded_cache)
-            reloaded = _simulate()
-            assert reloaded_cache.stats.disk_hits == 1
+            install_run_memo(SimulationCache(directory=tmp_path))
+            with tracing() as tracer:
+                reloaded = _simulate()
+            assert _disk_hits(tracer) == 1
             assert reloaded.stats == original.stats
             assert list(reloaded.timeline) == list(original.timeline)
             assert reloaded.config == original.config
@@ -223,11 +250,13 @@ class TestDiskCache:
             run = _simulate()
             path = tmp_path / f"{run.cache_key}.json"
             path.write_text('{"format": 1, "scheme": "conv', "utf-8")
-            fresh = SimulationCache(directory=tmp_path)
-            install_run_memo(fresh)
-            again = _simulate()  # corrupt entry -> miss -> re-store
-            assert fresh.stats.disk_hits == 0
-            assert fresh.stats.misses == 1
+            install_run_memo(SimulationCache(directory=tmp_path))
+            with tracing() as tracer:
+                again = _simulate()  # corrupt entry -> miss -> re-store
+            assert _disk_hits(tracer) == 0
+            assert [e["name"] for e in tracer.events].count(
+                "cache.miss"
+            ) == 1
             assert again.stats == run.stats
             payload = json.loads(path.read_text(encoding="utf-8"))
             assert run_from_payload(payload).stats == run.stats
@@ -353,6 +382,22 @@ class TestExhibitEngine:
         assert warm.metrics.cache_hits == cold.metrics.cache_misses
         assert warm.metrics.windows_simulated == 0
         assert cold.result == warm.result
+
+    def test_uncached_windows_are_jobs_invariant(self):
+        """Under fan-out the cost fields still read the simulated
+        windows, even with no cache to count them."""
+        with cache_disabled():
+            sequential, pooled = (
+                [
+                    outcome.metrics.windows_simulated
+                    for outcome in run_exhibits(
+                        ["fig01", "table2"], jobs=jobs
+                    )
+                ]
+                for jobs in (1, 2)
+            )
+        assert all(windows > 0 for windows in sequential)
+        assert pooled == sequential
 
     def test_metrics_table_totals(self):
         outcomes = [

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.runner import cache_disabled
 from repro.analysis.sensitivity import (
     PERTURBABLE,
     SensitivityRow,
@@ -11,6 +12,7 @@ from repro.analysis.sensitivity import (
 from repro.config import FHD, PanelConfig
 from repro.dram.states import DramPowerState
 from repro.errors import ConfigurationError
+from repro.obs import metrics as obs_metrics
 from repro.power.calibration import SKYLAKE_TABLET_POWER
 from repro.soc.cstates import PackageCState
 
@@ -117,6 +119,14 @@ class TestSensitivityAnalysis:
             ),
             frame_count=12,
         )
+
+    def test_simulates_each_scheme_once(self):
+        """Every perturbed library reprices the same two runs."""
+        runs = obs_metrics.registry().counter("sim.runs")
+        before = runs.value
+        with cache_disabled():
+            sensitivity_analysis(FHD, frame_count=12)
+        assert runs.value - before == 2
 
     def test_conclusion_stable_everywhere(self, rows):
         """The robustness statement: BurstLink wins at every +/-20%

@@ -174,7 +174,7 @@ class TestCheckpoint:
         assert (start, stop) == (0, 4)
         assert shard.devices == 4
         raw = json.loads(
-            store.shard_path(0).read_text(encoding="utf-8")
+            store.shard_file(0).read_text(encoding="utf-8")
         )
         assert raw["aggregate"] == shard.to_payload()
 

@@ -1,7 +1,4 @@
-"""Cross-process observability: shard protocol, merges, progress."""
-
-import json
-from pathlib import Path
+"""Cross-process observability: worker telemetry, merges, progress."""
 
 import pytest
 
@@ -14,28 +11,17 @@ from repro.obs.dist import (
     absorb_trace,
     merge_groups,
     merge_worker_metrics,
-    new_context,
     normalize_events,
     normalized_jsonl,
-    progress_record,
-    read_shards,
-    read_worker_metrics,
     run_worker_task,
 )
 from repro.obs.trace import Tracer
 
 
 @pytest.fixture
-def context():
-    ctx = new_context("test", collect_trace=True, heartbeat=True)
-    yield ctx
-    dist.cleanup(ctx)
-
-
-@pytest.fixture
 def fresh_worker_state():
-    """Reset the global registry so each test behaves like a freshly
-    initialized pool worker."""
+    """Restore the global registry after tests that run worker tasks
+    in-process (each task resets it, as a pool worker's would)."""
     snapshot = obs_metrics.registry().snapshot()
     obs_metrics.registry().reset()
     yield
@@ -57,34 +43,34 @@ def _task(name="alpha", windows=2):
     return name
 
 
-class TestTraceContext:
-    def test_context_is_picklable(self, context):
-        import pickle
-
-        assert pickle.loads(pickle.dumps(context)) == context
+def _group(task_index, returned):
+    """The task group the fan-out builds from one returned task."""
+    _, worker, events, _ = returned
+    return dist.TaskGroup(worker, task_index, "test", events)
 
 
 class TestWorkerSide:
-    def test_shard_and_metrics_written(
-        self, context, fresh_worker_state
-    ):
-        result = run_worker_task(
-            context, 0, "alpha", lambda: _task("alpha")
+    def test_shard_and_metrics_written(self, fresh_worker_state):
+        result, worker, events, snapshot = run_worker_task(
+            lambda: _task("alpha"), collect_trace=True
         )
         assert result == "alpha"
-        groups = read_shards(context)
-        assert len(groups) == 1
-        assert groups[0].namespace == "test"
-        names = [
-            e["name"] for e in groups[0].events if e["kind"] == "B"
-        ]
+        assert worker > 0
+        names = [e["name"] for e in events if e["kind"] == "B"]
         assert names == ["exhibit", "sim.window", "sim.window"]
-        snapshots = read_worker_metrics(context)
-        assert snapshots[0]["sim.windows"]["value"] == 2
+        assert snapshot["sim.windows"]["value"] == 2
 
-    def test_worker_registry_reset_once_per_run(self):
-        # Forked pool workers inherit the parent's registry; the pool
-        # initializer resets it, so only their own work merges back.
+    def test_snapshot_holds_one_task_only(self, fresh_worker_state):
+        run_worker_task(lambda: _task("alpha", 2), collect_trace=False)
+        *_, snapshot = run_worker_task(
+            lambda: _task("beta", 3), collect_trace=False
+        )
+        assert snapshot["sim.windows"]["value"] == 3
+
+    def test_worker_registry_reset_once_per_task(self):
+        # Forked pool workers inherit the parent's registry and run
+        # several tasks each; every task starts from an empty
+        # registry, so only that task's own work merges back.
         registry = obs_metrics.registry()
         noise = registry.counter("fanout_test.noise")
         noise.inc(99)
@@ -95,56 +81,39 @@ class TestWorkerSide:
         assert noise.value == noise_before
         assert calls.value == calls_before + 4
 
-    def test_heartbeats_stream_start_and_done(
-        self, context, fresh_worker_state
-    ):
-        run_worker_task(
-            context, 0, "alpha", lambda: _task("alpha"),
-            summarize=lambda result: {"wall_s": 0.5},
-        )
-        files = sorted(
-            Path(context.shard_dir).glob("*.hb.jsonl")
-        )
-        assert len(files) == 1
-        records = [
-            json.loads(line)
-            for line in files[0].read_text().splitlines()
-        ]
-        assert [r["event"] for r in records] == ["start", "done"]
-        assert records[1]["wall_s"] == 0.5
-
     def test_no_shard_without_collect_trace(self, fresh_worker_state):
-        ctx = new_context("test", collect_trace=False)
-        try:
-            run_worker_task(ctx, 0, "alpha", lambda: _task("alpha"))
-            assert read_shards(ctx) == []
-            # Metrics still publish — the merge path works untraced.
-            assert read_worker_metrics(ctx)
-        finally:
-            dist.cleanup(ctx)
+        _, _, events, snapshot = run_worker_task(
+            lambda: _task("alpha"), collect_trace=False
+        )
+        assert events == []
+        # Metrics still come home — the merge path works untraced.
+        assert snapshot["sim.windows"]["value"] == 2
 
 
 class TestMerge:
-    def _record_two_tasks(self, context):
-        run_worker_task(context, 1, "beta", lambda: _task("beta", 1))
-        run_worker_task(
-            context, 0, "alpha", lambda: _task("alpha", 2)
+    def _record_two_tasks(self):
+        """Two tasks' groups and snapshots, in request order."""
+        alpha = run_worker_task(lambda: _task("alpha", 2), True)
+        beta = run_worker_task(lambda: _task("beta", 1), True)
+        return (
+            [_group(0, alpha), _group(1, beta)],
+            [alpha[3], beta[3]],
         )
 
-    def test_groups_ordered_by_task_index(
-        self, context, fresh_worker_state
-    ):
-        self._record_two_tasks(context)
-        groups = read_shards(context)
-        assert [g.task for g in groups] == [0, 1]
+    def test_groups_ordered_by_task_index(self):
+        # Tasks finish in any order; the fan-out merges their events
+        # in request order.
+        with obs_trace.tracing() as tracer:
+            dist.fan_out("test", ["a", "b", "c", "d"], _task, 2)
+        tasks = [e["task"] for e in tracer.events if "task" in e]
+        assert tasks == sorted(tasks)
+        assert sorted(set(tasks)) == [0, 1, 2, 3]
 
-    def test_absorb_renumbers_into_parent(
-        self, context, fresh_worker_state
-    ):
-        self._record_two_tasks(context)
+    def test_absorb_renumbers_into_parent(self, fresh_worker_state):
+        groups, _ = self._record_two_tasks()
         parent = Tracer()
         parent.event("exhibits.fanout", workers=2)
-        absorbed = absorb_trace(parent, context)
+        absorbed = absorb_trace(parent, groups)
         assert absorbed == len(parent.events) - 1
         seqs = [e["seq"] for e in parent.events]
         assert seqs == list(range(len(parent.events)))
@@ -158,12 +127,12 @@ class TestMerge:
                 assert start["kind"] == "B"
 
     def test_absorb_nests_under_open_parent_span(
-        self, context, fresh_worker_state
+        self, fresh_worker_state
     ):
-        run_worker_task(context, 0, "alpha", lambda: _task("alpha"))
+        returned = run_worker_task(lambda: _task("alpha"), True)
         parent = Tracer()
         outer = parent.begin_span("suite")
-        absorb_trace(parent, context)
+        absorb_trace(parent, [_group(0, returned)])
         parent.end_span(outer)
         roots = [
             e for e in parent.events
@@ -185,13 +154,11 @@ class TestMerge:
         # Worker ids sort (1111 < 4242) into 1-based indexes.
         assert by_task == {0: 2, 1: 1}
 
-    def test_metrics_merge_sums_workers(
-        self, context, fresh_worker_state
-    ):
-        self._record_two_tasks(context)
+    def test_metrics_merge_sums_workers(self, fresh_worker_state):
+        _, snapshots = self._record_two_tasks()
         registry = obs_metrics.MetricsRegistry()
-        merged = merge_worker_metrics(registry, context)
-        assert merged == 1  # same pid -> one worker snapshot
+        merged = merge_worker_metrics(registry, snapshots)
+        assert merged == 2
         assert registry.counter("sim.windows").value == 3
 
 
@@ -232,31 +199,16 @@ class TestProgressMonitor:
     def test_feed_renders_start_and_done(self):
         lines = []
         monitor = ProgressMonitor(lines.append, total=2)
-        monitor.feed(progress_record("start", 0, "fig01"))
-        monitor.feed(
-            progress_record(
-                "done", 0, "fig01",
-                wall_s=0.25, hits=1, misses=2, windows=8,
-            )
+        monitor.start("fig01")
+        monitor.finish(
+            "fig01", 0,
+            {"wall_s": 0.25, "hits": 1, "misses": 2, "windows": 8},
         )
-        assert lines[0] == "fig01 started [worker 0]"
+        assert lines[0] == "fig01 started"
         assert lines[1] == (
             "[1/2] fig01 done in 0.25s "
             "(hits=1 misses=2 windows=8) [worker 0]"
         )
-
-    def test_poll_reads_incrementally(
-        self, context, fresh_worker_state
-    ):
-        lines = []
-        monitor = ProgressMonitor(lines.append, total=2)
-        run_worker_task(context, 0, "a", lambda: _task("a"))
-        assert monitor.poll(context) == 2
-        run_worker_task(context, 1, "b", lambda: _task("b"))
-        # Only the new records render on the second poll.
-        assert monitor.poll(context) == 2
-        assert monitor.poll(context) == 0
-        assert monitor.done == 2
 
 
 class TestIngestGuards:
@@ -264,47 +216,6 @@ class TestIngestGuards:
         tracer = Tracer()
         with pytest.raises(ConfigurationError):
             tracer.ingest([{"seq": 5, "kind": "I", "name": "x"}])
-
-
-class TestTailCompleteLines:
-    """Torn-write tolerance for live heartbeat ingestion."""
-
-    def _heartbeat(self, event, index):
-        return json.dumps(
-            {"event": event, "index": index, "name": f"shard-{index}"}
-        )
-
-    def test_truncated_final_record_is_deferred(self, tmp_path):
-        path = tmp_path / "w.hb.jsonl"
-        whole = self._heartbeat("start", 0) + "\n"
-        torn = self._heartbeat("done", 0)
-        # A writer died (or is still writing) mid-record: no newline.
-        path.write_bytes((whole + torn[: len(torn) // 2]).encode())
-        records, offset = dist.tail_complete_lines(path, 0)
-        assert [r["event"] for r in records] == ["start"]
-        assert offset == len(whole.encode())
-        # The writer finishes the line; a re-poll from the returned
-        # offset picks up exactly the completed record.
-        path.write_bytes((whole + torn + "\n").encode())
-        records, offset = dist.tail_complete_lines(path, offset)
-        assert [r["event"] for r in records] == ["done"]
-        assert offset == len((whole + torn).encode()) + 1
-
-    def test_corrupt_line_is_skipped_not_fatal(self, tmp_path):
-        path = tmp_path / "w.hb.jsonl"
-        path.write_text(
-            "{not json}\n" + self._heartbeat("start", 1) + "\n"
-        )
-        records, offset = dist.tail_complete_lines(path, 0)
-        assert [r["index"] for r in records] == [1]
-        assert offset == path.stat().st_size
-
-    def test_missing_file_returns_nothing(self, tmp_path):
-        records, offset = dist.tail_complete_lines(
-            tmp_path / "absent.hb.jsonl", 7
-        )
-        assert records == []
-        assert offset == 7
 
 
 def _square(value):
@@ -352,7 +263,7 @@ class TestFanOut:
             "test", [1, 2, 3], _square, jobs, progress=lines.append
         )
         started = [
-            re.fullmatch(r"(\S+) started \[worker \d+\]", line)
+            re.fullmatch(r"(\S+) started", line)
             for line in lines
         ]
         done = [
@@ -363,6 +274,20 @@ class TestFanOut:
         for matches in (started, done):
             assert sorted(m[1] for m in matches if m) == ["1", "2", "3"]
         assert not list(tmp_path.glob("repro-shards-*"))
+
+    def test_done_line_precedes_next_start(self):
+        # One task per free worker: a task starts only once an earlier
+        # one's done line has freed its worker.
+        lines = []
+        dist.fan_out(
+            "test", [1, 2, 3, 4, 5], _square, 2, progress=lines.append
+        )
+        assert lines[:2] == ["1 started", "2 started"]
+        in_flight = 0
+        for line in lines:
+            in_flight += 1 if line.endswith(" started") else -1
+            assert 0 <= in_flight <= 2
+        assert in_flight == 0
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_worker_metrics_merge_into_parent(self, jobs):

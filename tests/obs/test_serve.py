@@ -13,7 +13,6 @@ from repro.core import BurstLinkScheme
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
 from repro.obs import serve
-from repro.obs.dist import tail_complete_lines
 from repro.obs.serve import (
     PROMETHEUS_CONTENT_TYPE,
     EventLog,
@@ -22,6 +21,13 @@ from repro.obs.serve import (
 )
 from repro.pipeline import ConventionalScheme
 from repro.video.source import AnalyticContentModel
+
+
+def _read_log(path):
+    """Every record of a JSONL event log."""
+    return [
+        json.loads(line) for line in Path(path).read_text().splitlines()
+    ]
 
 
 def _frames(count, seed=7):
@@ -51,7 +57,7 @@ class TestEventLog:
         first = log.emit("session.open", session="s1")
         second = log.emit("backpressure.stall", level="warn")
         assert (first["seq"], second["seq"]) == (0, 1)
-        records, _ = tail_complete_lines(path, 0)
+        records = _read_log(path)
         assert [r["event"] for r in records] == [
             "session.open",
             "backpressure.stall",
@@ -378,7 +384,7 @@ class TestHttpPlane:
             final = client.call(op="close", session="wire", retire=True)
             assert final["final"]["stats"]["windows"] == pushed["windows"]
 
-        records, _ = tail_complete_lines(server["events"], 0)
+        records = _read_log(server["events"])
         events = [r["event"] for r in records]
         assert "session.open" in events and "session.close" in events
 

@@ -1,9 +1,9 @@
 """Property-based tests for cross-process metrics merging.
 
-The shard protocol (:mod:`repro.obs.dist`) folds worker registry
-snapshots into the parent in whatever order the shard directory yields
-them, so the merge must be order-independent: commutative, associative,
-and with the empty registry as identity.  Counters and bucket counts
+The fan-out (:mod:`repro.obs.dist`) folds one registry snapshot per
+worker task into the parent, however the tasks were spread over the
+workers, so the merge must be order-independent: commutative,
+associative, and with the empty registry as identity.  Counters and bucket counts
 use integer strategies so equality is exact (float addition would only
 commute approximately).
 """

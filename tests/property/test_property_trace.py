@@ -4,7 +4,7 @@ Whatever the scheme, cadence, or content seed, a captured trace must be
 structurally sound: spans strictly nested and balanced, exactly one
 span per planned refresh window, the C-state segments inside a window
 tiling its period exactly, and cache counter events reconciling with
-:class:`~repro.analysis.runner.CacheStats`.
+the metrics registry's cache counters.
 """
 
 import math
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.analysis.runner import SimulationCache
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme
+from repro.obs import metrics as obs_metrics
 from repro.obs.trace import Tracer, tracing
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.pipeline.sim import install_run_memo
@@ -122,6 +123,16 @@ def test_segments_tile_each_window_period(parameters):
     repeats=st.integers(min_value=1, max_value=3),
 )
 def test_cache_counter_events_reconcile_with_stats(parameters, repeats):
+    registry = obs_metrics.registry()
+    outcomes = ("cache.hit", "cache.miss", "cache.store")
+
+    def counts():
+        return [
+            registry.get(name).value if name in registry else 0
+            for name in outcomes
+        ]
+
+    before = counts()
     cache = SimulationCache()
     previous = install_run_memo(cache)
     try:
@@ -141,6 +152,6 @@ def test_cache_counter_events_reconcile_with_stats(parameters, repeats):
     finally:
         install_run_memo(previous)
     names = [e["name"] for e in tracer.events if e["kind"] == "I"]
-    assert names.count("cache.hit") == cache.stats.hits == repeats
-    assert names.count("cache.miss") == cache.stats.misses == 1
-    assert names.count("cache.store") == cache.stats.stores == 1
+    grown = [after - was for after, was in zip(counts(), before)]
+    assert [names.count(name) for name in outcomes] == grown
+    assert grown == [repeats, 1, 1]
