@@ -21,7 +21,11 @@ from dataclasses import dataclass
 
 from ..soc.cstates import PackageCState
 from ..pipeline.builder import TimelineBuilder
-from ..pipeline.sim import WindowContext, WindowResult
+from ..pipeline.sim import (
+    WindowContext,
+    WindowResult,
+    staged_stream_reads,
+)
 from ..pipeline.timeline import PanelMode, VdMode
 
 
@@ -36,6 +40,10 @@ class VipScheme:
     def plan_key(self) -> tuple:
         """Collapse key: VIP keeps no per-window state."""
         return (self.name, self.orchestration_scale)
+
+    #: The encoded frame enters a new-frame plan only as equal DRAM
+    #: reads and writes on the ``chain setup+decode`` segment.
+    plan_reads = staticmethod(staged_stream_reads)
 
     def frame_phase(self, frame_index: int) -> object:
         """Plans read only the frame's content, never its index."""
@@ -108,7 +116,7 @@ class VipScheme:
         builder = TimelineBuilder(
             start=ctx.window.start, initial_state=ctx.initial_state
         )
-        builder.add(
+        staged_segment = builder.add(
             active,
             PackageCState.C0,
             label="chain setup+decode",
@@ -133,4 +141,5 @@ class VipScheme:
             timeline=builder.build(),
             deadline_missed=missed,
             bypassed_dram=True,
+            staged_segment=staged_segment,
         )

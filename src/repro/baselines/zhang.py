@@ -59,6 +59,12 @@ class ZhangScheme(ConventionalScheme):
         the collapse key's frame index)."""
         return super().plan_key() + (self.batch_size, self.boost)
 
+    #: Opted out of the inherited staged-stream key: a batch-decode
+    #: window stages ``batch_size`` times the frame's encoded bytes, and
+    #: mid-batch windows plan from placeholder sizes, so plans are
+    #: grouped on the whole frame content.
+    plan_reads = None
+
     def frame_phase(self, frame_index: int) -> object:
         """Race-to-sleep plans by batch position: frame ``k`` decodes
         the whole batch when ``k % batch_size == 0`` and skips decode

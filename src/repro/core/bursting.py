@@ -24,7 +24,11 @@ from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder, excursion_latency
 from ..pipeline.conventional import effective_fetch_bandwidth
-from ..pipeline.sim import WindowContext, WindowResult
+from ..pipeline.sim import (
+    WindowContext,
+    WindowResult,
+    staged_stream_reads,
+)
 from ..pipeline.timeline import PanelMode, VdMode
 
 
@@ -48,6 +52,11 @@ class FrameBurstingScheme:
     def plan_key(self) -> tuple:
         """Collapse key: stateless (fixed firmware)."""
         return (self.name,)
+
+    #: The encoded frame enters a new-frame plan only as equal DRAM
+    #: reads and writes on the ``orchestrate+decode (+burst head)``
+    #: segment.
+    plan_reads = staticmethod(staged_stream_reads)
 
     def frame_phase(self, frame_index: int) -> object:
         """Plans read only the frame's content, never its index."""
@@ -125,7 +134,7 @@ class FrameBurstingScheme:
         builder = TimelineBuilder(
             start=ctx.window.start, initial_state=ctx.initial_state
         )
-        builder.add(
+        staged_segment = builder.add(
             active,
             PackageCState.C0,
             label="orchestrate+decode (+burst head)",
@@ -163,6 +172,7 @@ class FrameBurstingScheme:
             timeline=builder.build(),
             deadline_missed=missed,
             burst=True,
+            staged_segment=staged_segment,
         )
 
     # ------------------------------------------------------------------

@@ -25,7 +25,11 @@ from dataclasses import dataclass
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder, excursion_latency
-from ..pipeline.sim import WindowContext, WindowResult
+from ..pipeline.sim import (
+    WindowContext,
+    WindowResult,
+    staged_stream_reads,
+)
 from ..pipeline.timeline import PanelMode, VdMode
 
 
@@ -44,6 +48,10 @@ class BurstLinkScheme:
         """Collapse key: the scheme is stateless (the PMU firmware is
         fixed at construction), so identical windows plan identically."""
         return (self.name,)
+
+    #: The encoded frame enters a new-frame plan (planar or VR) only as
+    #: equal DRAM reads and writes on the ``orchestrate+stage`` segment.
+    plan_reads = staticmethod(staged_stream_reads)
 
     def frame_phase(self, frame_index: int) -> object:
         """Plans read only the frame's content, never its index."""
@@ -108,7 +116,7 @@ class BurstLinkScheme:
         # and the network's jitter-buffer write is batched into the same
         # slice.
         staged = ctx.frame.encoded_bytes
-        builder.add(
+        staged_segment = builder.add(
             orchestration,
             PackageCState.C0,
             label="orchestrate+stage",
@@ -138,6 +146,7 @@ class BurstLinkScheme:
             vd_wakes=wakes,
             bypassed_dram=True,
             burst=True,
+            staged_segment=staged_segment,
         )
 
     # ------------------------------------------------------------------
@@ -257,7 +266,7 @@ class BurstLinkScheme:
 
         orchestration = cfg.orchestration.burstlink_per_frame
         staged = ctx.frame.encoded_bytes
-        builder.add(
+        staged_segment = builder.add(
             orchestration,
             PackageCState.C0,
             label="orchestrate+stage",
@@ -329,4 +338,5 @@ class BurstLinkScheme:
             deadline_missed=missed,
             bypassed_dram=True,
             burst=True,
+            staged_segment=staged_segment,
         )

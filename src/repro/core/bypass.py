@@ -18,7 +18,11 @@ from dataclasses import dataclass
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder, excursion_latency
-from ..pipeline.sim import WindowContext, WindowResult
+from ..pipeline.sim import (
+    WindowContext,
+    WindowResult,
+    staged_stream_reads,
+)
 from ..pipeline.timeline import PanelMode, VdMode
 
 #: Interleave cycles emitted per window; the real oscillation count is
@@ -49,6 +53,10 @@ class FrameBufferBypassScheme:
     def plan_key(self) -> tuple:
         """Collapse key: stateless (fixed firmware)."""
         return (self.name,)
+
+    #: The encoded frame enters a new-frame plan only as equal DRAM
+    #: reads and writes on the ``orchestrate+stage`` segment.
+    plan_reads = staticmethod(staged_stream_reads)
 
     def frame_phase(self, frame_index: int) -> object:
         """Plans read only the frame's content, never its index."""
@@ -125,7 +133,7 @@ class FrameBufferBypassScheme:
             orchestration += decode_src + gpu_time
         missed = orchestration > window
         orchestration = min(orchestration, window)
-        builder.add(
+        staged_segment = builder.add(
             orchestration,
             PackageCState.C0,
             label="orchestrate+stage",
@@ -143,7 +151,8 @@ class FrameBufferBypassScheme:
         remaining = ctx.window.end - builder.now
         if remaining <= 0:
             return WindowResult(
-                timeline=builder.build(), deadline_missed=True
+                timeline=builder.build(), deadline_missed=True,
+                staged_segment=staged_segment,
             )
         decode = (
             cfg.decoder.decode_time(ctx.frame.decoded_bytes, window,
@@ -205,4 +214,5 @@ class FrameBufferBypassScheme:
             deadline_missed=missed,
             vd_wakes=actual_cycles,
             bypassed_dram=True,
+            staged_segment=staged_segment,
         )

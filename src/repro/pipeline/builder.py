@@ -103,13 +103,16 @@ class TimelineBuilder:
         return self._state
 
     def add(self, duration: float, state: PackageCState,
-            label: str = "", **attrs: object) -> None:
+            label: str = "", **attrs: object) -> int | None:
         """Append a phase of ``duration`` seconds in ``state``.
 
         If the builder is currently in a different state, the excursion
         latency is carved out of ``duration`` and emitted as a transition
         segment attributed to the shallower state.  ``attrs`` are passed
         through to :class:`Segment` (bandwidths, activity flags, ...).
+        Returns the index of the phase's segment in the timeline, or
+        ``None`` when the phase emitted none (zero duration, or the
+        excursion consumed all of it).
         """
         if duration < 0:
             if duration > -1e-9:
@@ -119,7 +122,7 @@ class TimelineBuilder:
                     f"phase {label!r} has negative duration {duration}"
                 )
         if duration == 0:
-            return
+            return None
         requested = duration
         latency = _EXCURSION_LATENCY[self._state, state]
         if latency > 0:
@@ -160,6 +163,8 @@ class TimelineBuilder:
                 )
             )
             self._now += duration
+            return len(self.timeline.segments) - 1
+        return None
 
     def idle(
         self,

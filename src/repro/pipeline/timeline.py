@@ -465,6 +465,33 @@ class TimelineSummary:
         totals.edp_bytes += segment.edp_rate * duration
         totals.apl_seconds += segment.apl * duration
 
+    def add_staged_bytes(self, segment: Segment, window_kind: str,
+                         nbytes: float) -> None:
+        """Add ``nbytes`` to both the DRAM read and write totals of
+        ``segment``'s class, which must already hold it: the encoded
+        stream a replayed window stages beyond its plan's (see
+        ``WindowResult.staged_segment``)."""
+        totals = self.buckets[SegmentClass.of(segment, window_kind)]
+        totals.dram_read_bytes += nbytes
+        totals.dram_write_bytes += nbytes
+
+    def recount_segments(
+        self, windows: Iterable[tuple[Timeline, str]]
+    ) -> None:
+        """Set every class's segment count to its count over
+        ``windows``, ``(timeline, window kind)`` pairs.  A class only
+        they hold is added last with zero quantities (so pricing sums
+        are unchanged)."""
+        counts: dict[SegmentClass, int] = {}
+        for timeline, kind in windows:
+            for segment in timeline.segments:
+                cls_key = SegmentClass.of(segment, kind)
+                counts[cls_key] = counts.get(cls_key, 0) + 1
+        for cls_key, totals in self.buckets.items():
+            totals.segments = counts.pop(cls_key, 0)
+        for cls_key, segments in counts.items():
+            self.buckets[cls_key] = ClassTotals(segments=segments)
+
     def close_window(self, kind: str, duration: float,
                      covered: float) -> None:
         """Record one completed window: its kind, its planned duration

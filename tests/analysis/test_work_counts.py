@@ -29,7 +29,7 @@ from repro.analysis.runner import (
 from repro.core import BurstLinkScheme
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pipeline import sim
+from repro.pipeline import ConventionalScheme, sim
 
 GOLDEN = (
     Path(__file__).resolve().parent.parent / "golden" / "work_counts.json"
@@ -130,6 +130,17 @@ def test_plan_group_replay_off_is_caught(monkeypatch):
     with pytest.raises(AssertionError) as failure:
         check_work_counts(["standby"])
     assert "standby / sim.collapse.miss" in str(failure.value)
+
+
+def test_plan_reads_off_is_caught(monkeypatch):
+    """A seeded regression: with the staged-stream keys off, table2's
+    unique-frame clips plan every window fresh again, which the pinned
+    fresh-plan count catches."""
+    monkeypatch.setattr(ConventionalScheme, "plan_reads", None)
+    monkeypatch.setattr(BurstLinkScheme, "plan_reads", None)
+    with pytest.raises(AssertionError) as failure:
+        check_work_counts(["table2"])
+    assert "table2 / sim.collapse.miss" in str(failure.value)
 
 
 def test_gate_ignores_ambient_state(tmp_path):

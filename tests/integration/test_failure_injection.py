@@ -235,11 +235,11 @@ class TestFleetCrashRecovery:
     }
 
     @staticmethod
-    def _spec_file(tmp_path):
+    def _spec_file(tmp_path, devices=48):
         path = tmp_path / "fleet.toml"
         path.write_text(
             "[fleet]\n"
-            "devices = 48\nseed = 7\nshard_size = 4\n"
+            f"devices = {devices}\nseed = 7\nshard_size = 4\n"
             'schemes = ["burstlink"]\ncontent_seeds = 2\n'
             "[axes.resolution]\nvalues = [\"FHD\", \"QHD\"]\n"
             "[axes.fps]\nvalues = [30.0, 60.0]\n"
@@ -275,7 +275,9 @@ class TestFleetCrashRecovery:
         import os
         import time
 
-        spec_file = self._spec_file(tmp_path)
+        # Enough shards that the run is still going a few shards in: a
+        # 48-device fleet can finish between two polls.
+        spec_file = self._spec_file(tmp_path, devices=768)
         reference = tmp_path / "reference.json"
         result = self._run_cli(
             [
@@ -303,7 +305,7 @@ class TestFleetCrashRecovery:
             stderr=subprocess.DEVNULL,
             env=env,
         )
-        # Wait for roughly half the shards to be checkpointed, then
+        # Wait for a few shards to be checkpointed, then
         # SIGKILL — no cleanup, no atexit, mid-write is fair game.
         shards = checkpoint / "shards"
         deadline = time.monotonic() + 300

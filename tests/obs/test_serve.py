@@ -19,8 +19,14 @@ from repro.obs.serve import (
     PowerAdvisorService,
     SessionClient,
 )
+from repro.display.timing import RefreshTiming
 from repro.pipeline import ConventionalScheme
+from repro.pipeline.timeline import TimelineSummary
+from repro.power import PowerModel
+from repro.power.model import COMPONENT_KEYS
 from repro.video.source import AnalyticContentModel
+
+from ..plan_oracle import fresh_windows
 
 
 def _read_log(path):
@@ -259,6 +265,43 @@ class TestServiceOps:
         assert status["scheme"] == "burstlink"
         assert status["windows"] > 0
         assert status["simulated_s"] > 0
+
+    def test_window_dram_is_its_own_frames(self):
+        """Windows that share a plan group are priced at their own
+        encoded bytes: each window's ``serve.win.dram_mw`` is its plan
+        made fresh and priced through ``price_summary``."""
+        service = PowerAdvisorService()
+        _open(service, "own-bytes", window_s=1000.0)
+        frames = _frames(12)
+        service.handle(
+            {
+                "op": "frames",
+                "session": "own-bytes",
+                "frames": [frame.to_payload() for frame in frames],
+            }
+        )
+        service.handle({"op": "end", "session": "own-bytes"})
+        session = service.sessions["own-bytes"]
+        samples = session._gauges["serve.win.dram_mw"].samples
+        config = skylake_tablet(FHD).with_drfb()
+        duration = RefreshTiming(config.panel.refresh_hz, 30.0).frame_window
+        fresh = fresh_windows(config, BurstLinkScheme(), frames, 30.0)
+        assert len(samples) == len(fresh)
+        assert len(session.pricer._cache) < len(fresh)
+        model = PowerModel()
+        for (_, dram_mw), (kind, result) in zip(samples, fresh):
+            digest = TimelineSummary.window_digest(
+                result.timeline, kind, duration
+            )
+            _, _, matrix = model.price_summary(digest, config.panel)
+            energies = dict(zip(COMPONENT_KEYS, matrix.sum(axis=0)))
+            expected = (
+                energies["dram_background"] + energies["dram_traffic"]
+            ) / duration
+            assert dram_mw == pytest.approx(expected, rel=1e-12, abs=0.0)
+        new_frame = {mw for (_, mw), (kind, _) in zip(samples, fresh)
+                     if kind == "new_frame"}
+        assert len(new_frame) == len(frames)
 
 
 class TestOfflineParity:
