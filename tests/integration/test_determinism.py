@@ -6,6 +6,9 @@ identical calls must return identical numbers — bit-for-bit, not just
 approximately.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from repro.analysis.experiments import (
@@ -177,6 +180,43 @@ class TestCacheInvalidation:
         ) != self._fingerprint(
             config, frames, scheme=ConventionalScheme()
         )
+
+
+    def test_key_is_independent_of_hash_seed(self):
+        """Pool workers and their parent share one disk cache, so a key
+        that followed the interpreter's hash order would miss silently
+        in every process but the one that stored it."""
+        script = (
+            "import dataclasses\n"
+            "from repro.config import FHD, skylake_tablet\n"
+            "from repro.core import BurstLinkScheme\n"
+            "from repro.pipeline.sim import VrWork, run_fingerprint\n"
+            "from repro.video.source import (\n"
+            "    AnalyticContentModel, ContentAttributes)\n"
+            "frames = [\n"
+            "    dataclasses.replace(frame, attributes=ContentAttributes(\n"
+            "        apl=0.1 * (i % 10), bitrate_tier=i % 3,\n"
+            "        stalled=i % 7 == 0))\n"
+            "    for i, frame in enumerate(\n"
+            "        AnalyticContentModel().frames(FHD, 12, seed=3))\n"
+            "]\n"
+            "vr_work = [VrWork(2.0e7 + i, 0.004, 8.0e6) for i in range(12)]\n"
+            "print(run_fingerprint(\n"
+            "    skylake_tablet(FHD).with_drfb(), BurstLinkScheme(),\n"
+            "    frames, 30.0, vr_work=vr_work))\n"
+        )
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        keys = set()
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed)
+            done = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=120,
+                check=True,
+            )
+            keys.add(done.stdout.strip())
+        assert len(keys) == 1
+        assert len(keys.pop()) == 64
 
 
 class TestGeneratorDeterminism:

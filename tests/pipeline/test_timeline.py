@@ -2,12 +2,13 @@
 
 import copy
 import dataclasses
+import enum
 import pickle
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.pipeline.sim import freeze
+from repro.pipeline.sim import _digest
 from repro.pipeline.timeline import (
     PanelMode,
     Segment,
@@ -93,15 +94,25 @@ class TestSegment:
             assert hash(clone) == hash(segment)
             assert clone.state is PackageCState.C7_PRIME
 
-    def test_freeze_covers_every_field(self):
-        segment = seg(0.0, 1.0, PackageCState.C8, label="idle")
-        tag, name, fields = freeze(segment)
-        assert (tag, name) == ("d", "Segment")
-        assert [field for field, _ in fields] == sorted(
-            f.name for f in dataclasses.fields(Segment)
+    def test_fingerprint_covers_every_field(self):
+        segment = seg(
+            0.0, 1.0, PackageCState.C0, label="decode",
+            dram_read_bw=2.0, edp_rate=3.0, apl=0.5,
         )
-        assert freeze(segment) == freeze(copy.copy(segment))
-        assert freeze(segment) != freeze(segment.shifted(1.0))
+        assert _digest(segment) == _digest(copy.copy(segment))
+        for field in dataclasses.fields(Segment):
+            value = getattr(segment, field.name)
+            if isinstance(value, enum.Enum):
+                members = list(type(value))
+                changed = members[(members.index(value) + 1) % len(members)]
+            elif isinstance(value, bool):
+                changed = not value
+            elif isinstance(value, str):
+                changed = value + "x"
+            else:
+                changed = value + 0.25
+            other = dataclasses.replace(segment, **{field.name: changed})
+            assert _digest(other) != _digest(segment), field.name
 
 
 class TestTimelineStructure:
