@@ -12,7 +12,7 @@ from repro.analysis.runner import cache_disabled
 from repro.config import FHD, skylake_tablet
 from repro.core import BurstLinkScheme
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
-from repro.video import Codec, CodecConfig
+from repro.video.codec import Codec, CodecConfig
 from repro.video.frames import FrameType
 from repro.video.source import AnalyticContentModel
 

@@ -14,12 +14,14 @@ Run:  python examples/codec_pipeline_demo.py
 import numpy as np
 
 from repro.config import PanelConfig, Resolution
-from repro.display import DisplayPanel, EdpLink
+from repro.display.edp import EdpLink
+from repro.display.panel import DisplayPanel
 from repro.soc.interconnect import Interconnect
 from repro.soc.registers import RegisterFile
 from repro.units import gb_per_s, to_ms
-from repro.video import Codec, CodecConfig, GopStructure, VideoDecoderIP
-from repro.video.frames import DecodedFrame
+from repro.video.codec import Codec, CodecConfig
+from repro.video.decoder import VideoDecoderIP
+from repro.video.frames import DecodedFrame, GopStructure
 
 
 def make_clip(width: int, height: int, count: int) -> list[np.ndarray]:

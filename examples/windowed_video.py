@@ -21,7 +21,8 @@ from repro import (
     PowerModel,
     skylake_tablet,
 )
-from repro.core import WindowedVideoScheme, select_scheme
+from repro.core import WindowedVideoScheme
+from repro.core.fallback import select_scheme
 from repro.soc.registers import RegisterFile
 from repro.video.source import AnalyticContentModel
 

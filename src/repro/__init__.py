@@ -1,13 +1,21 @@
 """BurstLink reproduction — energy-efficient video display for
 conventional and virtual-reality systems (Haj-Yahya et al., MICRO 2021).
 
-The package models the full mobile video-display stack: the SoC with its
-package C-states and PMU, DRAM with the paper's two-part power model, the
-display subsystem (DC, eDP link, panel T-con with RFB/DRFB, PSR/PSR2), a
-functional macroblock codec and VR projection, a frame-window simulator,
-the BurstLink mechanisms (Frame Buffer Bypass + Frame Bursting), every
-baseline the paper compares against, and the validated analytical power
-model that evaluates them all.
+The evaluation path models the mobile video-display stack the way the
+paper's analytical model does: package C-states and the PMU, DRAM with
+the paper's two-part power model, refresh timing, an analytic content
+model for frame sizes, a frame-window simulator, the BurstLink
+mechanisms (Frame Buffer Bypass + Frame Bursting), every baseline the
+paper compares against, and the validated power model that evaluates
+them all.
+
+The functional device models -- the macroblock codec, decoder IP and
+GPU (``repro.video``), the display datapath (``repro.display``), the
+SoC registers, DVFS ladder and interconnect (``repro.soc``), the DRAM
+frame-buffer and traffic models (``repro.dram``) and the capture and
+fallback schemes (``repro.core``) -- are not on that path. No exhibit
+runs them, the package ``__init__``s do not import them, and callers
+import them from their own modules.
 
 Quickstart::
 
@@ -52,9 +60,7 @@ from .core import (
     FrameBufferBypassScheme,
     FrameBurstingScheme,
     HardwareCostModel,
-    SchemeSelector,
     WindowedVideoScheme,
-    select_scheme,
 )
 from .errors import ReproError
 from .pipeline import (
@@ -95,7 +101,6 @@ __all__ = [
     "Resolution",
     "RunResult",
     "SKYLAKE_TABLET_POWER",
-    "SchemeSelector",
     "SystemConfig",
     "Timeline",
     "UHD_4K",
@@ -103,7 +108,6 @@ __all__ = [
     "VR_EYE_RESOLUTIONS",
     "WindowedVideoScheme",
     "breakdown_report",
-    "select_scheme",
     "skylake_tablet",
     "validate_against_paper",
     "vr_headset",

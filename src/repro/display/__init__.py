@@ -1,38 +1,17 @@
-"""Display subsystem substrate: refresh timing, the eDP link, the display
-controller with its chunked fetch path, the panel T-con (eDP receiver,
-pixel formatter, remote frame buffers), and the PSR/PSR2 protocol engine
-(paper Secs. 2.3-2.4)."""
+"""Display subsystem substrate on the evaluation path: refresh timing and
+the window plans the schemes fill (paper Secs. 2.3-2.4).
+
+The functional device models -- the eDP link (``display.edp``), the
+display controller (``display.controller``), the panel T-con and its
+remote frame buffers (``display.panel``, ``display.rfb``,
+``display.pixel_formatter``), DSC, composition and the PSR/PSR2 engine
+-- are not re-exported here and no exhibit runs them. Import them from
+their own modules."""
 
 from .timing import RefreshTiming, WindowKind, WindowPlan
-from .rfb import DoubleRemoteFrameBuffer, RemoteFrameBuffer
-from .edp import EdpLink, EdpLinkState
-from .pixel_formatter import PixelFormatter
-from .psr import PsrEngine, PsrState, SelectiveUpdate
-from .composition import CompositionPlane, CompositionResult, compose, desktop_stack
-from .controller import DisplayController, FetchPlan
-from .dsc import DscConfig, DscLineCodec, with_dsc
-from .panel import DisplayPanel
 
 __all__ = [
-    "CompositionPlane",
-    "CompositionResult",
-    "DisplayController",
-    "DisplayPanel",
-    "DoubleRemoteFrameBuffer",
-    "DscConfig",
-    "DscLineCodec",
-    "compose",
-    "desktop_stack",
-    "with_dsc",
-    "EdpLink",
-    "EdpLinkState",
-    "FetchPlan",
-    "PixelFormatter",
-    "PsrEngine",
-    "PsrState",
     "RefreshTiming",
-    "RemoteFrameBuffer",
-    "SelectiveUpdate",
     "WindowKind",
     "WindowPlan",
 ]

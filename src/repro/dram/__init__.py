@@ -1,17 +1,13 @@
-"""DRAM substrate: power states, the background + operating power model of
-paper Sec. 5.2, frame-buffer region management, and traffic accounting."""
+"""DRAM substrate: power states and the background + operating power
+model of paper Sec. 5.2. Frame-buffer region management
+(``dram.framebuffer``) and traffic accounting (``dram.bandwidth``) are
+not on the evaluation path; import them from their own modules."""
 
 from .states import DramPowerState, dram_state_for_package
 from .power import DramPowerModel
-from .framebuffer import FrameBufferManager, FrameBufferRegion
-from .bandwidth import TrafficMeter, TrafficSample
 
 __all__ = [
     "DramPowerModel",
     "DramPowerState",
-    "FrameBufferManager",
-    "FrameBufferRegion",
-    "TrafficMeter",
-    "TrafficSample",
     "dram_state_for_package",
 ]

@@ -1,6 +1,11 @@
-"""Mobile SoC substrate: package C-states, component power states, the
-power-management unit (PMU), control/status registers, and the IO
-interconnect with its DMA/P2P engines (paper Sec. 2.1-2.2)."""
+"""Mobile SoC substrate on the evaluation path: package C-states,
+component power states and the power-management unit (PMU) (paper
+Secs. 2.1-2.2).
+
+The functional models of the DVFS ladder (``soc.dvfs``), the
+control/status registers (``soc.registers``) and the IO interconnect
+with its DMA/P2P engines (``soc.interconnect``) are not re-exported here
+and no exhibit runs them. Import them from their own modules."""
 
 from .cstates import (
     CSTATE_TRANSITIONS,
@@ -9,15 +14,6 @@ from .cstates import (
     deepest_allowed,
 )
 from .components import Component, ComponentPowerState, ComponentSet
-from .dvfs import DvfsLadder, OperatingPoint, skylake_vd_ladder
-from .registers import RegisterFile, PlaneType, PlaneDescriptor
-from .interconnect import (
-    DmaEngine,
-    Interconnect,
-    P2PEngine,
-    Port,
-    TransferRecord,
-)
 from .pmu import Pmu, PmuFirmware, PlatformState
 
 __all__ = [
@@ -25,21 +21,10 @@ __all__ = [
     "Component",
     "ComponentPowerState",
     "ComponentSet",
-    "DmaEngine",
-    "DvfsLadder",
-    "OperatingPoint",
-    "skylake_vd_ladder",
-    "Interconnect",
-    "P2PEngine",
     "PackageCState",
-    "PlaneDescriptor",
-    "PlaneType",
     "PlatformState",
     "Pmu",
     "PmuFirmware",
-    "Port",
-    "RegisterFile",
-    "TransferRecord",
     "TransitionCost",
     "deepest_allowed",
 ]

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 import numpy as np
+import numpy.random  # eager; see video/source.py
 
 from ..errors import ConfigurationError, SimulationError
 

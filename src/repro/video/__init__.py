@@ -1,7 +1,13 @@
-"""Video pipeline substrate: frame and macroblock types, a functional
-macroblock-based codec, the video decoder IP with BurstLink's destination
-selector, the GPU with VR projective transformation, and the network/
-storage stream source (paper Sec. 2.4)."""
+"""Video pipeline substrate on the evaluation path: frame and macroblock
+types and the frame sources (analytic content model, network/storage
+stream) that every run draws its frame sizes from (paper Sec. 2.4).
+
+The functional device models -- the macroblock codec (``video.codec``,
+``video.bitstream``), the decoder IP (``video.decoder``), the GPU with
+VR projection (``video.gpu``) and the quality metrics
+(``video.metrics``) -- are not re-exported here and no exhibit runs
+them. Import them from their own modules; ``codec`` and ``metrics`` are
+the only modules that load scipy."""
 
 from .frames import (
     DecodedFrame,
@@ -10,10 +16,6 @@ from .frames import (
     GopStructure,
     MACROBLOCK_SIZE,
 )
-from .codec import Codec, CodecConfig
-from .decoder import Destination, VideoDecoderIP
-from .gpu import GpuIP, Viewport
-from .metrics import SequenceQuality, psnr, sequence_quality, ssim
 from .source import (
     AnalyticContentModel,
     AnalyticFrameSource,
@@ -32,21 +34,11 @@ __all__ = [
     "ListFrameSource",
     "RepeatingFrameSource",
     "as_frame_source",
-    "Codec",
-    "CodecConfig",
     "ContentClass",
     "DecodedFrame",
-    "Destination",
     "EncodedFrame",
     "FrameType",
     "GopStructure",
-    "GpuIP",
-    "SequenceQuality",
-    "psnr",
-    "sequence_quality",
-    "ssim",
     "MACROBLOCK_SIZE",
     "StreamSource",
-    "VideoDecoderIP",
-    "Viewport",
 ]

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
 import numpy as np
+import numpy.random  # eager; see video/source.py
 
 from ..config import Resolution
 from ..errors import ConfigurationError

@@ -24,6 +24,10 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Protocol, Sequence, runtime_checkable
 
 import numpy as np
+# numpy loads ``numpy.random`` lazily, on the first ``default_rng``
+# call. Loading it at import keeps that cost in the parent process
+# instead of in every pool worker forked before the first draw.
+import numpy.random
 
 from ..config import Resolution
 from ..errors import BufferUnderflowError, ConfigurationError

@@ -1,9 +1,11 @@
 """Workload definitions and runners for every evaluation scenario in the
 paper: planar streaming and local playback (Figs. 1/9/10/12/13/14a), the
 five 360-degree VR streams (Fig. 11), the Fig. 14b mobile workloads, and
-the Fig. 4 web-browsing phase."""
+the Fig. 4 web-browsing phase. The camera-capture workload
+(``workloads.capture``) and the multi-phase session scenario
+(``workloads.scenario``) are not on the evaluation path; import them
+from their own modules."""
 
-from .capture import CaptureWorkload, capture_run
 from .oled import OledVideoWorkload, oled_video_run
 from .streaming import NetworkStreamWorkload, network_stream_run
 from .standby import (
@@ -12,7 +14,6 @@ from .standby import (
     standby_power_mw,
     standby_timeline,
 )
-from .scenario import Phase, Scenario, ScenarioResult, streaming_session
 from .traces import HeadTrace, HeadTraceParams, generate_head_trace
 from .video import (
     PlanarVideoWorkload,
@@ -26,15 +27,9 @@ from .browsing import browsing_timeline
 __all__ = [
     "AmbientStandbyWorkload",
     "ambient_standby_run",
-    "CaptureWorkload",
     "HeadTrace",
-    "Phase",
-    "Scenario",
-    "ScenarioResult",
-    "capture_run",
     "standby_power_mw",
     "standby_timeline",
-    "streaming_session",
     "HeadTraceParams",
     "MOBILE_WORKLOADS",
     "MobileWorkload",

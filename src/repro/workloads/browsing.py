@@ -15,6 +15,7 @@ arriving in bursts of consecutive windows, deterministic per seed.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # eager; see video/source.py
 
 from ..config import SystemConfig
 from ..errors import ConfigurationError

@@ -175,7 +175,7 @@ class TestDiskCache:
     def test_payload_round_trip_fallback_run(self):
         """A run under the Sec. 4.1 fallback (selector forced back to
         the conventional path) round-trips exactly, stats included."""
-        from repro.core import select_scheme
+        from repro.core.fallback import select_scheme
         from repro.soc.registers import RegisterFile
 
         registers = RegisterFile.full_screen_video()

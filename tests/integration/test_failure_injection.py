@@ -21,7 +21,8 @@ from repro.config import (
     VideoDecoderConfig,
     skylake_tablet,
 )
-from repro.core import BurstLinkScheme, select_scheme
+from repro.core import BurstLinkScheme
+from repro.core.fallback import select_scheme
 from repro.errors import ConfigurationError, DeadlineMissError
 from repro.pipeline import ConventionalScheme, FrameWindowSimulator
 from repro.soc.registers import RegisterFile

@@ -10,13 +10,16 @@ import numpy as np
 import pytest
 
 from repro.config import DisplayControllerConfig, PanelConfig, Resolution
-from repro.display import DisplayPanel, DisplayController, EdpLink
+from repro.display.controller import DisplayController
+from repro.display.edp import EdpLink
+from repro.display.panel import DisplayPanel
 from repro.dram.framebuffer import FrameBufferManager
 from repro.soc.interconnect import DmaEngine, Interconnect, P2PEngine
 from repro.soc.registers import RegisterFile
 from repro.units import gb_per_s, gib, kib
-from repro.video import Codec, CodecConfig, GopStructure, VideoDecoderIP
-from repro.video.frames import DecodedFrame, FrameType
+from repro.video.codec import Codec, CodecConfig
+from repro.video.decoder import VideoDecoderIP
+from repro.video.frames import DecodedFrame, FrameType, GopStructure
 
 
 @pytest.fixture
