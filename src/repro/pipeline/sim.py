@@ -808,16 +808,6 @@ class _CadenceWalker:
             kind=kind,
             frame_index=frame_index,
         )
-        tracer = self.tracer
-        if tracer is not None:
-            span = tracer.begin_span(
-                "sim.window",
-                t=plan.start,
-                index=index,
-                kind=kind.value,
-                frame=frame_label,
-                initial_state=state,
-            )
         result = _stamp_content(
             scheme.plan_window(
                 WindowContext(
@@ -844,7 +834,18 @@ class _CadenceWalker:
             )
         self.fresh_plans += 1
         final_state = timeline.segments[-1].state
+        tracer = self.tracer
         if tracer is not None:
+            # Planning emits no events, so opening the span once the
+            # plan has passed its checks leaves no span open on error.
+            span = tracer.begin_span(
+                "sim.window",
+                t=plan.start,
+                index=index,
+                kind=kind.value,
+                frame=frame_label,
+                initial_state=state,
+            )
             for segment in timeline:
                 tracer.event(
                     "sim.segment",
@@ -1076,8 +1077,15 @@ class FrameWindowSimulator:
                 windows=window_count,
                 vr=vr_work is not None,
             )
-        walker.walk(window_count)
-        run = walker.finish(cache_key=key)
+        try:
+            walker.walk(window_count)
+            run = walker.finish(cache_key=key)
+        except Exception as error:
+            # Close the span so a caught run error can't poison the
+            # tracer's nesting for every span that follows.
+            if tracer is not None:
+                tracer.end_span(run_span, error=type(error).__name__)
+            raise
         if tracer is not None:
             stats = run.stats
             tracer.end_span(

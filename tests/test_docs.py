@@ -14,6 +14,8 @@ DOCS = [
     ROOT / "README.md",
     ROOT / "DESIGN.md",
     ROOT / "EXPERIMENTS.md",
+    ROOT / "docs" / "ARCHITECTURE.md",
+    ROOT / "docs" / "FLEET.md",
     ROOT / "docs" / "MODEL.md",
     ROOT / "docs" / "OBSERVABILITY.md",
     ROOT / "docs" / "STATS.md",
