@@ -33,12 +33,12 @@ drift:
 golden:
 	REPRO_UPDATE_GOLDEN=1 pytest tests/obs/test_golden_traces.py -q
 
-# A 10-minute ambient-standby trace through the streaming path
+# A 3-hour ambient-standby trace through the streaming path
 # (summary retention + repeat-window collapsing): O(1) memory at any
 # duration.  The paired memory gate lives in
 # tests/integration/test_long_trace_memory.py.
 long-trace:
-	python -m repro standby --duration 600
+	python -m repro standby --duration 10800
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; done

@@ -247,8 +247,6 @@ class DramConfig:
     #: streaming frame-buffer chunks (row-buffer friendly, but shared
     #: with every other agent and throttled by the fabric arbiter).
     sustained_fetch_bandwidth: float = gb_per_s(4.0)
-    #: Latency for DRAM to leave self-refresh and serve requests.
-    self_refresh_exit_latency: float = us(10.0)
 
     def __post_init__(self) -> None:
         if self.capacity <= 0:
@@ -292,8 +290,6 @@ class VideoDecoderConfig:
     #: C7 <-> C7' oscillation of Fig. 6).  The wake is a hardware signal
     #: from the PMU — no driver interrupt — so it costs microseconds.
     wake_latency: float = us(5.0)
-    #: Internal buffer for encoded macroblocks (tens of KB per Sec. 2.4).
-    macroblock_buffer: float = kib(64)
 
     def __post_init__(self) -> None:
         if self.max_output_rate <= 0:
@@ -303,8 +299,8 @@ class VideoDecoderConfig:
                 "deadline_utilization must be in (0, 1], got "
                 f"{self.deadline_utilization}"
             )
-        if self.wake_latency < 0 or self.macroblock_buffer <= 0:
-            raise ConfigurationError("decoder latencies/buffers out of range")
+        if self.wake_latency < 0:
+            raise ConfigurationError("decoder wake latency must be >= 0")
 
     def decode_time(self, frame_bytes: float, frame_period: float,
                     race: bool) -> float:

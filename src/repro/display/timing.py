@@ -80,6 +80,13 @@ class RefreshTiming:
                 f"video at {self.video_fps} FPS exceeds the "
                 f"{self.refresh_hz} Hz panel refresh rate"
             )
+        if self.refresh_hz > self.video_fps * 2.0**40:
+            # Keeps every frame's first window (see new_frame_windows)
+            # far inside int64 and exact float arithmetic.
+            raise ConfigurationError(
+                f"video at {self.video_fps} FPS holds each frame for more "
+                f"than 2**40 windows of the {self.refresh_hz} Hz panel"
+            )
 
     @property
     def frame_window(self) -> float:
@@ -129,47 +136,53 @@ class RefreshTiming:
                 frame_index=last_frame,
             )
 
-    def window_table(
+    def new_frame_windows(
         self, count: int, start: int = 0
     ) -> tuple[np.ndarray, np.ndarray]:
-        """The cadence of windows ``[start, start + count)`` as arrays:
-        the frame index shown per window (int64) and the new-frame
-        flags (bool).
+        """The new-frame windows at which frames ``[start, start +
+        count)`` first show, and the frame index each shows (int64).
 
-        Computes the same quantities as :meth:`windows` — identical
-        float expression, truncation, and epsilon — in one vectorized
-        pass, so the cadence walker can group windows without
-        constructing ``count`` :class:`WindowPlan` objects.  Each
-        element depends only on its own absolute index, so chunked
-        calls with increasing ``start`` tile into exactly the single
-        full-length table (the walker reads long cadences this way to
-        keep memory flat in run length).  Window start times are not
-        materialized; they are ``index * duration`` exactly, which
-        callers compute on the rare windows they touch.
+        Computes what :meth:`windows` gives, per frame rather than per
+        window, so a cadence walker pays for screen updates, not refresh
+        windows.  A frame's first window is the least ``i`` whose frame
+        index ``int(step * i + 1e-9)`` has reached it; the estimate
+        ``ceil((k - 1e-9) / step)`` is fixed up against that exact
+        expression.  A frame the cadence skips (a frame rate a hair over
+        the refresh rate) shares its successor's first window, which is
+        listed once, under the earlier frame's call, so chunked calls
+        with increasing ``start`` tile into exactly the single
+        full-length table and the walker keeps memory flat in run
+        length.
         """
         if count < 0:
-            raise ConfigurationError("window count must be >= 0")
+            raise ConfigurationError("frame count must be >= 0")
         if start < 0:
-            raise ConfigurationError("window start must be >= 0")
+            raise ConfigurationError("frame start must be >= 0")
         step = self.video_fps / self.refresh_hz
-        if start:
-            # One extra leading element so the first flag compares
-            # against the true previous window across the chunk seam.
-            ext = (
-                step * np.arange(start - 1, start + count) + 1e-9
-            ).astype(np.int64)
-            due = ext[1:]
-            new = np.empty(count, dtype=bool)
-            np.greater(ext[1:], ext[:-1], out=new)
-            return due, new
-        due = (step * np.arange(count) + 1e-9).astype(np.int64)
-        new = np.empty(count, dtype=bool)
-        if count:
-            # ``due`` is nondecreasing (step > 0), so the running
-            # maximum the generator tracks is just the previous value.
-            new[0] = True
-            np.greater(due[1:], due[:-1], out=new[1:])
-        return due, new
+        # One extra leading frame so a window shared across the chunk
+        # seam is listed once.
+        lead = 1 if start else 0
+        frames = np.arange(start - lead, start + count)
+        first = np.ceil((frames - 1e-9) / step).astype(np.int64)
+        np.maximum(first, 0, out=first)
+        # Far into the cadence, rounding can put the estimate a window
+        # early or late.
+        while True:
+            shown = (step * first + 1e-9).astype(np.int64)
+            early = shown < frames
+            if early.any():
+                first[early] += 1
+                continue
+            late = (first > 0) & (
+                (step * (first - 1) + 1e-9).astype(np.int64) >= frames
+            )
+            if not late.any():
+                break
+            first[late] -= 1
+        keep = np.ones(first.size, dtype=bool)
+        np.not_equal(first[1:], first[:-1], out=keep[1:])
+        keep[:lead] = False
+        return first[keep], shown[keep]
 
     def cadence_pattern(self, count: int) -> str:
         """A compact cadence string, 'N' for new-frame windows and 'R' for

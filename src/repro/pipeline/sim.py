@@ -35,10 +35,10 @@ from .timeline import PanelMode, Timeline, TimelineSummary
 #: summary (O(1) memory for hours-long traces).
 RETAIN_MODES = ("full", "summary")
 
-#: Windows per cadence chunk.  The walker never materializes the whole
-#: window table — chunks keep its memory flat in run length (the
-#: long-trace memory gate pins this).
-_CADENCE_CHUNK = 1024
+#: Frames per cadence chunk.  The walker never materializes the whole
+#: cadence — chunks keep its memory flat in run length (the long-trace
+#: memory gate pins this).
+_CADENCE_CHUNK = 256
 
 
 def _stamp_content(
@@ -561,13 +561,13 @@ class PlanGroup:
 
 def _new_frame_windows(timing: RefreshTiming) -> Iterator[tuple[int, int]]:
     """``(window index, frame index)`` of every new-frame window of the
-    (unbounded) cadence, walked as fixed-size numpy tables so memory
-    stays flat in run length."""
+    (unbounded) cadence, read frame by frame from fixed-size numpy
+    tables, so the walk costs per screen update and memory stays flat
+    in run length."""
     base = 0
     while True:
-        due, new = timing.window_table(_CADENCE_CHUNK, start=base)
-        for offset in np.flatnonzero(new):
-            yield base + int(offset), int(due[offset])
+        windows, frames = timing.new_frame_windows(_CADENCE_CHUNK, start=base)
+        yield from zip(windows.tolist(), frames.tolist())
         base += _CADENCE_CHUNK
 
 
@@ -724,7 +724,7 @@ class _CadenceWalker:
                 phase = None
                 reads = repeat_reads
                 encoded = None
-                stop = min(next_new, limit)
+                stop = next_new if next_new < limit else limit
             wkey = (plan_key, kind, effective_kind, phase, reads, vr, state)
             group = groups.get(wkey)
             result = None

@@ -1,10 +1,9 @@
 """Workload definitions and runners for every evaluation scenario in the
 paper: planar streaming and local playback (Figs. 1/9/10/12/13/14a), the
 five 360-degree VR streams (Fig. 11), the Fig. 14b mobile workloads, and
-the Fig. 4 web-browsing phase. The camera-capture workload
-(``workloads.capture``) and the multi-phase session scenario
-(``workloads.scenario``) are not on the evaluation path; import them
-from their own modules."""
+the Fig. 4 web-browsing phase. The multi-phase session scenario
+(``workloads.scenario``) is not on the evaluation path; import it from
+its own module."""
 
 from .oled import OledVideoWorkload, oled_video_run
 from .streaming import NetworkStreamWorkload, network_stream_run

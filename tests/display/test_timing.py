@@ -1,5 +1,6 @@
 """Refresh timing and the new-frame/repeat cadence."""
 
+import numpy as np
 import pytest
 
 from repro.display.timing import RefreshTiming, WindowKind
@@ -34,6 +35,11 @@ class TestBasics:
             RefreshTiming(bad, 30)
         with pytest.raises(ConfigurationError, match="finite"):
             RefreshTiming(60, bad)
+
+    def test_fps_too_slow_rejected(self):
+        with pytest.raises(ConfigurationError, match="2\\*\\*40"):
+            RefreshTiming(60, 1e-12)
+        RefreshTiming(60, 60 / 2**40)
 
 
 class TestCadence:
@@ -81,3 +87,53 @@ class TestCadence:
         # 59.94 on 60: almost every window new, a repeat every ~1000.
         pattern = RefreshTiming(60, 59.94).cadence_pattern(1000)
         assert pattern.count("R") == 1
+
+
+class TestNewFrameWindows:
+    def test_30_on_60(self):
+        windows, frames = RefreshTiming(60, 30).new_frame_windows(4)
+        assert list(windows) == [0, 2, 4, 6]
+        assert list(frames) == [0, 1, 2, 3]
+
+    def test_skipped_frame_listed_once_across_seams(self):
+        # A frame rate a hair over the refresh rate drops a frame near
+        # window 3e10; every split of the table around it tiles.
+        timing = RefreshTiming(30, 30 + 1e-9)
+        skip = 29_999_940_297
+        windows, frames = timing.new_frame_windows(200, start=skip - 100)
+        assert (frames[1:] - frames[:-1]).max() == 2
+        assert len(windows) == 199
+        for split in range(98, 103):
+            head = timing.new_frame_windows(split, start=skip - 100)
+            tail = timing.new_frame_windows(200 - split,
+                                            start=skip - 100 + split)
+            assert list(head[0]) + list(tail[0]) == list(windows)
+            assert list(head[1]) + list(tail[1]) == list(frames)
+
+    @pytest.mark.parametrize(
+        "refresh, fps, start",
+        [
+            # Far into the cadence the estimate lands late (first
+            # case) or early (second) and the fix-up corrects it.
+            (60.0, 5.925890803214396, 371_771_011_863_082),
+            (120.0, 65.66765805697953, 898_393_755_238_765),
+        ],
+    )
+    def test_matches_windows_far_into_the_cadence(self, refresh, fps,
+                                                  start):
+        timing = RefreshTiming(refresh, fps)
+        windows, frames = timing.new_frame_windows(256, start=start)
+        # The reference: where the exact expression of windows() steps.
+        step = fps / refresh
+        index = np.arange(int(windows[0]) - 1, int(windows[-1]) + 1)
+        due = (step * index + 1e-9).astype(np.int64)
+        new = np.flatnonzero(due[1:] > due[:-1]) + 1
+        assert list(windows) == list(index[new])
+        assert list(frames) == list(due[new])
+        assert frames[0] == start
+
+    def test_negative_arguments_rejected(self):
+        with pytest.raises(ConfigurationError):
+            RefreshTiming(60, 30).new_frame_windows(-1)
+        with pytest.raises(ConfigurationError):
+            RefreshTiming(60, 30).new_frame_windows(4, start=-1)

@@ -1,9 +1,10 @@
 """The long-trace memory gate.
 
 Summary retention exists so that trace length never shows up in memory:
-a 10-minute ambient-standby run must peak within 25% of a 1-minute run.
-This is the CI gate behind ``make long-trace`` — if a change starts
-accumulating per-window state (segments, plans, digests), the 10x
+a 10-minute ambient-standby run must peak within 25% of a 1-minute run,
+and a 3-hour one within 25% of a 20-minute one.  This is the CI gate
+behind ``make long-trace`` — if a change starts accumulating per-window
+or per-frame state (segments, plans, digests, cadence tables), the 9-10x
 duration blows straight through the bound.
 """
 
@@ -21,9 +22,11 @@ from repro.workloads.standby import (
 )
 
 
-def _peak_bytes(duration_s):
+def _peak_bytes(duration_s, update_fps=0.2):
     """Peak traced allocation of one summary-mode ambient run."""
-    workload = AmbientStandbyWorkload(duration_s=duration_s)
+    workload = AmbientStandbyWorkload(
+        duration_s=duration_s, update_fps=update_fps
+    )
     tracemalloc.start()
     try:
         run = ambient_standby_run(
@@ -50,6 +53,23 @@ def test_summary_mode_memory_is_flat_in_duration():
     assert ten_minutes <= one_minute * 1.25, (
         f"10-minute trace peaked at {ten_minutes} bytes, "
         f"1-minute at {one_minute} — summary mode is no longer O(1)"
+    )
+
+
+def test_low_update_rate_memory_is_flat_in_duration():
+    """At 0.2 Hz frames are 300x fewer than windows: a 3-hour session
+    (2,160 updates, past eight cadence chunks) peaks like a 20-minute one
+    (240 updates, inside the first)."""
+    previous = install_run_memo(None)
+    try:
+        _peak_bytes(10.0, update_fps=0.2)
+        twenty_minutes = _peak_bytes(1_200.0, update_fps=0.2)
+        three_hours = _peak_bytes(10_800.0, update_fps=0.2)
+    finally:
+        install_run_memo(previous)
+    assert three_hours <= twenty_minutes * 1.25, (
+        f"3-hour trace peaked at {three_hours} bytes, "
+        f"20-minute at {twenty_minutes} — the cadence is no longer O(1)"
     )
 
 
@@ -87,8 +107,8 @@ def test_unreplayed_windows_fold_as_they_go():
     end-of-run fold: its memory is flat in length too."""
     previous = install_run_memo(None)
     try:
-        # Past the first cadence chunk, so both runs read the same
-        # chunked tables.
+        # Both measured runs are past the first cadence chunk (256
+        # frames), so they read the same chunked tables.
         _unkeyed_peak_bytes(600)
         short = _unkeyed_peak_bytes(1_200)
         long = _unkeyed_peak_bytes(12_000)

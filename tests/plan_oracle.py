@@ -7,7 +7,7 @@ planned from its own frame, kind and entry state through the scheme's
 it stands in for.
 """
 
-from repro.display.timing import RefreshTiming, WindowKind, WindowPlan
+from repro.display.timing import RefreshTiming
 from repro.pipeline.sim import WindowContext, WindowResult
 from repro.pipeline.timeline import TimelineSummary
 from repro.soc.cstates import PackageCState
@@ -21,21 +21,12 @@ def fresh_windows(config, scheme, frames, fps, count=None):
     past the last frame re-present it (clamped), as in the walker.
     """
     timing = RefreshTiming(config.panel.refresh_hz, fps)
-    duration = timing.frame_window
     if count is None:
         count = int(round(len(frames) * timing.windows_per_frame))
-    due, new = timing.window_table(count)
     state = PackageCState.C0
     windows = []
-    for index in range(count):
-        frame_index = int(due[index])
-        plan = WindowPlan(
-            index=index,
-            start=index * duration,
-            duration=duration,
-            kind=WindowKind.NEW_FRAME if new[index] else WindowKind.REPEAT,
-            frame_index=frame_index,
-        )
+    for plan in timing.windows(count):
+        frame_index = plan.frame_index
         result = scheme.plan_window(
             WindowContext(
                 config=config,
@@ -46,7 +37,7 @@ def fresh_windows(config, scheme, frames, fps, count=None):
         )
         kind = (
             "new_frame"
-            if new[index] and frame_index < len(frames)
+            if plan.is_new_frame and frame_index < len(frames)
             else "repeat"
         )
         windows.append((kind, result))

@@ -52,7 +52,6 @@ KEPT_OFF_PATH = {
     "repro.video.decoder": "tests/video/test_decoder.py",
     "repro.video.gpu": "tests/video/test_gpu.py",
     "repro.video.metrics": "tests/video/test_metrics.py",
-    "repro.workloads.capture": "tests/workloads/test_capture.py",
 }
 
 ENTRY_POINTS = ("repro.cli", "repro.__main__")

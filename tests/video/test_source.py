@@ -1,5 +1,6 @@
 """The analytic content model and the jitter-buffer stream source."""
 
+import dataclasses
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from repro.video.frames import FrameType, GopStructure
 from repro.video.source import (
     AnalyticContentModel,
     AnalyticFrameSource,
+    ContentAttributes,
     ContentClass,
     FrameDescriptor,
     ListFrameSource,
@@ -132,6 +134,18 @@ class TestFrameSources:
         assert all(
             f.encoded_bytes == frame.encoded_bytes for f in out
         )
+
+    @pytest.mark.parametrize(
+        "attributes", [None, ContentAttributes(apl=0.85, bitrate_tier=2)]
+    )
+    def test_repeating_copies_equal_replace(self, attributes):
+        frame = dataclasses.replace(
+            AnalyticContentModel().frames(FHD, 1)[0],
+            index=7, attributes=attributes,
+        )
+        assert list(RepeatingFrameSource(frame, 3)) == [
+            dataclasses.replace(frame, index=index) for index in range(3)
+        ]
 
     def test_repeating_fingerprint_is_constant_size(self):
         frame = AnalyticContentModel().frames(FHD, 1)[0]
