@@ -29,7 +29,7 @@ from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..soc.cstates import PackageCState
 from ..video.source import FrameDescriptor, FrameSource, as_frame_source
-from .timeline import PanelMode, Timeline, TimelineSummary
+from .timeline import PanelMode, Segment, Timeline, TimelineSummary
 
 #: What a run keeps: the full per-segment timeline, or only the online
 #: summary (O(1) memory for hours-long traces).
@@ -162,6 +162,9 @@ class DisplayScheme(Protocol):
     the frame's stream position.  A scheme whose plan legitimately
     depends on position (e.g. Zhang's batch cadence) declares exactly
     which function of the index matters via ``frame_phase(frame_index)``.
+    A plan never sees absolute time either: the walker hands every
+    window over starting at ``0.0``, so one plan is the same segment
+    list wherever in the stream it is made.
 
     A scheme may narrow what of the frame its plan-group key holds with
     ``plan_reads(frame) -> (new-frame key, repeat key)``.  Without it
@@ -177,7 +180,7 @@ class DisplayScheme(Protocol):
 
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """Plan one refresh window; the returned timeline must span
-        exactly ``ctx.window.start`` to ``ctx.window.end``."""
+        exactly ``0`` to ``ctx.window.duration``."""
         ...  # pragma: no cover - protocol
 
 
@@ -584,11 +587,13 @@ class _CadenceWalker:
     window is planned fresh, in window order, and an active tracer sees
     a ``sim.window`` span per window; accounting still goes through the
     same groups, so the run's stats and summary do not depend on the
-    memo.  A full-retention run replays a timeline only for windows
-    presenting the very frame content it was planned from, and plans
-    the others fresh, so its segments do not depend on how widely
-    ``plan_reads`` lets windows share a group; its summary counts the
-    segments it retains.
+    memo.  Every window is planned from time zero; a window's place in
+    time is added only where a timeline leaves the walker (a full
+    run's retained segments and trace events).  A full-retention run replays a
+    timeline only for windows presenting the very frame content it was
+    planned from, and plans the others fresh, so its segments do not
+    depend on how widely ``plan_reads`` lets windows share a group, and
+    its summary counts the same segments as a summary run's.
 
     :meth:`walk` advances to a window bound and may be called again
     with a larger one (the streaming front end does); :meth:`finish`
@@ -640,13 +645,13 @@ class _CadenceWalker:
             PackageCState.C0, *next(self.starts), None, None, 0, 0, None,
         )
         self.groups: dict[tuple, PlanGroup] = {}
-        #: Full retention: ``(group, frame content)`` -> the start and
-        #: timeline of the window first planned for that content.
-        self.timeline_plans: dict[tuple, tuple[float, Timeline]] = {}
+        #: Full retention: ``(group, frame content)`` -> the timeline
+        #: first planned for that content.
+        self.timeline_plans: dict[tuple, Timeline] = {}
         #: Groups awaiting the end-of-run fold, in first-use order.
         self.order: list[PlanGroup] = []
-        #: Full retention: each window's timeline and effective kind.
-        self.timelines: list[tuple[Timeline, str]] = []
+        #: Full retention: every window's segments, placed at its start.
+        self.segments: list[Segment] = []
         self.stats = RunStats()
         self.summary = TimelineSummary()
         self.fresh_plans = 0
@@ -742,34 +747,28 @@ class _CadenceWalker:
                 )
                 plan_key = self.plan_key
                 if retain_full and group.stored:
-                    timeline_plans[group, content] = (
-                        index * duration, result.timeline
-                    )
+                    timeline_plans[group, content] = result.timeline
             if encoded is not None:
                 group.staged_delta += encoded - group.frame.encoded_bytes
             count = 1
             if result is not None:
-                if retain_full:
-                    self.timelines.append((result.timeline, effective_kind))
                 state = result.timeline.segments[-1].state
             else:
-                if retain_full:
-                    start, timeline = planned
-                    delta = index * duration - start
-                    self.timelines.append((
-                        timeline
-                        if delta == 0.0
-                        else Timeline(
-                            [segment.shifted(delta) for segment in timeline]
-                        ),
-                        effective_kind,
-                    ))
-                elif group.final_state is state:
+                if not retain_full and group.final_state is state:
                     # Steady state: the window re-enters its own entry
                     # state, so every window up to ``stop`` is this same
                     # plan — account them all at once.
                     count = stop - index
                 state = group.final_state
+            if retain_full:
+                # Plans span their window from time zero; the retained
+                # segments are placed at the window's start.
+                offset = index * duration
+                self.segments.extend(
+                    segment.shifted(offset)
+                    for segment in (planned if result is None
+                                    else result.timeline)
+                )
             group.count += count
             if records is not None:
                 records.append(
@@ -803,7 +802,7 @@ class _CadenceWalker:
         _, kind, effective_kind, _, _, vr, state = wkey
         plan = WindowPlan(
             index=index,
-            start=index * self.duration,
+            start=0.0,
             duration=self.duration,
             kind=kind,
             frame_index=frame_index,
@@ -838,9 +837,12 @@ class _CadenceWalker:
         if tracer is not None:
             # Planning emits no events, so opening the span once the
             # plan has passed its checks leaves no span open on error.
+            # Events carry absolute time: the window's start plus the
+            # plan's own time.
+            start = index * self.duration
             span = tracer.begin_span(
                 "sim.window",
-                t=plan.start,
+                t=start,
                 index=index,
                 kind=kind.value,
                 frame=frame_label,
@@ -849,7 +851,7 @@ class _CadenceWalker:
             for segment in timeline:
                 tracer.event(
                     "sim.segment",
-                    t=segment.start,
+                    t=start + segment.start,
                     state=segment.state,
                     duration=segment.duration,
                     label=segment.label,
@@ -857,7 +859,7 @@ class _CadenceWalker:
                 )
             tracer.end_span(
                 span,
-                t=plan.end,
+                t=start + plan.end,
                 deadline_missed=result.deadline_missed,
                 vd_wakes=result.vd_wakes,
                 used_psr=result.used_psr,
@@ -934,14 +936,10 @@ class _CadenceWalker:
             self._fold(group)
         timeline = None
         if self.retain_full:
-            # A plan made at one start time may carry a float-dust
-            # segment (a ~1e-17 s fill up to the window end) that the
-            # same plan made at another lacks, so a full run counts the
-            # segments it retains, not its groups' plans.
-            self.summary.recount_segments(self.timelines)
-            timeline = Timeline.concatenate(
-                window for window, _ in self.timelines
-            )
+            # Every plan spans its window from time zero, so a plan is
+            # the same segment list whichever window made it, and the
+            # summary already counts exactly these segments.
+            timeline = Timeline(self.segments)
         stats = self.stats
         run = RunResult(
             scheme=self.scheme.name,

@@ -475,23 +475,6 @@ class TimelineSummary:
         totals.dram_read_bytes += nbytes
         totals.dram_write_bytes += nbytes
 
-    def recount_segments(
-        self, windows: Iterable[tuple[Timeline, str]]
-    ) -> None:
-        """Set every class's segment count to its count over
-        ``windows``, ``(timeline, window kind)`` pairs.  A class only
-        they hold is added last with zero quantities (so pricing sums
-        are unchanged)."""
-        counts: dict[SegmentClass, int] = {}
-        for timeline, kind in windows:
-            for segment in timeline.segments:
-                cls_key = SegmentClass.of(segment, kind)
-                counts[cls_key] = counts.get(cls_key, 0) + 1
-        for cls_key, totals in self.buckets.items():
-            totals.segments = counts.pop(cls_key, 0)
-        for cls_key, segments in counts.items():
-            self.buckets[cls_key] = ClassTotals(segments=segments)
-
     def close_window(self, kind: str, duration: float,
                      covered: float) -> None:
         """Record one completed window: its kind, its planned duration

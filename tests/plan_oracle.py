@@ -7,6 +7,8 @@ planned from its own frame, kind and entry state through the scheme's
 it stands in for.
 """
 
+import dataclasses
+
 from repro.display.timing import RefreshTiming
 from repro.pipeline.sim import WindowContext, WindowResult
 from repro.pipeline.timeline import TimelineSummary
@@ -18,7 +20,8 @@ def fresh_windows(config, scheme, frames, fps, count=None):
     completed stream of ``frames`` at ``fps``, each planned fresh.
 
     ``count`` defaults to the window count ``run()`` computes; windows
-    past the last frame re-present it (clamped), as in the walker.
+    past the last frame re-present it (clamped), as in the walker.  Each
+    window is planned from time zero, as the walker plans it.
     """
     timing = RefreshTiming(config.panel.refresh_hz, fps)
     if count is None:
@@ -30,7 +33,7 @@ def fresh_windows(config, scheme, frames, fps, count=None):
         result = scheme.plan_window(
             WindowContext(
                 config=config,
-                window=plan,
+                window=dataclasses.replace(plan, start=0.0),
                 frame=frames[min(frame_index, len(frames) - 1)],
                 initial_state=state,
             )
@@ -49,10 +52,7 @@ def window_quantities(result: WindowResult, kind: str, duration: float,
                       staged_bytes: float = 0.0) -> dict:
     """Class -> (seconds, DRAM read, DRAM write, eDP bytes) of one
     planned window, with ``staged_bytes`` more encoded bytes on its
-    staged segment.  Float-dust classes (under 1e-12 s, such as the
-    fill a schedule needs when it ends just short of the window end) are
-    dropped: a plan made at one start time may carry one that the same
-    plan made at another lacks."""
+    staged segment."""
     digest = TimelineSummary.window_digest(result.timeline, kind, duration)
     if staged_bytes:
         digest.add_staged_bytes(
@@ -67,7 +67,6 @@ def window_quantities(result: WindowResult, kind: str, duration: float,
             totals.edp_bytes,
         )
         for cls_key, totals in digest.buckets.items()
-        if totals.seconds >= 1e-12
     }
 
 
