@@ -80,12 +80,14 @@ class RefreshTiming:
                 f"video at {self.video_fps} FPS exceeds the "
                 f"{self.refresh_hz} Hz panel refresh rate"
             )
-        if self.refresh_hz > self.video_fps * 2.0**40:
-            # Keeps every frame's first window (see new_frame_windows)
-            # far inside int64 and exact float arithmetic.
+        if self.video_fps / self.refresh_hz <= 1e-9:
+            # The cadence's 1e-9 frame epsilon (see windows) must stay
+            # below one window's step, or it shows frames a window or
+            # more early; this also keeps every frame's first window far
+            # inside int64.
             raise ConfigurationError(
-                f"video at {self.video_fps} FPS holds each frame for more "
-                f"than 2**40 windows of the {self.refresh_hz} Hz panel"
+                f"video at {self.video_fps} FPS updates at most 1e-9 "
+                f"times per window of the {self.refresh_hz} Hz panel"
             )
 
     @property

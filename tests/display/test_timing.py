@@ -37,9 +37,15 @@ class TestBasics:
             RefreshTiming(60, bad)
 
     def test_fps_too_slow_rejected(self):
-        with pytest.raises(ConfigurationError, match="2\\*\\*40"):
+        with pytest.raises(ConfigurationError, match="at most 1e-9"):
             RefreshTiming(60, 1e-12)
-        RefreshTiming(60, 60 / 2**40)
+        with pytest.raises(ConfigurationError, match="at most 1e-9"):
+            RefreshTiming(60, 6e-8)
+        # Here the frame epsilon would show frame 1 at window
+        # 143,999,999,856 instead of 144,000,000,000.
+        with pytest.raises(ConfigurationError, match="at most 1e-9"):
+            RefreshTiming(144, 1e-9)
+        RefreshTiming(60, 6.000001e-8)
 
 
 class TestCadence:
