@@ -496,17 +496,6 @@ class SystemConfig:
         """One refresh window in seconds."""
         return self.panel.frame_window
 
-    def with_panel(self, resolution: Resolution,
-                   refresh_hz: float | None = None) -> "SystemConfig":
-        """A copy of this config with a different panel mode."""
-        panel = replace(
-            self.panel,
-            resolution=resolution,
-            refresh_hz=self.panel.refresh_hz if refresh_hz is None
-            else refresh_hz,
-        )
-        return replace(self, panel=panel)
-
     def with_drfb(self) -> "SystemConfig":
         """A copy of this config whose panel carries the BurstLink DRFB."""
         return replace(self, panel=self.panel.with_drfb())

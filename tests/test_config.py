@@ -268,10 +268,6 @@ class TestSystemConfig:
     def test_frame_window(self):
         assert skylake_tablet(FHD).frame_window == pytest.approx(1 / 60)
 
-    def test_with_panel(self):
-        config = skylake_tablet(FHD).with_panel(UHD_4K, refresh_hz=60)
-        assert config.panel.resolution is UHD_4K
-
     def test_with_drfb(self):
         assert skylake_tablet(FHD).with_drfb().panel.has_drfb
 
