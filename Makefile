@@ -1,7 +1,7 @@
 # Developer entry points for the BurstLink reproduction.
 
-.PHONY: install test bench figures examples validate trace golden \
-	profile drift long-trace all
+.PHONY: install test bench bench-rows figures examples validate trace \
+	golden profile drift long-trace all
 
 install:
 	pip install -e . || python setup.py develop
@@ -30,8 +30,12 @@ profile:
 drift:
 	python -m repro validate --json
 
+# Re-pin every pinned artifact: traces, spec CSVs, the fleet report and
+# the per-exhibit work counts.
 golden:
-	REPRO_UPDATE_GOLDEN=1 pytest tests/obs/test_golden_traces.py -q
+	REPRO_UPDATE_GOLDEN=1 pytest tests/obs/test_golden_traces.py \
+		tests/analysis/test_figures.py tests/fleet/test_golden_fleet.py \
+		tests/analysis/test_work_counts.py -q
 
 # A 3-hour ambient-standby trace through the streaming path
 # (summary retention + repeat-window collapsing): O(1) memory at any
