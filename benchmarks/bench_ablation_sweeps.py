@@ -14,7 +14,7 @@ from repro.analysis.sweep import (
     sweep_vrr,
 )
 from repro.config import FHD, QHD, UHD_4K
-from repro.power.validation import validate_against_paper
+from repro.obs.drift import check_drift
 
 
 def test_edp_bandwidth_sweep(run_once):
@@ -55,7 +55,7 @@ def test_vrr_sweep(run_once):
 
 
 def test_model_validation(run_once):
-    result = run_once(validate_against_paper)
+    report = run_once(check_drift, sections=("table2", "fig04"))
     print()
-    print(result.summary())
-    assert result.mean_accuracy >= 0.94
+    print(report.accuracy_summary())
+    assert report.mean_accuracy >= 0.94

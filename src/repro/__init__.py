@@ -74,7 +74,6 @@ from .power import (
     PowerModel,
     SKYLAKE_TABLET_POWER,
     breakdown_report,
-    validate_against_paper,
 )
 from .soc import PackageCState
 
@@ -109,7 +108,6 @@ __all__ = [
     "WindowedVideoScheme",
     "breakdown_report",
     "skylake_tablet",
-    "validate_against_paper",
     "vr_headset",
     "__version__",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 
 from ..errors import ConfigurationError
-from ..power.validation import validate_against_paper
 
 
 def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
@@ -13,7 +12,9 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
     non-zero when any anchor leaves its tolerance band).  With
     ``--seeds N`` every anchor is re-measured under N content seeds
     and gated on CI-vs-paper-band overlap instead of the point
-    check."""
+    check.  The accuracy table is read from the report's Sec. 5.3
+    rows, so it shows whenever the selected sections measure all of
+    them (accuracy of the seed mean under ``--seeds N``)."""
     from ..obs import drift
 
     if args.seeds < 1:
@@ -29,30 +30,18 @@ def cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
         )
     else:
         report = drift.check_drift(sections=sections, jobs=args.jobs)
-    validation = validate_against_paper() if not args.section else None
+    validated = bool(report.accuracy_rows())
     code = 0 if report.ok else 1
     if args.json:
         import json as json_module
 
         payload: dict = {"drift": report.to_dict(), "ok": report.ok}
-        if validation is not None:
-            payload["validation"] = {
-                "mean_accuracy": validation.mean_accuracy,
-                "anchors": [
-                    {
-                        "name": anchor.name,
-                        "paper": anchor.paper_value,
-                        "model": anchor.model_value,
-                        "unit": anchor.unit,
-                        "accuracy": anchor.accuracy,
-                    }
-                    for anchor in validation.anchors
-                ],
-            }
+        if validated:
+            payload["validation"] = report.accuracy_dict()
         return json_module.dumps(payload, indent=2, sort_keys=True), code
     parts = []
-    if validation is not None:
-        parts.append(validation.summary())
+    if validated:
+        parts.append(report.accuracy_summary())
     parts.append(report.summary())
     return "\n\n".join(parts), code
 

@@ -1,7 +1,7 @@
 """DRAM substrate: power states and the background + operating power
 model of paper Sec. 5.2. Frame-buffer region management
-(``dram.framebuffer``) and traffic accounting (``dram.bandwidth``) are
-not on the evaluation path; import them from their own modules."""
+(``dram.framebuffer``) is not on the evaluation path; import it from
+its own module."""
 
 from .states import DramPowerState, dram_state_for_package
 from .power import DramPowerModel

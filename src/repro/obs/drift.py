@@ -9,7 +9,9 @@ EXPERIMENTS.md) and no wider.  ``repro validate`` regenerates the
 exhibits behind the selected anchors, reads each anchor from its
 figure's registry metrics, and fails (non-zero exit) the moment one
 leaves its band, so modelling drift is caught the same way a broken
-test is.
+test is.  Eight of the anchors are also the paper's Sec. 5.3 model
+validation points; the report's accuracy table reads them from the
+same rows.
 """
 
 from __future__ import annotations
@@ -33,6 +35,21 @@ DRIFT_SECTIONS = (
 #: default ``repro validate`` run stays the paper's 19 anchors.
 #: Select them explicitly (``repro validate --section oled``) — CI does.
 SCENARIO_SECTIONS = ("oled", "netstream")
+
+#: The Sec. 5.3 model-validation anchors: the Table 2 and Fig. 4
+#: operating points the paper checks its model against a measured
+#: Skylake tablet at (~96% accuracy).  The report's accuracy table and
+#: mean accuracy are taken over these rows, in this order.
+ACCURACY_KEYS = (
+    "table2.baseline.avg_mw",
+    "table2.baseline.c0_pct",
+    "table2.baseline.c2_pct",
+    "table2.baseline.c8_pct",
+    "table2.burstlink.avg_mw",
+    "table2.burstlink.c7_pct",
+    "table2.burstlink.c9_pct",
+    "fig04.streaming_avg_mw",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +144,16 @@ class DriftRow:
         """Signed distance from the paper value, in the unit."""
         return self.actual - self.expectation.paper
 
+    @property
+    def accuracy(self) -> float:
+        """1 - |relative error| against the paper value (the Sec. 5.3
+        accuracy metric); a zero paper value reads 1.0 only when
+        ``actual`` is zero too."""
+        paper = self.expectation.paper
+        if paper == 0:
+            return 1.0 if self.actual == 0 else 0.0
+        return 1.0 - abs(self.actual - paper) / abs(paper)
+
 
 @dataclass
 class DriftReport:
@@ -148,6 +175,60 @@ class DriftReport:
     def interval(self) -> bool:
         """Whether any row carries a multi-seed CI."""
         return any(row.estimate is not None for row in self.rows)
+
+    def accuracy_rows(self) -> list[DriftRow]:
+        """The Sec. 5.3 accuracy table: the rows named by
+        :data:`ACCURACY_KEYS`, in that order — empty unless the report
+        holds all of them."""
+        by_key = {row.expectation.key: row for row in self.rows}
+        if not all(key in by_key for key in ACCURACY_KEYS):
+            return []
+        return [by_key[key] for key in ACCURACY_KEYS]
+
+    @property
+    def mean_accuracy(self) -> float:
+        """Mean accuracy over :meth:`accuracy_rows` (the paper reports
+        ~96%); 0.0 when the table is empty."""
+        rows = self.accuracy_rows()
+        if not rows:
+            return 0.0
+        return sum(row.accuracy for row in rows) / len(rows)
+
+    def accuracy_summary(self) -> str:
+        """The aligned Sec. 5.3 accuracy table ``repro validate``
+        prints above the drift table."""
+        from ..analysis.report import format_table
+
+        table_rows = [
+            (
+                row.expectation.key,
+                f"{row.expectation.paper:g} {row.expectation.unit}",
+                f"{row.actual:.1f}",
+                f"{row.accuracy * 100:.1f}%",
+            )
+            for row in self.accuracy_rows()
+        ]
+        return (
+            format_table(("anchor", "paper", "model", "acc"), table_rows)
+            + f"\nmean accuracy: {self.mean_accuracy * 100:.1f}%"
+        )
+
+    def accuracy_dict(self) -> dict[str, Any]:
+        """The accuracy table as the ``validation`` block of
+        ``repro validate --json``."""
+        return {
+            "mean_accuracy": self.mean_accuracy,
+            "anchors": [
+                {
+                    "key": row.expectation.key,
+                    "paper": row.expectation.paper,
+                    "model": row.actual,
+                    "unit": row.expectation.unit,
+                    "accuracy": row.accuracy,
+                }
+                for row in self.accuracy_rows()
+            ],
+        }
 
     def summary(self) -> str:
         """The aligned drift table ``repro validate`` appends.

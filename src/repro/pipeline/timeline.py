@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ..errors import SimulationError
 from ..soc.cstates import PackageCState
@@ -186,22 +186,6 @@ class Timeline:
                 f"ends at {self.segments[-1].end}"
             )
         self.segments.append(segment)
-
-    def extend(self, other: "Timeline") -> None:
-        """Append another timeline, shifting it to start where this one
-        ends."""
-        offset = self.end - other.start
-        for segment in other.segments:
-            self.append(segment.shifted(offset))
-
-    @classmethod
-    def concatenate(cls, timelines: Iterable["Timeline"]) -> "Timeline":
-        """Join timelines back to back (each shifted to follow the
-        previous)."""
-        result = cls()
-        for timeline in timelines:
-            result.extend(timeline)
-        return result
 
     # -- residency accounting ---------------------------------------------------
 

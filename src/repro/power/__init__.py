@@ -1,6 +1,5 @@
 """The analytical power model of paper Sec. 5.2, its Skylake-anchored
-calibration (Sec. 5.3), component-level energy breakdown, and the model
-validation harness."""
+calibration (Sec. 5.3) and component-level energy breakdown."""
 
 from .calibration import ComponentPowerLibrary, SKYLAKE_TABLET_POWER
 from .model import (
@@ -10,7 +9,6 @@ from .model import (
     PowerModel,
 )
 from .breakdown import SystemBreakdown, breakdown_report
-from .validation import ValidationResult, validate_against_paper
 
 __all__ = [
     "CStateSummary",
@@ -20,7 +18,5 @@ __all__ = [
     "PowerModel",
     "SKYLAKE_TABLET_POWER",
     "SystemBreakdown",
-    "ValidationResult",
     "breakdown_report",
-    "validate_against_paper",
 ]

@@ -1,11 +1,13 @@
-"""The paper-drift regression gate."""
+"""The paper-drift regression gate and its Sec. 5.3 accuracy table."""
 
 import dataclasses
 
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.cli import main
 from repro.obs.drift import (
+    ACCURACY_KEYS,
     DRIFT_SECTIONS,
     PAPER_EXPECTATIONS,
     Expectation,
@@ -263,3 +265,113 @@ class TestCheckDriftInterval:
         assert report.ok, report.summary()
         assert report.interval
         assert all(r.estimate.n == 2 for r in report.rows)
+
+
+def _row(paper, actual):
+    return Expectation("k", "s", "d", paper, "mW", tol_abs=1.0).check(
+        actual
+    )
+
+
+def _validation_report(**overrides):
+    """A point report over table2 + fig04 with every anchor at its
+    paper value except ``overrides`` (key -> fraction of paper)."""
+    actuals = {e.key: e.paper for e in PAPER_EXPECTATIONS}
+    for key, fraction in overrides.items():
+        actuals[key] *= fraction
+    return check_drift(actuals=actuals, sections=("table2", "fig04"))
+
+
+class TestAccuracy:
+    def test_perfect_accuracy(self):
+        assert _row(100.0, 100.0).accuracy == 1.0
+
+    def test_ten_percent_error(self):
+        assert _row(100.0, 110.0).accuracy == pytest.approx(0.9)
+
+    def test_zero_paper_value(self):
+        assert _row(0.0, 0.0).accuracy == 1.0
+        assert _row(0.0, 5.0).accuracy == 0.0
+
+
+class TestAccuracyTable:
+    def test_keys_name_paper_expectations(self):
+        known = {e.key for e in PAPER_EXPECTATIONS}
+        assert len(set(ACCURACY_KEYS)) == 8
+        assert set(ACCURACY_KEYS) <= known
+
+    def test_mean_accuracy(self):
+        report = _validation_report(**{"table2.baseline.avg_mw": 0.9})
+        assert report.mean_accuracy == pytest.approx((7 + 0.9) / 8)
+
+    def test_worst(self):
+        report = _validation_report(**{"fig04.streaming_avg_mw": 0.5})
+        worst = min(report.accuracy_rows(), key=lambda r: r.accuracy)
+        assert worst.expectation.key == "fig04.streaming_avg_mw"
+        assert worst.accuracy == pytest.approx(0.5)
+
+    def test_empty_result(self):
+        actuals = {e.key: e.paper for e in PAPER_EXPECTATIONS}
+        report = check_drift(actuals=actuals, sections=("table2",))
+        assert report.accuracy_rows() == []
+        assert report.mean_accuracy == 0.0
+
+
+class TestAgainstPaper:
+    """The headline check: the reproduction achieves the paper's own
+    claimed model accuracy (~96%) at the Sec. 5.3 anchors."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        return check_drift(sections=("table2", "fig04"))
+
+    def _accuracy(self, report, key):
+        row = next(
+            r for r in report.accuracy_rows() if r.expectation.key == key
+        )
+        return row.accuracy
+
+    def test_mean_accuracy_at_least_94_percent(self, report):
+        assert report.mean_accuracy >= 0.94
+
+    def test_every_anchor_at_least_80_percent(self, report):
+        assert min(r.accuracy for r in report.accuracy_rows()) >= 0.80
+
+    def test_all_eight_anchors_present(self, report):
+        assert [
+            r.expectation.key for r in report.accuracy_rows()
+        ] == list(ACCURACY_KEYS)
+
+    def test_baseline_avgp_within_5_percent(self, report):
+        assert self._accuracy(report, "table2.baseline.avg_mw") >= 0.95
+
+    def test_burstlink_avgp_within_6_percent(self, report):
+        assert self._accuracy(report, "table2.burstlink.avg_mw") >= 0.94
+
+    def test_summary_renders(self, report):
+        text = report.accuracy_summary()
+        assert "mean accuracy" in text
+        assert "table2.baseline.avg_mw" in text
+
+    def test_model_values_equal_actuals(self, report):
+        actuals = {r.expectation.key: r.actual for r in report.rows}
+        anchors = report.accuracy_dict()["anchors"]
+        assert [a["key"] for a in anchors] == list(ACCURACY_KEYS)
+        for anchor in anchors:
+            assert anchor["model"] == actuals[anchor["key"]]
+
+
+class TestValidateCommand:
+    def test_table2_and_fig04_print_the_table(self, capsys):
+        code = main(["validate", "--section", "table2", "--section", "fig04"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mean accuracy" in out
+        assert "drift gate: PASS (9 anchors in band)" in out
+
+    def test_fig01_omits_the_table(self, capsys):
+        code = main(["validate", "--section", "fig01"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "mean accuracy" not in out
+        assert "drift gate: PASS" in out

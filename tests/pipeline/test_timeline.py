@@ -128,22 +128,6 @@ class TestTimelineStructure:
         with pytest.raises(SimulationError):
             timeline.append(seg(2.0, 3.0, PackageCState.C8))
 
-    def test_extend_shifts(self):
-        a = Timeline([seg(0.0, 1.0, PackageCState.C0)])
-        b = Timeline([seg(0.0, 2.0, PackageCState.C8)])
-        a.extend(b)
-        assert a.end == 3.0
-
-    def test_concatenate(self):
-        parts = [
-            Timeline([seg(0.0, 1.0, PackageCState.C0)]),
-            Timeline([seg(0.0, 1.0, PackageCState.C8)]),
-            Timeline([seg(0.0, 1.0, PackageCState.C9)]),
-        ]
-        joined = Timeline.concatenate(parts)
-        assert joined.duration == 3.0
-        assert len(joined) == 3
-
     def test_empty_timeline(self):
         empty = Timeline()
         assert empty.duration == 0.0

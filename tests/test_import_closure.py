@@ -43,7 +43,6 @@ KEPT_OFF_PATH = {
     "repro.display.pixel_formatter": "tests/display/test_pixel_formatter.py",
     "repro.display.psr": "tests/display/test_psr.py",
     "repro.display.rfb": "tests/display/test_rfb.py",
-    "repro.dram.bandwidth": "tests/dram/test_bandwidth.py",
     "repro.dram.framebuffer": "tests/dram/test_framebuffer.py",
     "repro.soc.dvfs": "tests/soc/test_dvfs.py",
     "repro.soc.interconnect": "tests/soc/test_interconnect.py",
