@@ -37,12 +37,13 @@ golden:
 		tests/analysis/test_figures.py tests/fleet/test_golden_fleet.py \
 		tests/analysis/test_work_counts.py -q
 
-# A 3-hour ambient-standby trace through the streaming path
-# (summary retention + repeat-window collapsing): O(1) memory at any
+# A 24-hour ambient-standby session at 2 Hz, the update rate with the
+# most updates per session, through the summary path (summary retention,
+# plan replay and block walking): O(1) memory and near-O(1) time at any
 # duration.  The paired memory gate lives in
 # tests/integration/test_long_trace_memory.py.
 long-trace:
-	python -m repro standby --duration 10800
+	python -m repro standby --duration 86400 --update-fps 2
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; done

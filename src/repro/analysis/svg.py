@@ -9,11 +9,20 @@ actual figure artifacts (``python -m repro figures --out figures/``).
 
 from __future__ import annotations
 
-import xml.sax.saxutils as saxutils
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..errors import ConfigurationError
+
+
+def _escape(text: str) -> str:
+    """``text`` as SVG character data: ``&``, ``<`` and ``>`` escaped,
+    as ``xml.sax.saxutils.escape`` does (importing that loads
+    ``urllib``, ``http`` and ``ssl``, several MB per process)."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(
+        ">", "&gt;"
+    )
+
 
 #: A colour cycle that survives grayscale printing.
 _PALETTE = ("#4878a8", "#e49444", "#6aa46a", "#b05555", "#8064a2")
@@ -70,7 +79,7 @@ class BarChart:
             f'fill="white"/>',
             f'<text x="{self.width / 2}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14" '
-            f'font-weight="bold">{saxutils.escape(self.title)}</text>',
+            f'font-weight="bold">{_escape(self.title)}</text>',
         ]
 
         # Y axis with four gridlines.
@@ -96,7 +105,7 @@ class BarChart:
                 f'font-family="sans-serif" font-size="11" '
                 f'text-anchor="middle" transform="rotate(-90 14 '
                 f'{margin_top + plot_h / 2:.1f})">'
-                f"{saxutils.escape(self.y_label)}</text>"
+                f"{_escape(self.y_label)}</text>"
             )
 
         # Bars.
@@ -127,7 +136,7 @@ class BarChart:
             parts.append(
                 f'<text x="{x:.1f}" y="{margin_top + plot_h + 16}" '
                 f'text-anchor="middle" font-family="sans-serif" '
-                f'font-size="11">{saxutils.escape(category)}</text>'
+                f'font-size="11">{_escape(category)}</text>'
             )
 
         # Legend.
@@ -142,7 +151,7 @@ class BarChart:
             parts.append(
                 f'<text x="{legend_x + 14}" y="{legend_y}" '
                 f'font-family="sans-serif" font-size="11">'
-                f"{saxutils.escape(label)}</text>"
+                f"{_escape(label)}</text>"
             )
             legend_x += 24 + 7 * len(label)
 

@@ -133,10 +133,6 @@ class AxisSpec:
                     f"got {weight!r}"
                 )
 
-    @property
-    def total_weight(self) -> float:
-        return sum(self.weights)
-
     def to_payload(self) -> dict[str, Any]:
         return {
             "values": list(self.values),

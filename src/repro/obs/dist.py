@@ -32,19 +32,16 @@ import json
 import os
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait as futures_wait,
-)
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ..errors import ConfigurationError
 from . import metrics as obs_metrics
 from . import trace as obs_trace
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Merged-event field carrying the 1-based worker index.
 WORKER_FIELD = "w"
@@ -112,7 +109,11 @@ def _init_worker(parent_pid: int) -> None:
 
 def process_pool(workers: int) -> ProcessPoolExecutor:
     """A process pool for fan-out work whose workers exit when this
-    process dies, however it dies."""
+    process dies, however it dies.  (``concurrent.futures`` loads
+    ``multiprocessing`` and ``logging``, ~2 MB, so only processes that
+    fan out import it.)"""
+    from concurrent.futures import ProcessPoolExecutor
+
     return ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
@@ -419,6 +420,8 @@ def fan_out(
         collect_trace=tracer is not None,
         disable_memo=sim.active_run_memo() is None,
     )
+    from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
+
     telemetry: list[Any] = [None] * len(tasks)
     queue = iter(enumerate(tasks))
     with process_pool(workers) as pool:

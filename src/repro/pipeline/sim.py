@@ -161,10 +161,11 @@ class DisplayScheme(Protocol):
     attributes) and the window's kind/duration/entry state — never from
     the frame's stream position.  A scheme whose plan legitimately
     depends on position (e.g. Zhang's batch cadence) declares exactly
-    which function of the index matters via ``frame_phase(frame_index)``.
-    A plan never sees absolute time either: the walker hands every
-    window over starting at ``0.0``, so one plan is the same segment
-    list wherever in the stream it is made.
+    which function of the index matters via ``frame_phase(frame_index)``;
+    a phase of ``None`` says the index never matters.  A plan never sees
+    absolute time either: the walker hands every window over starting
+    at ``0.0``, so one plan is the same segment list wherever in the
+    stream it is made.
 
     A scheme may narrow what of the frame its plan-group key holds with
     ``plan_reads(frame) -> (new-frame key, repeat key)``.  Without it
@@ -562,16 +563,94 @@ class PlanGroup:
         return self.effective_kind == "new_frame"
 
 
-def _new_frame_windows(timing: RefreshTiming) -> Iterator[tuple[int, int]]:
+def _new_frame_windows(
+    timing: RefreshTiming, start: int = 0
+) -> Iterator[tuple[int, int]]:
     """``(window index, frame index)`` of every new-frame window of the
-    (unbounded) cadence, read frame by frame from fixed-size numpy
-    tables, so the walk costs per screen update and memory stays flat
+    (unbounded) cadence from the one showing frame ``start`` on, read
+    update by update from fixed-size numpy tables, so memory stays flat
     in run length."""
-    base = 0
+    base = start
     while True:
         windows, frames = timing.new_frame_windows(_CADENCE_CHUNK, start=base)
         yield from zip(windows.tolist(), frames.tolist())
         base += _CADENCE_CHUNK
+
+
+def _block_end(
+    timing: RefreshTiming,
+    limit: int,
+    frame_end: int,
+    window: int,
+    frame: int,
+) -> tuple[int, tuple[int, int], tuple[int, int]]:
+    """How far a block of steady updates reaches from the update that
+    shows ``frame`` at ``window``.
+
+    An update fits the block when its frame is below ``frame_end`` and
+    the next update starts by window ``limit``.  Reads the same chunked
+    tables as :func:`_new_frame_windows`, a chunk at a time, and returns
+    how many updates fit in a row, the last of them and the one after
+    it, each as ``(window, frame)``.
+    """
+    # ``tail`` holds the two updates before the chunk (a placeholder
+    # and the block's first update to begin with): in the chunk
+    # extended by them, entry ``j`` is update ``fitted - 1 + j``.
+    tail_windows = np.array([window, window], dtype=np.int64)
+    tail_frames = np.array([frame, frame], dtype=np.int64)
+    fitted = 0
+    base = frame + 1
+    while True:
+        chunk_windows, chunk_frames = timing.new_frame_windows(
+            _CADENCE_CHUNK, start=base
+        )
+        windows = np.concatenate((tail_windows, chunk_windows))
+        frames = np.concatenate((tail_frames, chunk_frames))
+        count = chunk_windows.size
+        # Entries 1..count are updates whose successor is in the chunk.
+        fit = min(
+            int(np.searchsorted(windows[2:], limit, side="right")),
+            int(np.searchsorted(frames[1:-1], frame_end)),
+        )
+        if fit < count:
+            return (
+                fitted + fit,
+                (int(windows[fit]), int(frames[fit])),
+                (int(windows[fit + 1]), int(frames[fit + 1])),
+            )
+        fitted += count
+        tail_windows = windows[-2:]
+        tail_frames = frames[-2:]
+        base += _CADENCE_CHUNK
+
+
+class _RunCursor:
+    """The walker's place in a source that reports runs of one content
+    (``content_run``).  Frames are pulled by index, so the walker skips
+    a block of a run by moving :attr:`index`, without building the
+    block's descriptors."""
+
+    __slots__ = ("content_run", "index", "run_end")
+
+    def __init__(
+        self,
+        content_run: Callable[[int], "tuple[FrameDescriptor, int] | None"],
+    ) -> None:
+        self.content_run = content_run
+        #: The next frame to pull.
+        self.index = 0
+        #: Frames below this index share the last pulled frame's content.
+        self.run_end = 0
+
+    def pull(self) -> FrameDescriptor | None:
+        """The next frame, or ``None`` when the source has run dry."""
+        found = self.content_run(self.index)
+        if found is None:
+            return None
+        frame, run = found
+        self.run_end = self.index + run
+        self.index += 1
+        return frame
 
 
 class _CadenceWalker:
@@ -583,7 +662,20 @@ class _CadenceWalker:
     :class:`PlanGroup`.  With the memo on — untraced, and the scheme
     exposes ``plan_key()`` — a window whose group already exists
     replays it without planning, and a repeat run that re-enters its
-    own entry state is accounted in O(1).  With the memo off every
+    own entry state is accounted in O(1).  A summary run of a source
+    that reports runs of one content (:class:`_RunCursor`), without VR
+    work or a streaming observer, goes further once its updates reach
+    a fixed point: when the new-frame group re-enters its own entry
+    state, its frame phase is ``None`` and it staged exactly its
+    planned frame's bytes, and the repeat group at that state
+    re-enters it too, a block of ``K`` same-content updates ending at
+    window ``first[K]`` adds ``K`` windows to the new-frame group and
+    ``first[K] - first[0] - K`` to the repeat group, where ``first`` is
+    the window at which each update shows (:func:`_block_end`).  All
+    but the block's last update are accounted that way, their frames
+    skipped rather than built; the last is walked as usual, so the walk
+    ends on a real descriptor.  A run then costs per content change,
+    not per update.  With the memo off every
     window is planned fresh, in window order, and an active tracer sees
     a ``sim.window`` span per window; accounting still goes through the
     same groups, so the run's stats and summary do not depend on the
@@ -611,6 +703,7 @@ class _CadenceWalker:
         max_windows: int | None = None,
         retain_full: bool = False,
         records: list | None = None,
+        runs: _RunCursor | None = None,
     ) -> None:
         if max_windows is not None and max_windows < 1:
             raise ConfigurationError(
@@ -623,6 +716,9 @@ class _CadenceWalker:
         self.duration = self.timing.frame_window
         #: The next frame of the stream, or ``None`` when it has run dry.
         self.pull = pull
+        #: The cursor behind ``pull`` when the source reports runs of
+        #: one content, which lets :meth:`walk` account blocks.
+        self.runs = runs
         self.vr_iter = vr_work
         self.retain_full = retain_full
         #: When set, every accounted run of windows is appended as
@@ -667,9 +763,22 @@ class _CadenceWalker:
 
         Each pass of the loop accounts one window to its group — or, on
         a steady repeat run with the memo on, every window up to the
-        next new-frame window at once.  The walk's state lives in
-        locals and is saved in ``_cursor`` on the way out.
+        next new-frame window at once.  Where the source reports runs of
+        one content (:class:`_RunCursor`) and the run's windows would
+        all replay, a run's updates at their fixed point are accounted
+        as one block (see :class:`_CadenceWalker`).  The walk's state
+        lives in locals and is saved in ``_cursor`` on the way out.
         """
+        runs = self.runs
+        blocks = (
+            runs is not None and self.memo and self.records is None
+            and not self.retain_full and self.vr_iter is None
+        )
+        # The new-frame group of the last update when it is at its
+        # fixed point: replayable, re-entering its own entry state,
+        # index-free, and staging exactly its planned frame's bytes.
+        steady: PlanGroup | None = None
+        timing = self.timing
         groups = self.groups
         timeline_plans = self.timeline_plans
         order = self.order
@@ -690,6 +799,34 @@ class _CadenceWalker:
             if index == next_new:
                 frame_index = next_frame
                 next_new, next_frame = next(starts)
+                if (
+                    steady is not None
+                    and steady.final_state is state
+                    and next_new <= limit
+                    and frame_index < runs.run_end
+                ):
+                    repeat = groups.get((
+                        plan_key, WindowKind.REPEAT, "repeat", None,
+                        repeat_reads, None, state,
+                    ))
+                    if repeat is not None and repeat.final_state is state:
+                        updates, last, after = _block_end(
+                            timing, limit, runs.run_end, index,
+                            frame_index,
+                        )
+                        if updates > 1:
+                            # Every update but the last replays the
+                            # same two groups: account them at once and
+                            # walk the last one as usual.
+                            skipped = updates - 1
+                            steady.count += skipped
+                            repeat.count += last[0] - index - skipped
+                            index, frame_index = last
+                            next_new, next_frame = after
+                            starts = _new_frame_windows(
+                                timing, next_frame + 1
+                            )
+                            runs.index = pulled = frame_index
                 while pulled <= frame_index:
                     pulled_frame = pull()
                     if pulled_frame is None:
@@ -746,10 +883,22 @@ class _CadenceWalker:
                     index, frame_index, frame, pulled - 1, wkey, group
                 )
                 plan_key = self.plan_key
+                if not group.stored:
+                    # The plan moved the scheme's key: later updates
+                    # file under other groups.
+                    steady = None
                 if retain_full and group.stored:
                     timeline_plans[group, content] = result.timeline
             if encoded is not None:
                 group.staged_delta += encoded - group.frame.encoded_bytes
+                if blocks:
+                    steady = group if (
+                        group.stored
+                        and group.final_state is state
+                        and phase is None
+                        and effective_kind == "new_frame"
+                        and encoded == group.frame.encoded_bytes
+                    ) else None
             count = 1
             if result is not None:
                 state = result.timeline.segments[-1].state
@@ -782,6 +931,7 @@ class _CadenceWalker:
                 # that never replay stay O(1) in memory.
                 self._fold(order.pop())
         self.index = index
+        self.starts = starts
         self._cursor = (state, next_new, next_frame, frame, vr, pulled,
                         frame_index, repeat_reads)
 
@@ -1047,12 +1197,19 @@ class FrameWindowSimulator:
                 cached = memo.load(key)
                 if cached is not None:
                     return cached
+        content_run = getattr(source, "content_run", None)
+        if content_run is not None:
+            runs = _RunCursor(content_run)
+            pull = runs.pull
+        else:
+            runs = None
+            pull = functools.partial(next, iter(source), None)
         walker = _CadenceWalker(
-            self.config, self.scheme, video_fps,
-            functools.partial(next, iter(source), None),
+            self.config, self.scheme, video_fps, pull,
             vr_work=iter(vr_work) if vr_work is not None else None,
             max_windows=max_windows,
             retain_full=retain == "full",
+            runs=runs,
         )
         if max_windows is not None:
             window_count = max_windows

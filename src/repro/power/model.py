@@ -172,14 +172,6 @@ class EnergyReport:
             raise SimulationError("report covers no time")
         return self.total_energy_mj / self.duration_s
 
-    @property
-    def dram_energy_mj(self) -> float:
-        """DRAM energy (background + traffic)."""
-        return (
-            self.by_component_mj["dram_background"]
-            + self.by_component_mj["dram_traffic"]
-        )
-
     def energy_per_frame_window(self, window_s: float) -> float:
         """Average energy (mJ) per refresh window of length ``window_s``."""
         if window_s <= 0:

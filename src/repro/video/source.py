@@ -279,7 +279,10 @@ class FrameSource(Protocol):
     the caller to pass ``max_windows``.  ``fingerprint_token`` returns a
     compact canonical description of the stream for run memoization, or
     raises ``TypeError`` when the stream cannot be fingerprinted without
-    materializing it.
+    materializing it.  A source whose frames come in long runs of one
+    content may also implement ``content_run(index)`` (see
+    :meth:`RepeatingFrameSource.content_run`): the simulator then reads
+    frames by index and accounts a run's steady windows in blocks.
     """
 
     def __iter__(self) -> Iterator[FrameDescriptor]:
@@ -334,6 +337,23 @@ class RepeatingFrameSource:
 
     def __len__(self) -> int:
         return self.count
+
+    def content_run(
+        self, index: int
+    ) -> "tuple[FrameDescriptor, int] | None":
+        """Frame ``index`` and how many frames from it on share its
+        content (all the rest), or ``None`` past the end.
+
+        The cadence walker pulls through this instead of iterating, so
+        it can skip a block of identical frames without building their
+        descriptors."""
+        if not 0 <= index < self.count:
+            return None
+        frame = self.frame
+        return FrameDescriptor(
+            index, frame.frame_type, frame.encoded_bytes,
+            frame.decoded_bytes, frame.attributes,
+        ), self.count - index
 
     def fingerprint_token(self) -> Any:
         return ("frames/repeat", self.frame, self.count)

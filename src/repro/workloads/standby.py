@@ -89,9 +89,10 @@ class AmbientStandbyWorkload:
     updates rarely — a lock-screen clock, an always-on dashboard.
 
     Almost every refresh window is a repeat of the same frame, which is
-    the regime repeat-window collapsing targets: the simulator plans the
-    first repeat and replays it (time-shifted) for the rest, so hour-long
-    ambient traces cost roughly one planned window per content update.
+    the regime plan replay targets: the simulator plans a few windows
+    and replays them for the rest, and once the updates reach their
+    fixed point it accounts them as one block, so an hour-long ambient
+    session costs about as much as a minute-long one.
     """
 
     resolution: Resolution = FHD

@@ -73,6 +73,23 @@ def test_low_update_rate_memory_is_flat_in_duration():
     )
 
 
+def test_two_hertz_memory_is_flat_in_duration():
+    """2 Hz is the rate with the most updates per session, where the
+    steady updates are accounted in blocks: a 3-hour session (21,600
+    updates) peaks like a 20-minute one (2,400 updates)."""
+    previous = install_run_memo(None)
+    try:
+        _peak_bytes(10.0, update_fps=2.0)
+        twenty_minutes = _peak_bytes(1_200.0, update_fps=2.0)
+        three_hours = _peak_bytes(10_800.0, update_fps=2.0)
+    finally:
+        install_run_memo(previous)
+    assert three_hours <= twenty_minutes * 1.25, (
+        f"3-hour trace peaked at {three_hours} bytes, "
+        f"20-minute at {twenty_minutes} — block walking is no longer O(1)"
+    )
+
+
 class _UnkeyedScheme:
     """A scheme without ``plan_key()``: nothing is ever replayed."""
 

@@ -147,6 +147,17 @@ class TestFrameSources:
             dataclasses.replace(frame, index=index) for index in range(3)
         ]
 
+    def test_repeating_content_run_matches_iteration(self):
+        """``content_run(i)`` is frame ``i`` of the iteration and the
+        length of the rest of the run; nothing lies outside the count."""
+        frame = AnalyticContentModel().frames(FHD, 1)[0]
+        source = RepeatingFrameSource(frame, 5)
+        assert [source.content_run(i) for i in range(5)] == [
+            (copy, 5 - copy.index) for copy in source
+        ]
+        assert source.content_run(5) is None
+        assert source.content_run(-1) is None
+
     def test_repeating_fingerprint_is_constant_size(self):
         frame = AnalyticContentModel().frames(FHD, 1)[0]
         small = RepeatingFrameSource(frame, 2).fingerprint_token()

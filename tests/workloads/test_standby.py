@@ -3,12 +3,14 @@
 import pytest
 
 from repro.config import FHD, skylake_tablet
+from repro.core import BurstLinkScheme
 from repro.errors import ConfigurationError
 from repro.obs import metrics as obs_metrics
-from repro.pipeline import ConventionalScheme
+from repro.pipeline import ConventionalScheme, sim
 from repro.pipeline.sim import install_run_memo
 from repro.power.model import PlatformExtras, PowerModel
 from repro.soc.cstates import PackageCState
+from repro.video.source import FrameDescriptor
 from repro.workloads.standby import (
     AmbientStandbyWorkload,
     ambient_standby_run,
@@ -174,6 +176,51 @@ class TestAmbientStandby:
         )
         assert hits + misses == run.stats.windows
         assert hits / run.stats.windows >= 0.95
+
+    def test_walk_costs_per_content_change_not_per_update(
+        self, no_memo, monkeypatch
+    ):
+        """A 3-hour, 2 Hz session is 21,600 redraws of one frame: the
+        walker accounts its steady updates as a block, so it builds a
+        handful of frame descriptors and makes a handful of loop passes
+        (one plan-group lookup each) per run, not one per update."""
+        descriptors = []
+        post_init = FrameDescriptor.__post_init__
+
+        def counted_post_init(frame):
+            descriptors.append(frame.index)
+            post_init(frame)
+
+        class CountedGroups(dict):
+            lookups = 0
+
+            def get(self, key, default=None):
+                self.lookups += 1
+                return super().get(key, default)
+
+        walkers = []
+        walker_init = sim._CadenceWalker.__init__
+
+        def counted_init(walker, *args, **kwargs):
+            walker_init(walker, *args, **kwargs)
+            walker.groups = CountedGroups()
+            walkers.append(walker)
+
+        monkeypatch.setattr(
+            FrameDescriptor, "__post_init__", counted_post_init
+        )
+        monkeypatch.setattr(sim._CadenceWalker, "__init__", counted_init)
+        workload = AmbientStandbyWorkload(
+            duration_s=10_800.0, update_fps=2.0
+        )
+        for scheme, with_drfb in (
+            (ConventionalScheme(), False), (BurstLinkScheme(), True),
+        ):
+            descriptors.clear()
+            run = ambient_standby_run(workload, scheme, with_drfb=with_drfb)
+            assert run.stats.new_frame_windows == 21_600
+            assert len(descriptors) <= 16
+            assert walkers[-1].groups.lookups <= 16
 
     def test_power_sits_between_dark_standby_and_video(
         self, config, no_memo
