@@ -90,21 +90,7 @@ class DramPowerModel:
             read_bw, write_bw
         )
 
-    # -- energy over a weighted schedule ----------------------------------------
-
-    def background_energy(
-        self, residencies: dict[DramPowerState, float]
-    ) -> float:
-        """Background energy (mJ) of spending ``residencies[state]``
-        seconds in each state (the state-weighted average of Sec. 5.2)."""
-        total = 0.0
-        for state, seconds in residencies.items():
-            if seconds < 0:
-                raise ConfigurationError(
-                    f"residency for {state.name} must be >= 0"
-                )
-            total += self.background_power(state) * seconds
-        return total
+    # -- energy of traffic volumes --------------------------------------------
 
     def traffic_energy(self, read_bytes: float, write_bytes: float) -> float:
         """Operating energy (mJ) of moving the given byte totals.

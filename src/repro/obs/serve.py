@@ -172,7 +172,7 @@ class _DigestPricer:
             return price
         result = group.result
         cls_key = SegmentClass.of(
-            result.timeline.segments[result.staged_segment],
+            result.timeline[result.staged_segment],
             group.effective_kind,
         )
         quantities = [[

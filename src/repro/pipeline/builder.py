@@ -21,6 +21,11 @@ The builder also implements the PMU's demotion heuristic
 if the round-trip excursion cost stays below a bounded fraction of the
 period — the reason a short idle gap parks in C8 while BurstLink's long
 post-burst gap is worth taking all the way to C9.
+
+A cycle of phases that ends in the state it entered from can be added
+once and then repeated (:meth:`TimelineBuilder.record` /
+:meth:`TimelineBuilder.repeat`): the copies are stored as one train of
+the timeline instead of being built, with the same floats.
 """
 
 from __future__ import annotations
@@ -91,6 +96,10 @@ class TimelineBuilder:
     def __post_init__(self) -> None:
         self._now = self.start
         self._state = self.initial_state
+        #: While recording (:meth:`record`): the entry state and squeezed
+        #: count at the mark, and the time increments added since.
+        self._mark: tuple[PackageCState, int] | None = None
+        self._steps: list[float] | None = None
 
     @property
     def now(self) -> float:
@@ -124,6 +133,7 @@ class TimelineBuilder:
         if duration == 0:
             return None
         requested = duration
+        steps = self._steps
         latency = _EXCURSION_LATENCY[self._state, state]
         if latency > 0:
             excursion = min(latency, duration)
@@ -142,6 +152,8 @@ class TimelineBuilder:
                 )
             )
             self._now += excursion
+            if steps is not None:
+                steps.append(excursion)
             duration -= excursion
         self._state = state
         if duration > 0:
@@ -163,8 +175,38 @@ class TimelineBuilder:
                 )
             )
             self._now += duration
-            return len(self.timeline.segments) - 1
+            if steps is not None:
+                steps.append(duration)
+            return len(self.timeline) - 1
         return None
+
+    def record(self) -> None:
+        """Mark the start of a cycle of phases for :meth:`repeat`."""
+        self._mark = (self._state, self.squeezed_phases)
+        self._steps = []
+
+    def repeat(self, times: int) -> bool:
+        """Add the phases since :meth:`record` ``times`` more times, as
+        one train of the timeline (:meth:`Timeline.repeat`).
+
+        Equal to adding them again phase by phase whenever the cycle
+        left the builder in the state it entered from: each pass then
+        starts alike, carves the same excursions and adds the same
+        increments, and the train is advanced by those increments with
+        the same float sums.  Returns False, and adds nothing, when it
+        did not (or nothing was recorded); the caller then adds the
+        phases itself.  Recording ends either way.
+        """
+        if self._mark is None:
+            raise SimulationError("repeat() needs a record() before it")
+        state, squeezed = self._mark
+        steps = self._steps
+        self._mark = self._steps = None
+        if times < 1 or self._state is not state or not steps:
+            return False
+        self._now = self.timeline.repeat(tuple(steps), times)
+        self.squeezed_phases += (self.squeezed_phases - squeezed) * times
+        return True
 
     def idle(
         self,

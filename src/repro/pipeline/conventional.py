@@ -273,7 +273,14 @@ class ConventionalScheme:
         fetch_work = setup + per_cycle_bytes / dram_bw
         drain_total = remaining - cycle_cost(cycles)
         drain = drain_total / cycles
-        for _ in range(cycles):
+        for cycle in range(cycles):
+            # Every cycle after the first starts where the one before
+            # it ended: when the second ends in its own entry state, the
+            # rest repeat it exactly and go in as one train.
+            if cycle == 1 and cycles > 2:
+                builder.record()
+            elif cycle == 2 and builder.repeat(cycles - 2):
+                break
             into_c2 = excursion_latency(builder.state, PackageCState.C2)
             builder.add(
                 fetch_work + into_c2,

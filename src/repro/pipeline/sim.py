@@ -59,14 +59,15 @@ def _stamp_content(
     if attributes is None or attributes.apl == 0.0:
         return result
     apl = attributes.apl
-    segments = [
-        dataclasses.replace(segment, apl=apl)
-        if segment.panel_mode is not PanelMode.OFF
-        and segment.apl != apl
-        else segment
-        for segment in result.timeline.segments
-    ]
-    return dataclasses.replace(result, timeline=Timeline(segments))
+
+    def stamp(segment: Segment) -> Segment:
+        if segment.panel_mode is not PanelMode.OFF and segment.apl != apl:
+            return dataclasses.replace(segment, apl=apl)
+        return segment
+
+    return dataclasses.replace(
+        result, timeline=result.timeline.map_segments(stamp)
+    )
 
 
 @dataclass(frozen=True)
@@ -901,7 +902,7 @@ class _CadenceWalker:
                     ) else None
             count = 1
             if result is not None:
-                state = result.timeline.segments[-1].state
+                state = result.timeline.final_state
             else:
                 if not retain_full and group.final_state is state:
                     # Steady state: the window re-enters its own entry
@@ -970,7 +971,7 @@ class _CadenceWalker:
             frame,
         )
         timeline = result.timeline
-        if not timeline.segments:
+        if not timeline:
             raise SimulationError(f"{scheme.name}: window {index} is empty")
         if abs(timeline.duration - plan.duration) > 1e-7:
             raise SimulationError(
@@ -982,7 +983,7 @@ class _CadenceWalker:
                 f"{scheme.name}: window {index} missed its deadline"
             )
         self.fresh_plans += 1
-        final_state = timeline.segments[-1].state
+        final_state = timeline.final_state
         tracer = self.tracer
         if tracer is not None:
             # Planning emits no events, so opening the span once the
@@ -1058,8 +1059,7 @@ class _CadenceWalker:
             # summary — one pass, no digest.
             timeline = result.timeline
             kind = group.effective_kind
-            for segment in timeline.segments:
-                summary.add_segment(segment, kind)
+            summary.add_timeline(timeline, kind)
             summary.close_window(kind, self.duration, timeline.duration)
         else:
             # Replayed plan: one digest scaled by the count.  Folding
@@ -1074,7 +1074,7 @@ class _CadenceWalker:
                 # The windows staged their own frames' encoded bytes,
                 # not the planned frame's.
                 summary.add_staged_bytes(
-                    result.timeline.segments[result.staged_segment],
+                    result.timeline[result.staged_segment],
                     group.effective_kind,
                     group.staged_delta,
                 )

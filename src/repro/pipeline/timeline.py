@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 from ..errors import SimulationError
 from ..soc.cstates import PackageCState
@@ -135,17 +135,38 @@ class Segment:
         )
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
+class _Train:
+    """``times`` more copies of the ``len(steps)`` stored segments that
+    end at stored index ``position``, laid end to end after them: copy
+    ``j`` of the template ``i`` spans ``steps[i]`` seconds from where
+    the previous copy ends.  ``end`` is where the last copy ends."""
+
+    position: int
+    steps: tuple[float, ...]
+    times: int
+    end: float
+
+
 class Timeline:
-    """A contiguous, ordered sequence of segments."""
+    """A contiguous, ordered sequence of segments.
 
-    segments: list[Segment] = field(default_factory=list)
+    A timeline may hold one *train* (:meth:`repeat`): copies of a run
+    of segments it records without building them.  :attr:`segments`,
+    iteration and equality see every copy; the summary fold
+    (:meth:`TimelineSummary.add_timeline`), :attr:`end`,
+    :attr:`final_state` and ``len`` read the train as it is stored.
+    """
 
-    def __post_init__(self) -> None:
+    def __init__(self, segments: list[Segment] | None = None) -> None:
+        #: The segments built one by one (a train's templates among
+        #: them); the list is taken, not copied.
+        self._stored = segments if segments is not None else []
+        self._train: _Train | None = None
         self._validate()
 
     def _validate(self) -> None:
-        for earlier, later in zip(self.segments, self.segments[1:]):
+        for earlier, later in zip(self._stored, self._stored[1:]):
             if abs(later.start - earlier.end) > 1e-9:
                 raise SimulationError(
                     f"timeline gap/overlap between {earlier.label!r} "
@@ -153,39 +174,135 @@ class Timeline:
                     f"(starts {later.start})"
                 )
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Timeline):
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __repr__(self) -> str:
+        return f"Timeline(segments={self.segments!r})"
+
     # -- structure ------------------------------------------------------------
+
+    @property
+    def segments(self) -> list[Segment]:
+        """Every segment in order; a timeline holding a train builds
+        its copies into a new list on each read."""
+        if self._train is None:
+            return self._stored
+        return list(self._expand())
+
+    def _expand(self) -> Iterator[Segment]:
+        stored = self._stored
+        train = self._train
+        position = train.position
+        yield from stored[:position]
+        templates = stored[position - len(train.steps):position]
+        now = templates[-1].end
+        for _ in range(train.times):
+            for template, step in zip(templates, train.steps):
+                end = now + step
+                yield replace(template, start=now, end=end)
+                now = end
+        yield from stored[position:]
 
     @property
     def start(self) -> float:
         """Start time (0.0 for an empty timeline)."""
-        return self.segments[0].start if self.segments else 0.0
+        return self._stored[0].start if self._stored else 0.0
 
     @property
     def end(self) -> float:
         """End time (0.0 for an empty timeline)."""
-        return self.segments[-1].end if self.segments else 0.0
+        train = self._train
+        if train is not None and train.position == len(self._stored):
+            return train.end
+        return self._stored[-1].end if self._stored else 0.0
 
     @property
     def duration(self) -> float:
         """Total covered time."""
         return self.end - self.start
 
+    @property
+    def final_state(self) -> PackageCState:
+        """The state of the last segment (a train's last copy shares
+        its template's)."""
+        if not self._stored:
+            raise SimulationError("an empty timeline has no final state")
+        return self._stored[-1].state
+
     def __iter__(self) -> Iterator[Segment]:
-        return iter(self.segments)
+        if self._train is None:
+            return iter(self._stored)
+        return self._expand()
 
     def __len__(self) -> int:
-        return len(self.segments)
+        train = self._train
+        if train is None:
+            return len(self._stored)
+        return len(self._stored) + len(train.steps) * train.times
+
+    def __getitem__(self, index: int) -> Segment:
+        """The segment at ``index``; one ahead of the train is read
+        without building any copy."""
+        train = self._train
+        if train is None or 0 <= index < train.position:
+            return self._stored[index]
+        return self.segments[index]
 
     def append(self, segment: Segment) -> None:
         """Append a segment; it must start where the timeline ends."""
-        if self.segments and abs(
-            segment.start - self.segments[-1].end
-        ) > 1e-9:
+        if self._stored and abs(segment.start - self.end) > 1e-9:
             raise SimulationError(
                 f"appended segment starts at {segment.start}, timeline "
-                f"ends at {self.segments[-1].end}"
+                f"ends at {self.end}"
             )
-        self.segments.append(segment)
+        self._stored.append(segment)
+
+    def repeat(self, steps: tuple[float, ...], times: int) -> float:
+        """Append ``times`` copies of the last ``len(steps)`` segments
+        as a train, and return the new end.
+
+        The copies run end to end from the current end; copy ``j`` of
+        segment ``i`` spans ``steps[i]`` seconds (the increment its
+        builder added, which ``end - start`` need not equal).  The end
+        is advanced with the same running sums a segment-by-segment
+        build would make, so every boundary is that build's float.
+        A timeline holds one train.  The copies differ from their
+        templates only in time, so the checks :class:`Segment` and
+        :meth:`append` make of them come down to each step being
+        non-negative, checked once here.
+        """
+        length = len(steps)
+        position = len(self._stored)
+        if self._train is not None:
+            raise SimulationError("a timeline holds one train")
+        if times < 1 or not 0 < length <= position:
+            raise SimulationError(
+                f"cannot repeat the last {length} of {position} "
+                f"segments {times} times"
+            )
+        if min(steps) < 0:
+            raise SimulationError(f"train steps must be >= 0: {steps}")
+        now = self._stored[-1].end
+        for _ in range(times):
+            for step in steps:
+                now += step
+        self._train = _Train(position, tuple(steps), times, now)
+        return now
+
+    def map_segments(
+        self, fn: Callable[[Segment], Segment]
+    ) -> "Timeline":
+        """This timeline with ``fn`` applied to every segment.  ``fn``
+        must keep each segment's start and end and read nothing else
+        of its time: the result is contiguous as this one is, and a
+        train's copies are copies of the mapped templates."""
+        mapped = Timeline.__new__(Timeline)
+        mapped._stored = [fn(segment) for segment in self._stored]
+        mapped._train = self._train
+        return mapped
 
     # -- residency accounting ---------------------------------------------------
 
@@ -421,6 +538,17 @@ class TimelineSummary:
         operations in the same order — just without building a class
         record per segment.
         """
+        totals = self._totals(segment, window_kind)
+        duration = segment.end - segment.start
+        totals.seconds += duration
+        totals.segments += 1
+        totals.dram_read_bytes += segment.dram_read_bw * duration
+        totals.dram_write_bytes += segment.dram_write_bw * duration
+        totals.edp_bytes += segment.edp_rate * duration
+        totals.apl_seconds += segment.apl * duration
+
+    def _totals(self, segment: Segment, window_kind: str) -> ClassTotals:
+        """The bucket of ``segment``'s class, opened if new."""
         attrs = (
             segment.state,
             segment.transition,
@@ -437,17 +565,59 @@ class TimelineSummary:
         cls_key = _INTERNED_CLASSES.get(attrs)
         if cls_key is None:
             cls_key = _INTERNED_CLASSES[attrs] = SegmentClass(*attrs)
-        buckets = self.buckets
-        totals = buckets.get(cls_key)
+        totals = self.buckets.get(cls_key)
         if totals is None:
-            totals = buckets[cls_key] = ClassTotals()
-        duration = segment.end - segment.start
-        totals.seconds += duration
-        totals.segments += 1
-        totals.dram_read_bytes += segment.dram_read_bw * duration
-        totals.dram_write_bytes += segment.dram_write_bw * duration
-        totals.edp_bytes += segment.edp_rate * duration
-        totals.apl_seconds += segment.apl * duration
+            totals = self.buckets[cls_key] = ClassTotals()
+        return totals
+
+    def add_timeline(self, timeline: Timeline,
+                     window_kind: str = "") -> None:
+        """Fold every segment of ``timeline``, in order (does not
+        advance ``end``).
+
+        Stored segments go through :meth:`add_segment`.  A train's
+        copies are folded without being built, with the float
+        operations :meth:`add_segment` would make on them in the same
+        order: a copy's duration is ``(now + step) - now``, its built
+        ``end - start``.  The sums are therefore the same bits either
+        way.
+        """
+        stored = timeline._stored
+        train = timeline._train
+        position = len(stored) if train is None else train.position
+        for segment in stored[:position]:
+            self.add_segment(segment, window_kind)
+        if train is not None:
+            self._add_train(
+                stored[position - len(train.steps):position], train,
+                window_kind,
+            )
+            for segment in stored[position:]:
+                self.add_segment(segment, window_kind)
+
+    def _add_train(self, templates: list[Segment], train: _Train,
+                   window_kind: str) -> None:
+        """Fold a train's copies of ``templates`` (see
+        :meth:`add_timeline`)."""
+        rows = []
+        for template, step in zip(templates, train.steps):
+            totals = self._totals(template, window_kind)
+            totals.segments += train.times
+            rows.append((
+                totals, step, template.dram_read_bw,
+                template.dram_write_bw, template.edp_rate, template.apl,
+            ))
+        now = templates[-1].end
+        for _ in range(train.times):
+            for totals, step, read_bw, write_bw, edp_rate, apl in rows:
+                end = now + step
+                duration = end - now
+                now = end
+                totals.seconds += duration
+                totals.dram_read_bytes += read_bw * duration
+                totals.dram_write_bytes += write_bw * duration
+                totals.edp_bytes += edp_rate * duration
+                totals.apl_seconds += apl * duration
 
     def add_staged_bytes(self, segment: Segment, window_kind: str,
                          nbytes: float) -> None:
@@ -527,8 +697,7 @@ class TimelineSummary:
     ) -> "TimelineSummary":
         """Summarise a materialized timeline exactly (same start/end)."""
         summary = cls(start=timeline.start, end=timeline.start)
-        for segment in timeline:
-            summary.add_segment(segment, window_kind)
+        summary.add_timeline(timeline, window_kind)
         summary.end = timeline.end
         return summary
 
@@ -538,8 +707,7 @@ class TimelineSummary:
     ) -> "TimelineSummary":
         """A one-window digest suitable for :meth:`absorb` replay."""
         digest = cls()
-        for segment in timeline:
-            digest.add_segment(segment, kind)
+        digest.add_timeline(timeline, kind)
         digest.close_window(kind, duration, timeline.duration)
         return digest
 

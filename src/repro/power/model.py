@@ -185,6 +185,21 @@ class EnergyReport:
         )
 
 
+#: Coefficient-table sets kept across models (oldest dropped first):
+#: sensitivity sweeps build a library per perturbed parameter.
+_SHARED_COEFFICIENT_SETS = 16
+
+#: ``(id(library), extras)`` -> ``(library, tables)``: the coefficient
+#: tables of every :class:`PowerModel` over that library object and
+#: extras.  A library holds a dict and cannot be hashed, so it keys by
+#: identity; the entry keeps the library alive, so its id cannot be
+#: reused by another object while the entry exists.
+_SHARED_COEFFICIENTS: dict[
+    tuple[int, PlatformExtras],
+    tuple[ComponentPowerLibrary, dict[tuple, np.ndarray]],
+] = {}
+
+
 class PowerModel:
     """Evaluates the analytical model over simulated timelines."""
 
@@ -201,9 +216,16 @@ class PowerModel:
         )
         self.extras = extras if extras is not None else PlatformExtras()
         #: Per-(class, panel) coefficient tables for the vectorized path
-        #: (see :meth:`price_plan_matrix`).  Keyed per instance: library
-        #: and extras are fixed at construction.
-        self._coefficients: dict[tuple, np.ndarray] = {}
+        #: (see :meth:`price_plan_matrix`), shared by every model over
+        #: the same library object and extras: both are fixed at
+        #: construction, and the tables depend on nothing else.
+        key = (id(self.library), self.extras)
+        shared = _SHARED_COEFFICIENTS.get(key)
+        if shared is None:
+            if len(_SHARED_COEFFICIENTS) >= _SHARED_COEFFICIENT_SETS:
+                del _SHARED_COEFFICIENTS[next(iter(_SHARED_COEFFICIENTS))]
+            shared = _SHARED_COEFFICIENTS[key] = (self.library, {})
+        self._coefficients: dict[tuple, np.ndarray] = shared[1]
 
     # -- per-segment composition -------------------------------------------------
 
@@ -316,6 +338,7 @@ class PowerModel:
         # transition: the C-state entry/exit excursion extra.
         if cls_key.transition:
             table[_SECONDS, column["transition"]] = lib.transition_extra
+        table.flags.writeable = False  # shared across models
         self._coefficients[cache_key] = table
         return table
 

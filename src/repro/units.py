@@ -148,22 +148,6 @@ def energy_mj(power_mw: float, duration_s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def transfer_time(size_bytes: float, bandwidth_bytes_per_s: float) -> float:
-    """Time in seconds to move ``size_bytes`` at ``bandwidth_bytes_per_s``.
-
-    Raises :class:`ValueError` for a non-positive bandwidth: a zero
-    bandwidth would silently produce an infinite (or NaN) phase length and
-    corrupt every downstream residency computation.
-    """
-    if bandwidth_bytes_per_s <= 0:
-        raise ValueError(
-            f"bandwidth must be positive, got {bandwidth_bytes_per_s!r}"
-        )
-    if size_bytes < 0:
-        raise ValueError(f"size must be non-negative, got {size_bytes!r}")
-    return size_bytes / bandwidth_bytes_per_s
-
-
 def sustained_bandwidth(size_bytes: float, duration_s: float) -> float:
     """Average bandwidth (bytes/s) of moving ``size_bytes`` in
     ``duration_s``; zero duration with zero size is defined as zero."""

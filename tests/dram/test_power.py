@@ -22,23 +22,6 @@ class TestBackground:
             > model.background_power(DramPowerState.SELF_REFRESH)
         )
 
-    def test_background_energy_weighting(self, model):
-        residencies = {
-            DramPowerState.ACTIVE: 0.2,
-            DramPowerState.SELF_REFRESH: 0.8,
-        }
-        expected = (
-            0.2 * model.background_power(DramPowerState.ACTIVE)
-            + 0.8 * model.background_power(DramPowerState.SELF_REFRESH)
-        )
-        assert model.background_energy(residencies) == pytest.approx(
-            expected
-        )
-
-    def test_background_energy_rejects_negative_time(self, model):
-        with pytest.raises(ConfigurationError):
-            model.background_energy({DramPowerState.ACTIVE: -1.0})
-
     def test_missing_state_rejected(self):
         with pytest.raises(ConfigurationError):
             DramPowerModel(background_mw={DramPowerState.ACTIVE: 100.0})

@@ -153,3 +153,60 @@ class TestSequenceConsistency:
         builder.add(4e-3, PackageCState.C8)
         builder.add(4e-3, PackageCState.C9)
         assert builder.build().duration == pytest.approx(12e-3)
+
+
+class TestRepeat:
+    def test_cycle_repeats_as_one_train(self):
+        builder = TimelineBuilder(initial_state=PackageCState.C8)
+        builder.record()
+        builder.add(1e-3, PackageCState.C2, label="fetch")
+        builder.add(2e-3, PackageCState.C8, label="drain")
+        assert builder.repeat(4)
+        timeline = builder.build()
+        assert len(timeline) == 20
+        assert len(timeline._stored) == 4
+        assert builder.now == timeline.end == timeline.segments[-1].end
+        assert builder.now == pytest.approx(15e-3)
+        assert [s.label for s in timeline][:4] == [
+            "C8->C2", "fetch", "C2->C8", "drain"
+        ]
+
+    def test_cycle_that_moves_state_is_refused(self):
+        builder = TimelineBuilder(initial_state=PackageCState.C8)
+        builder.record()
+        builder.add(1e-3, PackageCState.C2, label="fetch")
+        assert not builder.repeat(3)
+        assert len(builder.build()) == 2
+        assert builder.now == builder.build().end
+
+    def test_empty_cycle_is_refused(self):
+        builder = TimelineBuilder(initial_state=PackageCState.C2)
+        builder.record()
+        builder.add(0.0, PackageCState.C8)
+        assert not builder.repeat(3)
+        assert len(builder.build()) == 0
+
+    def test_squeezed_phases_count_every_copy(self):
+        builder = TimelineBuilder(initial_state=PackageCState.C8)
+        builder.add(1e-3, PackageCState.C2)
+        builder.record()
+        builder.add(1e-3, PackageCState.C2)
+        builder.add(
+            excursion_latency(PackageCState.C2, PackageCState.C9),
+            PackageCState.C9,
+        )
+        builder.add(1e-3, PackageCState.C8)
+        builder.add(1e-3, PackageCState.C2)
+        squeezed = builder.squeezed_phases
+        assert squeezed == 1
+        assert builder.repeat(2)
+        assert builder.squeezed_phases == 3
+
+    def test_a_timeline_holds_one_train(self):
+        builder = TimelineBuilder(initial_state=PackageCState.C2)
+        builder.record()
+        builder.add(1e-3, PackageCState.C2)
+        assert builder.repeat(1)
+        builder.add(1e-3, PackageCState.C8)
+        with pytest.raises(SimulationError):
+            builder.timeline.repeat((1e-3,), 1)

@@ -18,6 +18,7 @@ from repro.pipeline.sim import FrameWindowSimulator
 from repro.pipeline.timeline import (
     PanelMode,
     Segment,
+    SegmentClass,
     Timeline,
     TimelineSummary,
     VdMode,
@@ -133,6 +134,33 @@ class TestSegmentPower:
         )
         assert lit - dark == pytest.approx(
             model.library.panel_power(panel)
+        )
+
+
+class TestSharedCoefficients:
+    def test_default_models_share_tables(self, panel):
+        first, second = PowerModel(), PowerModel()
+        assert first._coefficients is second._coefficients
+        cls_key = SegmentClass.of(segment(PackageCState.C8))
+        table = first._class_coefficients(cls_key, panel)
+        assert second._class_coefficients(cls_key, panel) is table
+        assert not table.flags.writeable
+
+    def test_other_library_or_extras_get_their_own(self, model, panel):
+        library = dataclasses.replace(
+            model.library, cpu_active=2 * model.library.cpu_active
+        )
+        other = PowerModel(library=library)
+        assert other._coefficients is not model._coefficients
+        assert PowerModel(
+            extras=PlatformExtras(streaming=False)
+        )._coefficients is not model._coefficients
+        cls_key = SegmentClass.of(
+            segment(PackageCState.C0, cpu_active=True)
+        )
+        cpu = COMPONENT_IDS["cpu"]
+        assert other._class_coefficients(cls_key, panel)[0, cpu] == (
+            2 * model._class_coefficients(cls_key, panel)[0, cpu]
         )
 
 

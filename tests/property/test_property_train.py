@@ -1,0 +1,289 @@
+"""A fetch-drain train is the per-cycle build, bit for bit.
+
+:meth:`TimelineBuilder.repeat` records the cycles after the second as
+one train of the timeline instead of adding them phase by phase.  These
+properties hold it to the per-cycle build (``repeat`` refused, so every
+cycle goes through :meth:`TimelineBuilder.add`) with ``==`` and no
+tolerance: the expanded segments, ``end``, the final state, ``len``,
+the builder's clock and squeezed count, the summary fold
+(:meth:`TimelineSummary.add_segment` over the built segments against
+:meth:`TimelineSummary.add_timeline`), :meth:`TimelineSummary.window_digest`
+and :meth:`TimelineSummary.from_timeline`.  Cases: random increments,
+rates, entry states and start times; 1, 2, 3, 11 and 12 cycles;
+excursions that swallow a phase; an empty drain, which leaves the
+builder in C2; the conventional family's own plans; and an
+APL-stamped frame.
+"""
+
+import dataclasses
+import json
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.baselines.fbc import FrameBufferCompressionScheme
+from repro.baselines.zhang import ZhangScheme
+from repro.config import FHD, UHD_4K, skylake_tablet
+from repro.display.timing import WindowKind, WindowPlan
+from repro.pipeline.builder import TimelineBuilder, excursion_latency
+from repro.pipeline.conventional import ConventionalScheme
+from repro.pipeline.sim import (
+    FrameWindowSimulator,
+    WindowContext,
+    _stamp_content,
+)
+from repro.pipeline.timeline import PanelMode, Timeline, TimelineSummary
+from repro.power.model import PowerModel
+from repro.soc.cstates import PackageCState
+from repro.video.source import (
+    AnalyticContentModel,
+    ContentAttributes,
+    FrameDescriptor,
+    FrameType,
+)
+
+CYCLES = st.sampled_from([1, 2, 3, 11, 12])
+
+rates = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1e10))
+
+#: Phase bases from exactly zero through ones far below an excursion
+#: latency (the excursion then swallows the phase) to whole windows.
+bases = st.one_of(
+    st.just(0.0),
+    st.floats(min_value=1e-15, max_value=1e-9),
+    st.floats(min_value=1e-9, max_value=0.05),
+)
+
+
+def per_cycle():
+    """Refuse every train, so each cycle is added phase by phase."""
+    return mock.patch.object(
+        TimelineBuilder, "repeat", lambda self, times: False
+    )
+
+
+def fold(segments, kind):
+    """The summary of ``segments`` folded one by one."""
+    summary = TimelineSummary()
+    for segment in segments:
+        summary.add_segment(segment, kind)
+    return summary
+
+
+def assert_same_summary(got, want):
+    assert list(got.buckets) == list(want.buckets)
+    assert got.buckets == want.buckets
+    assert json.dumps(got.to_payload()) == json.dumps(want.to_payload())
+
+
+def assert_same_timeline(train, built):
+    """``train`` (possibly holding a train) equals the per-cycle
+    ``built`` in every view the program reads."""
+    assert list(train) == built.segments
+    assert train.segments == built.segments
+    assert train == built
+    assert len(train) == len(built)
+    assert train.start == built.start
+    assert train.end == built.end
+    assert train.duration == built.duration
+    if built.segments:
+        assert train.final_state is built.segments[-1].state
+        assert train[0] == built.segments[0]
+    for kind in ("new_frame", "repeat"):
+        summary = TimelineSummary()
+        summary.add_timeline(train, kind)
+        assert_same_summary(summary, fold(built.segments, kind))
+        got = TimelineSummary.window_digest(train, kind, 1 / 60)
+        want = TimelineSummary.window_digest(built, kind, 1 / 60)
+        assert_same_summary(got, want)
+        assert (got.start, got.end) == (want.start, want.end)
+    got = TimelineSummary.from_timeline(train, "new_frame")
+    want = TimelineSummary.from_timeline(built, "new_frame")
+    assert_same_summary(got, want)
+    assert (got.start, got.end) == (want.start, want.end)
+
+
+@st.composite
+def cycle_specs(draw):
+    return {
+        "start": draw(st.one_of(
+            st.just(0.0), st.floats(min_value=0.0, max_value=7200.0)
+        )),
+        "entry": draw(st.sampled_from(list(PackageCState))),
+        "cycles": draw(CYCLES),
+        "fetch": draw(bases),
+        "drain": draw(bases),
+        "empty_drain": draw(st.booleans()),
+        "read_bw": draw(rates),
+        "edp_rate": draw(rates),
+    }
+
+
+def emit(spec):
+    """A builder after ``spec``'s cycles, recorded and repeated the way
+    ``ConventionalScheme._emit_fetch_cycles`` does."""
+    builder = TimelineBuilder(
+        start=spec["start"], initial_state=spec["entry"]
+    )
+    cycles = spec["cycles"]
+    for cycle in range(cycles):
+        if cycle == 1 and cycles > 2:
+            builder.record()
+        elif cycle == 2 and builder.repeat(cycles - 2):
+            break
+        builder.add(
+            spec["fetch"]
+            + excursion_latency(builder.state, PackageCState.C2),
+            PackageCState.C2,
+            label="fetch chunk",
+            dram_read_bw=spec["read_bw"],
+            dc_active=True,
+            edp_rate=spec["edp_rate"],
+            panel_mode=PanelMode.LIVE,
+        )
+        builder.add(
+            0.0 if spec["empty_drain"] else (
+                spec["drain"]
+                + excursion_latency(PackageCState.C2, PackageCState.C8)
+            ),
+            PackageCState.C8,
+            label="drain",
+            dc_active=True,
+            edp_rate=spec["edp_rate"],
+            panel_mode=PanelMode.LIVE,
+        )
+    return builder
+
+
+@settings(max_examples=300, deadline=None)
+@given(cycle_specs())
+def test_train_equals_per_cycle_build(spec):
+    train = emit(spec)
+    with per_cycle():
+        built = emit(spec)
+    assert_same_timeline(train.timeline, built.timeline)
+    assert train.now == built.now
+    assert train.state is built.state
+    assert train.squeezed_phases == built.squeezed_phases
+    # The drain that follows the train lands on the same floats too.
+    end = built.now + 1e-3
+    for builder in (train, built):
+        builder.fill_to(end, PackageCState.C8, label="drain",
+                        dc_active=True, panel_mode=PanelMode.LIVE)
+    assert_same_timeline(train.timeline, built.timeline)
+    assert train.now == built.now
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    start=st.floats(min_value=0.0, max_value=7200.0),
+    entry=st.sampled_from(list(PackageCState)),
+    cycles=CYCLES,
+    phases=st.lists(
+        st.tuples(bases, st.sampled_from(list(PackageCState)), rates),
+        min_size=1, max_size=3,
+    ),
+)
+def test_any_cycle_repeats_as_built(start, entry, cycles, phases):
+    """Any cycle of phases: one that does not end in the state it
+    entered from must be refused (the next pass would carve other
+    excursions), and either way the result is the per-cycle build."""
+
+    def build():
+        builder = TimelineBuilder(start=start, initial_state=entry)
+        for cycle in range(cycles):
+            if cycle == 1 and cycles > 2:
+                builder.record()
+            elif cycle == 2 and builder.repeat(cycles - 2):
+                break
+            for number, (base, state, edp_rate) in enumerate(phases):
+                builder.add(base, state, label=f"phase {number}",
+                            edp_rate=edp_rate, panel_mode=PanelMode.LIVE)
+        return builder
+
+    train = build()
+    with per_cycle():
+        built = build()
+    assert_same_timeline(train.timeline, built.timeline)
+    assert (train.now, train.state, train.squeezed_phases) == (
+        built.now, built.state, built.squeezed_phases
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scheme_cls=st.sampled_from(
+        [ConventionalScheme, FrameBufferCompressionScheme, ZhangScheme]
+    ),
+    resolution=st.sampled_from([FHD, UHD_4K]),
+    fps=st.sampled_from([24.0, 30.0, 60.0]),
+    cycles=CYCLES,
+    entry=st.sampled_from(list(PackageCState)),
+    decoded=st.floats(min_value=0.05, max_value=1.0),
+    apl=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    index=st.integers(min_value=0, max_value=7),
+)
+def test_scheme_plans_equal_per_cycle_plans(
+    scheme_cls, resolution, fps, cycles, entry, decoded, apl, index
+):
+    config = skylake_tablet(resolution)
+    config = dataclasses.replace(
+        config,
+        dc=dataclasses.replace(
+            config.dc, max_fetch_cycles_per_window=cycles
+        ),
+    )
+    frame_bytes = float(config.panel.frame_bytes)
+    frame = FrameDescriptor(
+        index=index,
+        frame_type=FrameType.P,
+        encoded_bytes=frame_bytes * decoded / 50,
+        decoded_bytes=frame_bytes * decoded,
+        attributes=ContentAttributes(apl=apl) if apl else None,
+    )
+    ctx = WindowContext(
+        config=config,
+        window=WindowPlan(
+            index=index, start=0.0, duration=1.0 / fps,
+            kind=WindowKind.NEW_FRAME, frame_index=index,
+        ),
+        frame=frame,
+        initial_state=entry,
+    )
+    train = _stamp_content(scheme_cls().plan_window(ctx), frame)
+    with per_cycle():
+        built = _stamp_content(scheme_cls().plan_window(ctx), frame)
+    assert_same_timeline(train.timeline, built.timeline)
+    assert train.staged_segment == built.staged_segment
+    assert train.deadline_missed == built.deadline_missed
+    if apl:
+        assert all(
+            segment.apl == apl for segment in train.timeline
+            if segment.panel_mode is not PanelMode.OFF
+        )
+
+
+def test_summary_run_never_expands_a_train(monkeypatch):
+    """A summary-retention conventional run folds and prices its trains
+    as stored: no copy is ever built."""
+    repeats = []
+    record = Timeline.repeat
+
+    def counting(self, steps, times):
+        repeats.append(times)
+        return record(self, steps, times)
+
+    def refuse(self):
+        raise AssertionError("a train was expanded")
+
+    monkeypatch.setattr(Timeline, "repeat", counting)
+    monkeypatch.setattr(Timeline, "_expand", refuse)
+    config = skylake_tablet(FHD)
+    frames = AnalyticContentModel().frames(FHD, 12, seed=3)
+    run = FrameWindowSimulator(config, ConventionalScheme()).run(
+        frames, 30.0
+    )
+    assert run.timeline is None
+    assert repeats and all(times > 0 for times in repeats)
+    assert PowerModel().report(run).average_power_mw > 0

@@ -34,15 +34,6 @@ def test_size_roundtrips(value):
 
 
 @given(positive, positive)
-def test_transfer_time_inverts_bandwidth(size, bandwidth):
-    duration = units.transfer_time(size, bandwidth)
-    assert math.isclose(
-        units.sustained_bandwidth(size, duration), bandwidth,
-        rel_tol=1e-9,
-    )
-
-
-@given(positive, positive)
 def test_energy_power_duality(power_mw, duration_s):
     energy = units.energy_mj(power_mw, duration_s)
     assert math.isclose(energy / duration_s, power_mw, rel_tol=1e-12)

@@ -24,7 +24,6 @@ from repro.units import (
     to_ms,
     to_us,
     to_watts,
-    transfer_time,
     us,
     watts,
 )
@@ -95,24 +94,6 @@ class TestPowerEnergy:
 
 
 class TestTransferArithmetic:
-    def test_transfer_time_4k_burst(self):
-        # The paper's Sec. 3: a 4K frame over eDP 1.4 takes ~7.2-7.7 ms.
-        frame = 3840 * 2160 * 3
-        assert transfer_time(frame, gbps(25.92)) == pytest.approx(
-            7.68e-3, rel=1e-3
-        )
-
-    def test_transfer_time_zero_bytes(self):
-        assert transfer_time(0, gbps(1)) == 0.0
-
-    def test_transfer_time_rejects_zero_bandwidth(self):
-        with pytest.raises(ValueError):
-            transfer_time(100, 0)
-
-    def test_transfer_time_rejects_negative_size(self):
-        with pytest.raises(ValueError):
-            transfer_time(-1, gbps(1))
-
     def test_sustained_bandwidth(self):
         assert sustained_bandwidth(1e9, 2.0) == pytest.approx(0.5e9)
 
