@@ -11,7 +11,7 @@ them all.
 
 The functional device models -- the macroblock codec, decoder IP and
 GPU (``repro.video``), the display datapath (``repro.display``), the
-SoC registers, DVFS ladder and interconnect (``repro.soc``), the DRAM
+SoC registers and interconnect (``repro.soc``), the DRAM
 frame-buffer and traffic models (``repro.dram``) and the capture and
 fallback schemes (``repro.core``) -- are not on that path. No exhibit
 runs them, the package ``__init__``s do not import them, and callers

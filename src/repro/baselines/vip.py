@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from ..soc.cstates import PackageCState
 from ..pipeline.builder import TimelineBuilder
+from ..pipeline.conventional import plan_psr_repeat
 from ..pipeline.sim import (
     WindowContext,
     WindowResult,
@@ -51,38 +52,15 @@ class VipScheme:
 
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """Plan one refresh window under VIP."""
-        if not ctx.window.is_new_frame:
-            return self._plan_repeat(ctx)
-        return self._plan_new_frame(ctx)
-
-    # ------------------------------------------------------------------
-
-    def _plan_repeat(self, ctx: WindowContext) -> WindowResult:
-        """Conventional PSR repeat window (driver work + C8 parking)."""
-        cfg = ctx.config
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
-        )
-        orchestration = min(
-            cfg.orchestration.baseline_per_frame
+        if ctx.window.is_new_frame:
+            return self._plan_new_frame(ctx)
+        # A conventional PSR repeat window: chain upkeep, C8 parking.
+        return plan_psr_repeat(
+            ctx,
+            ctx.config.orchestration.baseline_per_frame
             * self.orchestration_scale,
-            ctx.window.duration,
+            "chain upkeep", [PackageCState.C8], "psr",
         )
-        if orchestration > 0:
-            builder.add(
-                orchestration,
-                PackageCState.C0,
-                label="chain upkeep",
-                cpu_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-        builder.fill_to(
-            ctx.window.end,
-            PackageCState.C8,
-            label="psr",
-            panel_mode=PanelMode.SELF_REFRESH,
-        )
-        return WindowResult(timeline=builder.build(), used_psr=True)
 
     # ------------------------------------------------------------------
 

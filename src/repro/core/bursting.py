@@ -17,13 +17,16 @@ DRFB).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
-from ..pipeline.builder import TimelineBuilder, excursion_latency
-from ..pipeline.conventional import effective_fetch_bandwidth
+from ..pipeline.builder import TimelineBuilder
+from ..pipeline.conventional import (
+    effective_fetch_bandwidth,
+    emit_fetch_cycles,
+    plan_psr_repeat,
+)
 from ..pipeline.sim import (
     WindowContext,
     WindowResult,
@@ -64,36 +67,14 @@ class FrameBurstingScheme:
 
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """Plan one refresh window with Frame Bursting only."""
-        if not ctx.window.is_new_frame:
-            return self._plan_repeat(ctx)
-        return self._plan_new_frame(ctx)
-
-    # ------------------------------------------------------------------
-
-    def _plan_repeat(self, ctx: WindowContext) -> WindowResult:
-        """Repeat window: a short check, then C9 (frame in the DRFB)."""
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
+        if ctx.window.is_new_frame:
+            return self._plan_new_frame(ctx)
+        # A short check, then C9 (the frame is in the DRFB).
+        return plan_psr_repeat(
+            ctx, ctx.config.orchestration.burstlink_repeat_window,
+            "driver check", [PackageCState.C8, PackageCState.C9],
+            "deep idle (frame in DRFB)",
         )
-        check = min(
-            ctx.config.orchestration.burstlink_repeat_window,
-            ctx.window.duration,
-        )
-        if check > 0:
-            builder.add(
-                check,
-                PackageCState.C0,
-                label="driver check",
-                cpu_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-        builder.idle(
-            ctx.window.end - builder.now,
-            [PackageCState.C8, PackageCState.C9],
-            label="deep idle (frame in DRFB)",
-            panel_mode=PanelMode.SELF_REFRESH,
-        )
-        return WindowResult(timeline=builder.build(), used_psr=True)
 
     # ------------------------------------------------------------------
 
@@ -154,14 +135,31 @@ class FrameBurstingScheme:
             missed = True
             burst_remaining = remaining_window
         if burst_remaining > 0:
-            self._emit_burst_cycles(
-                builder,
-                ctx,
-                display_bytes - burst_overlap_bytes,
-                burst_remaining,
-                min(burst_rate, fetch_bw),
-                fetch_bw,
+            # The burst body: C2 while the DC refills from DRAM, C8 while
+            # it streams at the link maximum and DRAM naps.
+            burst_bytes = display_bytes - burst_overlap_bytes
+            streaming = dict(
+                dc_active=True,
+                edp_rate=min(burst_rate, fetch_bw),
+                drfb_active=True,
+                panel_mode=PanelMode.SELF_REFRESH,
             )
+            if not emit_fetch_cycles(
+                builder, cfg, burst_bytes, burst_remaining,
+                ("burst fetch", "burst stream"), **streaming,
+            ):
+                # Fetch cannot nap: the whole burst stays in C2.
+                rate = burst_bytes / burst_remaining
+                builder.add(
+                    burst_remaining,
+                    PackageCState.C2,
+                    label="burst (fetch-bound)",
+                    dc_active=True,
+                    dram_read_bw=rate,
+                    edp_rate=rate,
+                    drfb_active=True,
+                    panel_mode=PanelMode.SELF_REFRESH,
+                )
         builder.idle(
             ctx.window.end - builder.now,
             [PackageCState.C8, PackageCState.C9],
@@ -174,78 +172,3 @@ class FrameBurstingScheme:
             burst=True,
             staged_segment=staged_segment,
         )
-
-    # ------------------------------------------------------------------
-
-    def _emit_burst_cycles(
-        self,
-        builder: TimelineBuilder,
-        ctx: WindowContext,
-        burst_bytes: float,
-        burst_time: float,
-        stream_rate: float,
-        fetch_bw: float,
-    ) -> None:
-        """The burst body: C2 while the DC refills from DRAM, C8 while it
-        streams at the link maximum and DRAM naps."""
-        cfg = ctx.config
-        if burst_bytes <= 0 or burst_time <= 0:
-            return
-        setup = cfg.dc.chunk_setup_latency
-        cycles = max(1, min(
-            math.ceil(burst_bytes / cfg.dc.chunk_size),
-            cfg.dc.max_fetch_cycles_per_window,
-        ))
-
-        def cost(n: int) -> float:
-            work = n * setup + burst_bytes / fetch_bw
-            excursions = (
-                excursion_latency(builder.state, PackageCState.C2)
-                + (n - 1) * excursion_latency(
-                    PackageCState.C8, PackageCState.C2
-                )
-                + n * excursion_latency(PackageCState.C2, PackageCState.C8)
-            )
-            return work + excursions
-
-        while cycles > 1 and cost(cycles) > burst_time:
-            cycles -= 1
-        if cost(cycles) > burst_time:
-            # Fetch cannot nap: the whole burst stays in C2.
-            builder.add(
-                burst_time,
-                PackageCState.C2,
-                label="burst (fetch-bound)",
-                dc_active=True,
-                dram_read_bw=burst_bytes / burst_time,
-                edp_rate=burst_bytes / burst_time,
-                drfb_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-            return
-        per_cycle_bytes = burst_bytes / cycles
-        fetch_work = setup + per_cycle_bytes / fetch_bw
-        stream_total = burst_time - cost(cycles)
-        stream_slice = stream_total / cycles
-        for _ in range(cycles):
-            into_c2 = excursion_latency(builder.state, PackageCState.C2)
-            builder.add(
-                fetch_work + into_c2,
-                PackageCState.C2,
-                label="burst fetch",
-                dc_active=True,
-                dram_read_bw=per_cycle_bytes / fetch_work,
-                edp_rate=stream_rate,
-                drfb_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-            into_c8 = excursion_latency(PackageCState.C2, PackageCState.C8)
-            builder.add(
-                stream_slice + into_c8,
-                PackageCState.C8,
-                label="burst stream",
-                dc_active=True,
-                edp_rate=stream_rate,
-                drfb_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder, excursion_latency
+from ..pipeline.conventional import plan_psr_repeat
 from ..pipeline.sim import (
     WindowContext,
     WindowResult,
@@ -60,39 +61,16 @@ class BurstLinkScheme:
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """Plan one refresh window under full BurstLink."""
         if not ctx.window.is_new_frame:
-            return self._plan_repeat(ctx)
+            # The frame is in the DRFB: after a short driver check the
+            # system drops straight into C9 (Fig. 7a, second window).
+            return plan_psr_repeat(
+                ctx, ctx.config.orchestration.burstlink_repeat_window,
+                "driver check", [PackageCState.C8, PackageCState.C9],
+                "deep idle (frame in DRFB)",
+            )
         if ctx.vr is not None:
             return self._plan_vr_new_frame(ctx)
         return self._plan_planar_new_frame(ctx)
-
-    # ------------------------------------------------------------------
-
-    def _plan_repeat(self, ctx: WindowContext) -> WindowResult:
-        """A repeat window: the frame is in the DRFB; after a short
-        driver check the system drops straight into C9 (Fig. 7a, second
-        window)."""
-        cfg = ctx.config
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
-        )
-        check = min(
-            cfg.orchestration.burstlink_repeat_window, ctx.window.duration
-        )
-        if check > 0:
-            builder.add(
-                check,
-                PackageCState.C0,
-                label="driver check",
-                cpu_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-        builder.idle(
-            ctx.window.end - builder.now,
-            [PackageCState.C8, PackageCState.C9],
-            label="deep idle (frame in DRFB)",
-            panel_mode=PanelMode.SELF_REFRESH,
-        )
-        return WindowResult(timeline=builder.build(), used_psr=True)
 
     # ------------------------------------------------------------------
 
@@ -225,7 +203,7 @@ class BurstLinkScheme:
         chunk_rate = display_bytes / (decode_total + drain_total)
         decode_slice = decode_total / emitted
         drain_slice = drain_total / emitted
-        for cycle in range(emitted):
+        for cycle in builder.cycles(emitted):
             into = into_c7_first if cycle == 0 else into_c7_again
             builder.add(
                 decode_slice + into,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder, excursion_latency
+from ..pipeline.conventional import plan_psr_repeat
 from ..pipeline.sim import (
     WindowContext,
     WindowResult,
@@ -64,37 +65,15 @@ class FrameBufferBypassScheme:
 
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """Plan one refresh window with Frame Buffer Bypass only."""
-        if not ctx.window.is_new_frame:
-            return self._plan_repeat(ctx)
-        return self._plan_new_frame(ctx)
-
-    # ------------------------------------------------------------------
-
-    def _plan_repeat(self, ctx: WindowContext) -> WindowResult:
-        """Repeat window: a short PMU-side check, then PSR from the RFB
-        with the processor in C9."""
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
+        if ctx.window.is_new_frame:
+            return self._plan_new_frame(ctx)
+        # A short PMU-side check, then PSR from the RFB with the
+        # processor in C9.
+        return plan_psr_repeat(
+            ctx, ctx.config.orchestration.burstlink_repeat_window,
+            "driver check", [PackageCState.C8, PackageCState.C9],
+            "psr (frame in RFB)",
         )
-        check = min(
-            ctx.config.orchestration.burstlink_repeat_window,
-            ctx.window.duration,
-        )
-        if check > 0:
-            builder.add(
-                check,
-                PackageCState.C0,
-                label="driver check",
-                cpu_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-        builder.idle(
-            ctx.window.end - builder.now,
-            [PackageCState.C8, PackageCState.C9],
-            label="psr (frame in RFB)",
-            panel_mode=PanelMode.SELF_REFRESH,
-        )
-        return WindowResult(timeline=builder.build(), used_psr=True)
 
     # ------------------------------------------------------------------
 
@@ -180,7 +159,7 @@ class FrameBufferBypassScheme:
         wait_total = max(0.0, remaining - decode - excursions)
         decode_slice = decode / emitted
         wait_slice = wait_total / emitted
-        for cycle in range(emitted):
+        for cycle in builder.cycles(emitted):
             into = into_c7_first if cycle == 0 else into_c7_again
             builder.add(
                 decode_slice + into,

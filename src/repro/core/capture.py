@@ -28,7 +28,11 @@ from dataclasses import dataclass
 from ..soc.cstates import PackageCState
 from ..soc.pmu import Pmu, PmuFirmware
 from ..pipeline.builder import TimelineBuilder
-from ..pipeline.conventional import ConventionalScheme
+from ..pipeline.conventional import (
+    ConventionalScheme,
+    emit_display_fetch,
+    plan_psr_repeat,
+)
 from ..pipeline.sim import WindowContext, WindowResult
 from ..pipeline.timeline import PanelMode, VdMode
 
@@ -95,12 +99,8 @@ class ConventionalCaptureScheme:
         )
         remaining = ctx.window.end - builder.now
         if remaining > 0:
-            missed |= not self._display._emit_fetch_cycles(
-                builder,
-                ctx,
-                display_bytes * (1.0 - overlap),
-                remaining,
-                pixel_rate,
+            missed |= not emit_display_fetch(
+                builder, cfg, display_bytes * (1.0 - overlap), remaining
             )
             builder.fill_to(
                 ctx.window.end,
@@ -136,29 +136,12 @@ class BurstCaptureScheme:
     def plan_window(self, ctx: WindowContext) -> WindowResult:
         """One refresh window of generalized-BurstLink capture."""
         cfg = ctx.config
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
-        )
         if not ctx.window.is_new_frame:
-            check = min(
-                cfg.orchestration.burstlink_repeat_window,
-                ctx.window.duration,
+            return plan_psr_repeat(
+                ctx, cfg.orchestration.burstlink_repeat_window,
+                "driver check", [PackageCState.C8, PackageCState.C9],
+                "deep idle (preview in DRFB)",
             )
-            if check > 0:
-                builder.add(
-                    check,
-                    PackageCState.C0,
-                    label="driver check",
-                    cpu_active=True,
-                    panel_mode=PanelMode.SELF_REFRESH,
-                )
-            builder.idle(
-                ctx.window.end - builder.now,
-                [PackageCState.C8, PackageCState.C9],
-                label="deep idle (preview in DRFB)",
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
-            return WindowResult(timeline=builder.build(), used_psr=True)
 
         window = ctx.window.duration
         raw = ctx.frame.decoded_bytes
@@ -175,6 +158,9 @@ class BurstCaptureScheme:
         active = min(orchestration + chain, window)
         missed = orchestration + chain > window
 
+        builder = TimelineBuilder(
+            start=ctx.window.start, initial_state=ctx.initial_state
+        )
         builder.add(
             active,
             PackageCState.C0,

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tomllib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -56,10 +57,6 @@ from ..errors import ConfigurationError
 from ..pipeline import ConventionalScheme
 from ..video.source import ContentClass
 
-try:  # Python >= 3.11
-    import tomllib as _toml
-except ImportError:  # pragma: no cover - exercised on 3.10 only
-    _toml = None
 
 #: Display schemes a spec may name, mirroring the CLI scheme table:
 #: label -> (factory, needs_drfb).
@@ -497,89 +494,6 @@ def spec_from_dict(data: dict[str, Any]) -> FleetSpec:
     )
 
 
-# ---------------------------------------------------------------------------
-# TOML loading (with a minimal fallback for Python 3.10)
-# ---------------------------------------------------------------------------
-
-
-def _parse_scalar(text: str, where: str) -> Any:
-    text = text.strip()
-    if text.startswith('"') and text.endswith('"') and len(text) >= 2:
-        return text[1:-1]
-    if text in ("true", "false"):
-        return text == "true"
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigurationError(
-                f"{where}: arrays must close on the same line"
-            )
-        inner = text[1:-1].strip()
-        if not inner:
-            return []
-        return [
-            _parse_scalar(item, where)
-            for item in inner.split(",")
-            if item.strip()
-        ]
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigurationError(
-            f"{where}: cannot parse value {text!r}"
-        ) from None
-
-
-def _parse_toml_minimal(text: str, where: str) -> dict[str, Any]:
-    """Parse the TOML subset fleet specs use, for interpreters without
-    :mod:`tomllib` (Python 3.10): ``[dotted.tables]``, ``[[arrays of
-    tables]]``, and single-line ``key = value`` pairs whose values are
-    strings, numbers, booleans, or flat arrays."""
-    root: dict[str, Any] = {}
-    current = root
-    for number, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        spot = f"{where}:{number}"
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigurationError(f"{spot}: malformed table")
-            node = root
-            parts = line[2:-2].strip().split(".")
-            for part in parts[:-1]:
-                node = node.setdefault(part, {})
-            entries = node.setdefault(parts[-1], [])
-            if not isinstance(entries, list):
-                raise ConfigurationError(
-                    f"{spot}: {parts[-1]!r} is not an array of tables"
-                )
-            current = {}
-            entries.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigurationError(f"{spot}: malformed table")
-            node = root
-            for part in line[1:-1].strip().split("."):
-                node = node.setdefault(part, {})
-                if not isinstance(node, dict):
-                    raise ConfigurationError(
-                        f"{spot}: table path collides with a value"
-                    )
-            current = node
-        else:
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"{spot}: expected 'key = value'"
-                )
-            current[key.strip()] = _parse_scalar(value, spot)
-    return root
-
-
 def load_spec(path: str | Path) -> FleetSpec:
     """Load and validate a fleet spec from a TOML file."""
     path = Path(path)
@@ -589,15 +503,12 @@ def load_spec(path: str | Path) -> FleetSpec:
         raise ConfigurationError(
             f"cannot read fleet spec {path}: {error}"
         ) from None
-    if _toml is not None:
-        try:
-            data = _toml.loads(text)
-        except _toml.TOMLDecodeError as error:
-            raise ConfigurationError(
-                f"invalid TOML in {path}: {error}"
-            ) from None
-    else:  # pragma: no cover - exercised on 3.10 only
-        data = _parse_toml_minimal(text, str(path))
+    try:
+        data = tomllib.loads(text)
+    except tomllib.TOMLDecodeError as error:
+        raise ConfigurationError(
+            f"invalid TOML in {path}: {error}"
+        ) from None
     return spec_from_dict(data)
 
 

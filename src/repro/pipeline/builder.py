@@ -22,15 +22,18 @@ if the round-trip excursion cost stays below a bounded fraction of the
 period — the reason a short idle gap parks in C8 while BurstLink's long
 post-burst gap is worth taking all the way to C9.
 
-A cycle of phases that ends in the state it entered from can be added
-once and then repeated (:meth:`TimelineBuilder.record` /
-:meth:`TimelineBuilder.repeat`): the copies are stored as one train of
-the timeline instead of being built, with the same floats.
+Every oscillation a scheme plans (the C2/C8 fetch-drain, the burst
+body, the C7/C7' decode interleave) iterates
+:meth:`TimelineBuilder.cycles`.  Once the second cycle ends in the
+state it entered from, the rest repeat it exactly, so they are stored
+as one train of the timeline instead of being built, with the same
+floats (:meth:`TimelineBuilder.record` / :meth:`TimelineBuilder.repeat`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from ..errors import SimulationError
 from ..soc.cstates import PackageCState, transition_cost
@@ -207,6 +210,22 @@ class TimelineBuilder:
         self._now = self.timeline.repeat(tuple(steps), times)
         self.squeezed_phases += (self.squeezed_phases - squeezed) * times
         return True
+
+    def cycles(self, count: int) -> Iterator[int]:
+        """Yield the indices of ``count`` cycles for the caller to add.
+
+        Every cycle after the first starts where the one before it
+        ended, so when the second ends in its own entry state the rest
+        repeat it exactly: they go in as one train (:meth:`repeat`) and
+        the iteration stops after index 1.  Otherwise every cycle is
+        yielded and added phase by phase.
+        """
+        for cycle in range(count):
+            if cycle == 1 and count > 2:
+                self.record()
+            elif cycle == 2 and self.repeat(count - 2):
+                return
+            yield cycle
 
     def idle(
         self,

@@ -11,6 +11,10 @@ the host parked in C8 (or C9 under the idealised Fig. 3(a) variant —
 
 Every decoded frame travels through the DRAM frame buffer: the VD writes
 it, the DC reads it back — the data movement BurstLink exists to remove.
+
+The window shapes other schemes share live here too: the PSR repeat
+window (:func:`plan_psr_repeat`) and the DC's C2/C8 fetch-drain cycles
+(:func:`emit_fetch_cycles`), which Frame Bursting runs at link speed.
 """
 
 from __future__ import annotations
@@ -96,38 +100,15 @@ class ConventionalScheme:
         """Plan one refresh window of the conventional pipeline."""
         if ctx.window.is_new_frame:
             return self._plan_new_frame(ctx)
-        return self._plan_repeat(ctx)
-
-    # ------------------------------------------------------------------
-
-    def _plan_repeat(self, ctx: WindowContext) -> WindowResult:
-        """A PSR repeat window: the driver still does its per-window
-        vblank/flip work, then the panel self-refreshes from its RFB."""
-        builder = TimelineBuilder(
-            start=ctx.window.start, initial_state=ctx.initial_state
-        )
-        orchestration = min(
-            ctx.config.orchestration.baseline_per_frame,
-            ctx.window.duration,
-        )
-        if orchestration > 0:
-            builder.add(
-                orchestration,
-                PackageCState.C0,
-                label="driver vblank work",
-                cpu_active=True,
-                panel_mode=PanelMode.SELF_REFRESH,
-            )
+        # PSR: the driver still does its per-window vblank/flip work,
+        # then the panel self-refreshes from its RFB.
         candidates = [PackageCState.C8]
         if ctx.config.baseline_c9_in_psr:
             candidates.append(PackageCState.C9)
-        builder.idle(
-            ctx.window.end - builder.now,
-            candidates,
-            label="psr",
-            panel_mode=PanelMode.SELF_REFRESH,
+        return plan_psr_repeat(
+            ctx, ctx.config.orchestration.baseline_per_frame,
+            "driver vblank work", candidates, "psr",
         )
-        return WindowResult(timeline=builder.build(), used_psr=True)
 
     # ------------------------------------------------------------------
 
@@ -198,8 +179,8 @@ class ConventionalScheme:
         fetch_bytes = (
             display_bytes * self.fetch_scale * (1.0 - overlap_fraction)
         )
-        missed |= not self._emit_fetch_cycles(
-            builder, ctx, fetch_bytes, remaining, pixel_rate
+        missed |= not emit_display_fetch(
+            builder, cfg, fetch_bytes, remaining
         )
         builder.fill_to(
             ctx.window.end,
@@ -214,90 +195,127 @@ class ConventionalScheme:
             staged_segment=staged,
         )
 
-    # ------------------------------------------------------------------
 
-    def _emit_fetch_cycles(
-        self,
-        builder: TimelineBuilder,
-        ctx: WindowContext,
-        fetch_bytes: float,
-        remaining: float,
-        pixel_rate: float,
-    ) -> bool:
-        """Emit the C2 fetch / C8 drain cycles covering ``fetch_bytes``
-        within ``remaining`` seconds.  Returns False when even a single
-        maximal fetch cannot meet the deadline (the window is then pinned
-        in C2 fetching for its whole remainder)."""
-        cfg = ctx.config
-        dram_bw = effective_fetch_bandwidth(cfg)
-        setup = cfg.dc.chunk_setup_latency
-        if fetch_bytes <= 0:
-            return True
+def plan_psr_repeat(
+    ctx: WindowContext,
+    check: float,
+    check_label: str,
+    idle_states: list[PackageCState],
+    idle_label: str,
+) -> WindowResult:
+    """A repeat window: ``check`` seconds of C0 work (clamped to the
+    window), then the deepest worthwhile of ``idle_states`` while the
+    panel self-refreshes."""
+    builder = TimelineBuilder(
+        start=ctx.window.start, initial_state=ctx.initial_state
+    )
+    check = min(check, ctx.window.duration)
+    if check > 0:
+        builder.add(
+            check,
+            PackageCState.C0,
+            label=check_label,
+            cpu_active=True,
+            panel_mode=PanelMode.SELF_REFRESH,
+        )
+    builder.idle(
+        ctx.window.end - builder.now,
+        idle_states,
+        label=idle_label,
+        panel_mode=PanelMode.SELF_REFRESH,
+    )
+    return WindowResult(timeline=builder.build(), used_psr=True)
 
-        def cycle_cost(cycles: int) -> float:
-            work = cycles * setup + fetch_bytes / dram_bw
-            # First excursion comes from the builder's current state; the
-            # later cycles oscillate C8 <-> C2.
-            excursions = (
-                excursion_latency(builder.state, PackageCState.C2)
-                + (cycles - 1) * excursion_latency(
-                    PackageCState.C8, PackageCState.C2
-                )
-                + cycles * excursion_latency(
-                    PackageCState.C2, PackageCState.C8
-                )
-            )
-            return work + excursions
 
-        cycles = max(1, min(
-            math.ceil(fetch_bytes / cfg.dc.chunk_size),
-            cfg.dc.max_fetch_cycles_per_window,
-        ))
-        while cycles > 1 and cycle_cost(cycles) > remaining:
-            cycles -= 1
-        if cycle_cost(cycles) > remaining:
-            # Deadline miss: the system fetches flat-out for the rest of
-            # the window and still cannot finish.
-            builder.add(
-                remaining,
-                PackageCState.C2,
-                label="fetch (saturated)",
-                dram_read_bw=dram_bw,
-                dc_active=True,
-                edp_rate=pixel_rate,
-                panel_mode=PanelMode.LIVE,
-            )
-            return False
+def emit_fetch_cycles(
+    builder: TimelineBuilder,
+    config: SystemConfig,
+    fetch_bytes: float,
+    span: float,
+    labels: tuple[str, str],
+    **attrs: object,
+) -> bool:
+    """Fill ``span`` seconds with the DC's C2 fetch / C8 drain cycles
+    covering ``fetch_bytes`` from DRAM.
 
-        per_cycle_bytes = fetch_bytes / cycles
-        fetch_work = setup + per_cycle_bytes / dram_bw
-        drain_total = remaining - cycle_cost(cycles)
-        drain = drain_total / cycles
-        for cycle in range(cycles):
-            # Every cycle after the first starts where the one before
-            # it ended: when the second ends in its own entry state, the
-            # rest repeat it exactly and go in as one train.
-            if cycle == 1 and cycles > 2:
-                builder.record()
-            elif cycle == 2 and builder.repeat(cycles - 2):
-                break
-            into_c2 = excursion_latency(builder.state, PackageCState.C2)
-            builder.add(
-                fetch_work + into_c2,
-                PackageCState.C2,
-                label="fetch chunk",
-                dram_read_bw=per_cycle_bytes / fetch_work,
-                dc_active=True,
-                edp_rate=pixel_rate,
-                panel_mode=PanelMode.LIVE,
-            )
-            into_c8 = excursion_latency(PackageCState.C2, PackageCState.C8)
-            builder.add(
-                drain + into_c8,
-                PackageCState.C8,
-                label="drain",
-                dc_active=True,
-                edp_rate=pixel_rate,
-                panel_mode=PanelMode.LIVE,
-            )
+    Chunks are fetched at the effective fetch bandwidth, one per cycle,
+    up to ``max_fetch_cycles_per_window`` cycles; fewer cycles are used
+    while their setup and excursions overrun ``span``.  ``labels`` name
+    the fetch and drain phases, and ``attrs`` go on both (the fetch
+    also carries its DRAM read rate).  Returns False, and adds nothing,
+    when even a single cycle cannot fit.
+    """
+    if fetch_bytes <= 0:
         return True
+    dc = config.dc
+    dram_bw = effective_fetch_bandwidth(config)
+    into_c8 = excursion_latency(PackageCState.C2, PackageCState.C8)
+
+    def cost(cycles: int) -> float:
+        work = cycles * dc.chunk_setup_latency + fetch_bytes / dram_bw
+        # First excursion comes from the builder's current state; the
+        # later cycles oscillate C8 <-> C2.
+        excursions = (
+            excursion_latency(builder.state, PackageCState.C2)
+            + (cycles - 1) * excursion_latency(
+                PackageCState.C8, PackageCState.C2
+            )
+            + cycles * into_c8
+        )
+        return work + excursions
+
+    cycles = max(1, min(
+        math.ceil(fetch_bytes / dc.chunk_size),
+        dc.max_fetch_cycles_per_window,
+    ))
+    while cycles > 1 and cost(cycles) > span:
+        cycles -= 1
+    if cost(cycles) > span:
+        return False
+    per_cycle_bytes = fetch_bytes / cycles
+    fetch_work = dc.chunk_setup_latency + per_cycle_bytes / dram_bw
+    drain = (span - cost(cycles)) / cycles
+    fetch_label, drain_label = labels
+    for _ in builder.cycles(cycles):
+        builder.add(
+            fetch_work + excursion_latency(builder.state, PackageCState.C2),
+            PackageCState.C2,
+            label=fetch_label,
+            dram_read_bw=per_cycle_bytes / fetch_work,
+            **attrs,
+        )
+        builder.add(
+            drain + into_c8, PackageCState.C8, label=drain_label, **attrs
+        )
+    return True
+
+
+def emit_display_fetch(
+    builder: TimelineBuilder,
+    config: SystemConfig,
+    fetch_bytes: float,
+    span: float,
+) -> bool:
+    """The conventional DC's fetch of ``fetch_bytes`` within ``span``
+    seconds while it feeds the panel at the pixel-update rate.  Returns
+    False on a deadline miss: when not even one fetch cycle fits, the
+    system fetches flat-out for the whole span and still cannot
+    finish."""
+    live = dict(
+        dc_active=True,
+        edp_rate=config.panel.pixel_update_bandwidth,
+        panel_mode=PanelMode.LIVE,
+    )
+    if emit_fetch_cycles(
+        builder, config, fetch_bytes, span, ("fetch chunk", "drain"),
+        **live,
+    ):
+        return True
+    builder.add(
+        span,
+        PackageCState.C2,
+        label="fetch (saturated)",
+        dram_read_bw=effective_fetch_bandwidth(config),
+        **live,
+    )
+    return False

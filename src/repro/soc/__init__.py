@@ -2,10 +2,10 @@
 component power states and the power-management unit (PMU) (paper
 Secs. 2.1-2.2).
 
-The functional models of the DVFS ladder (``soc.dvfs``), the
-control/status registers (``soc.registers``) and the IO interconnect
-with its DMA/P2P engines (``soc.interconnect``) are not re-exported here
-and no exhibit runs them. Import them from their own modules."""
+The functional models of the control/status registers
+(``soc.registers``) and the IO interconnect with its DMA/P2P engines
+(``soc.interconnect``) are not re-exported here and no exhibit runs
+them. Import them from their own modules."""
 
 from .cstates import (
     CSTATE_TRANSITIONS,

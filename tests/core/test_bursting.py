@@ -6,6 +6,7 @@ from repro.config import FHD, UHD_4K, skylake_tablet
 from repro.core.bursting import FrameBurstingScheme
 from repro.pipeline.conventional import ConventionalScheme
 from repro.pipeline.sim import FrameWindowSimulator
+from repro.pipeline.timeline import PanelMode
 from repro.power.model import PowerModel
 from repro.soc.cstates import PackageCState
 from repro.video.source import AnalyticContentModel
@@ -104,3 +105,33 @@ class TestEnergy:
         for fps in (30.0, 60.0):
             assert run(resolution=UHD_4K, frames=6,
                        fps=fps).stats.deadline_misses == 0
+
+
+class TestFetchBoundBurst:
+    """A DC whose chunk setup alone outlasts the burst cannot nap
+    between fetches: the whole burst stays in C2 at its own rate, and
+    the frame still lands in time."""
+
+    def test_burst_stays_in_c2_without_a_miss(self):
+        from dataclasses import replace
+
+        config = skylake_tablet(FHD).with_drfb()
+        config = replace(
+            config, dc=replace(config.dc, chunk_setup_latency=0.1)
+        )
+        frames = AnalyticContentModel().frames(FHD, 2)
+        result = FrameWindowSimulator(config, FrameBurstingScheme()).run(
+            frames, 30.0, retain="full"
+        )
+        assert result.stats.deadline_misses == 0
+        segments = list(result.timeline)
+        bound = [s for s in segments if s.label == "burst (fetch-bound)"]
+        assert len(bound) == 2
+        assert not any(s.label == "burst fetch" for s in segments)
+        for segment in bound:
+            assert segment.state is PackageCState.C2
+            assert segment.dc_active and segment.drfb_active
+            assert segment.panel_mode is PanelMode.SELF_REFRESH
+            # The DC streams what it fetches: one rate for both.
+            assert segment.dram_read_bw > 0
+            assert segment.edp_rate == segment.dram_read_bw

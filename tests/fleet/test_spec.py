@@ -9,7 +9,6 @@ from repro.fleet.spec import (
     AxisSpec,
     FleetSpec,
     WorkloadSpec,
-    _parse_toml_minimal,
     load_spec,
     spec_from_dict,
 )
@@ -46,15 +45,6 @@ class TestLoading:
         ]
         assert spec.resolution.values == ("FHD", "QHD", "4K")
         assert spec.refresh_hz.weights == (3.0, 1.0)
-
-    def test_minimal_toml_parser_matches_tomllib(self):
-        """The 3.10 fallback parser reads the golden spec to the same
-        structure tomllib does (when tomllib is available)."""
-        tomllib = pytest.importorskip("tomllib")
-        text = GOLDEN_SPEC.read_text(encoding="utf-8")
-        assert _parse_toml_minimal(text, "golden") == tomllib.loads(
-            text
-        )
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):

@@ -164,3 +164,49 @@ class TestDerivedKnobs:
         assert halved.timeline.dram_write_bytes < (
             0.8 * full.timeline.dram_write_bytes
         )
+
+
+class TestSaturatedFetch:
+    """A DC whose chunk setup alone outlasts the window cannot fit one
+    fetch-drain cycle: it fetches flat-out for the rest of the window
+    and flags the deadline miss."""
+
+    def test_fetch_saturates_and_misses(self):
+        from dataclasses import replace
+
+        config = skylake_tablet(FHD)
+        config = replace(
+            config, dc=replace(config.dc, chunk_setup_latency=0.1)
+        )
+        frames = AnalyticContentModel().frames(FHD, 2)
+        result = FrameWindowSimulator(config, ConventionalScheme()).run(
+            frames, 30.0, retain="full"
+        )
+        assert result.stats.deadline_misses == 2
+        segments = list(result.timeline)
+        saturated = [
+            i for i, s in enumerate(segments)
+            if s.label == "fetch (saturated)"
+        ]
+        assert len(saturated) == 2
+        # Nothing is left of the window to drain in.
+        assert not any(
+            s.label in ("fetch chunk", "drain") for s in segments
+        )
+        for index in saturated:
+            segment = segments[index]
+            entry = segments[index - 1]
+            assert entry.label == "C0->C2" and entry.transition
+            assert segment.state is PackageCState.C2
+            assert segment.dc_active and not segment.cpu_active
+            assert segment.panel_mode is PanelMode.LIVE
+            # The full fetch bandwidth and the pixel-update rate over the
+            # span, scaled up alike onto the time the C0->C2 excursion
+            # left.
+            span = segment.end - entry.start
+            assert segment.dram_read_bw * segment.duration == (
+                pytest.approx(effective_fetch_bandwidth(config) * span)
+            )
+            assert segment.edp_rate * segment.duration == pytest.approx(
+                config.panel.pixel_update_bandwidth * span
+            )

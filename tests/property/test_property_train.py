@@ -1,6 +1,6 @@
-"""A fetch-drain train is the per-cycle build, bit for bit.
+"""An oscillation train is the per-cycle build, bit for bit.
 
-:meth:`TimelineBuilder.repeat` records the cycles after the second as
+:meth:`TimelineBuilder.cycles` stores the cycles after the second as
 one train of the timeline instead of adding them phase by phase.  These
 properties hold it to the per-cycle build (``repeat`` refused, so every
 cycle goes through :meth:`TimelineBuilder.add`) with ``==`` and no
@@ -11,20 +11,28 @@ the builder's clock and squeezed count, the summary fold
 and :meth:`TimelineSummary.from_timeline`.  Cases: random increments,
 rates, entry states and start times; 1, 2, 3, 11 and 12 cycles;
 excursions that swallow a phase; an empty drain, which leaves the
-builder in C2; the conventional family's own plans; and an
-APL-stamped frame.
+builder in C2; the plans of every scheme that oscillates (the
+conventional family's fetch-drain, the Frame Bursting burst body, and
+the C7/C7' interleave of BurstLink and bypass); and an APL-stamped
+frame.
 """
 
 import dataclasses
 import json
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.fbc import FrameBufferCompressionScheme
 from repro.baselines.zhang import ZhangScheme
-from repro.config import FHD, UHD_4K, skylake_tablet
+from repro.config import FHD, UHD_4K, UHD_5K, skylake_tablet
+from repro.core import (
+    BurstLinkScheme,
+    FrameBufferBypassScheme,
+    FrameBurstingScheme,
+)
 from repro.display.timing import WindowKind, WindowPlan
 from repro.pipeline.builder import TimelineBuilder, excursion_latency
 from repro.pipeline.conventional import ConventionalScheme
@@ -121,17 +129,11 @@ def cycle_specs(draw):
 
 
 def emit(spec):
-    """A builder after ``spec``'s cycles, recorded and repeated the way
-    ``ConventionalScheme._emit_fetch_cycles`` does."""
+    """A builder after ``spec``'s fetch-drain cycles."""
     builder = TimelineBuilder(
         start=spec["start"], initial_state=spec["entry"]
     )
-    cycles = spec["cycles"]
-    for cycle in range(cycles):
-        if cycle == 1 and cycles > 2:
-            builder.record()
-        elif cycle == 2 and builder.repeat(cycles - 2):
-            break
+    for _ in builder.cycles(spec["cycles"]):
         builder.add(
             spec["fetch"]
             + excursion_latency(builder.state, PackageCState.C2),
@@ -192,11 +194,7 @@ def test_any_cycle_repeats_as_built(start, entry, cycles, phases):
 
     def build():
         builder = TimelineBuilder(start=start, initial_state=entry)
-        for cycle in range(cycles):
-            if cycle == 1 and cycles > 2:
-                builder.record()
-            elif cycle == 2 and builder.repeat(cycles - 2):
-                break
+        for _ in builder.cycles(cycles):
             for number, (base, state, edp_rate) in enumerate(phases):
                 builder.add(base, state, label=f"phase {number}",
                             edp_rate=edp_rate, panel_mode=PanelMode.LIVE)
@@ -211,12 +209,60 @@ def test_any_cycle_repeats_as_built(start, entry, cycles, phases):
     )
 
 
-@settings(max_examples=100, deadline=None)
+#: Every scheme whose new-frame plan oscillates; BurstLink's planar
+#: plan does once its burst outlasts the stretched decode (4K and up at
+#: 60 FPS).
+OSCILLATING_SCHEMES = [
+    ConventionalScheme,
+    FrameBufferCompressionScheme,
+    ZhangScheme,
+    FrameBurstingScheme,
+    BurstLinkScheme,
+    FrameBufferBypassScheme,
+]
+
+
+def cycle_config(resolution, cycles, display_bytes):
+    """The tablet at ``resolution`` with every oscillation sized to
+    ``cycles``: the fetch-drain cap, and a DC buffer whose half takes
+    ``display_bytes`` in ``cycles`` C7/C7' hand-offs."""
+    config = skylake_tablet(resolution).with_drfb()
+    buffer_size = 2 * display_bytes / cycles * (1 + 1e-9)
+    return dataclasses.replace(
+        config,
+        dc=dataclasses.replace(
+            config.dc,
+            max_fetch_cycles_per_window=cycles,
+            buffer_size=buffer_size,
+            chunk_size=min(config.dc.chunk_size, buffer_size),
+        ),
+    )
+
+
+def new_frame_context(config, fps, entry, decoded, apl=0.0, index=0):
+    frame_bytes = float(config.panel.frame_bytes)
+    frame = FrameDescriptor(
+        index=index,
+        frame_type=FrameType.P,
+        encoded_bytes=frame_bytes * decoded / 50,
+        decoded_bytes=frame_bytes * decoded,
+        attributes=ContentAttributes(apl=apl) if apl else None,
+    )
+    return frame, WindowContext(
+        config=config,
+        window=WindowPlan(
+            index=index, start=0.0, duration=1.0 / fps,
+            kind=WindowKind.NEW_FRAME, frame_index=index,
+        ),
+        frame=frame,
+        initial_state=entry,
+    )
+
+
+@settings(max_examples=200, deadline=None)
 @given(
-    scheme_cls=st.sampled_from(
-        [ConventionalScheme, FrameBufferCompressionScheme, ZhangScheme]
-    ),
-    resolution=st.sampled_from([FHD, UHD_4K]),
+    scheme_cls=st.sampled_from(OSCILLATING_SCHEMES),
+    resolution=st.sampled_from([FHD, UHD_4K, UHD_5K]),
     fps=st.sampled_from([24.0, 30.0, 60.0]),
     cycles=CYCLES,
     entry=st.sampled_from(list(PackageCState)),
@@ -227,41 +273,40 @@ def test_any_cycle_repeats_as_built(start, entry, cycles, phases):
 def test_scheme_plans_equal_per_cycle_plans(
     scheme_cls, resolution, fps, cycles, entry, decoded, apl, index
 ):
-    config = skylake_tablet(resolution)
-    config = dataclasses.replace(
-        config,
-        dc=dataclasses.replace(
-            config.dc, max_fetch_cycles_per_window=cycles
-        ),
+    config = cycle_config(
+        resolution, cycles, float(resolution.frame_bytes()) * decoded
     )
-    frame_bytes = float(config.panel.frame_bytes)
-    frame = FrameDescriptor(
-        index=index,
-        frame_type=FrameType.P,
-        encoded_bytes=frame_bytes * decoded / 50,
-        decoded_bytes=frame_bytes * decoded,
-        attributes=ContentAttributes(apl=apl) if apl else None,
-    )
-    ctx = WindowContext(
-        config=config,
-        window=WindowPlan(
-            index=index, start=0.0, duration=1.0 / fps,
-            kind=WindowKind.NEW_FRAME, frame_index=index,
-        ),
-        frame=frame,
-        initial_state=entry,
-    )
+    frame, ctx = new_frame_context(config, fps, entry, decoded, apl, index)
     train = _stamp_content(scheme_cls().plan_window(ctx), frame)
     with per_cycle():
         built = _stamp_content(scheme_cls().plan_window(ctx), frame)
     assert_same_timeline(train.timeline, built.timeline)
     assert train.staged_segment == built.staged_segment
     assert train.deadline_missed == built.deadline_missed
+    assert train.vd_wakes == built.vd_wakes
     if apl:
         assert all(
             segment.apl == apl for segment in train.timeline
             if segment.panel_mode is not PanelMode.OFF
         )
+
+
+@pytest.mark.parametrize("scheme_cls", OSCILLATING_SCHEMES)
+def test_every_oscillation_goes_in_as_a_train(scheme_cls, monkeypatch):
+    """The 4K, 60-FPS plan of each scheme stores its cycles after the
+    second as one train, so the property above compares trains."""
+    repeats = []
+    record = Timeline.repeat
+
+    def counting(self, steps, times):
+        repeats.append(times)
+        return record(self, steps, times)
+
+    monkeypatch.setattr(Timeline, "repeat", counting)
+    config = cycle_config(UHD_4K, 8, float(UHD_4K.frame_bytes()))
+    _, ctx = new_frame_context(config, 60.0, PackageCState.C8, 1.0)
+    scheme_cls().plan_window(ctx)
+    assert len(repeats) == 1 and repeats[0] >= 2
 
 
 def test_summary_run_never_expands_a_train(monkeypatch):

@@ -44,7 +44,6 @@ KEPT_OFF_PATH = {
     "repro.display.psr": "tests/display/test_psr.py",
     "repro.display.rfb": "tests/display/test_rfb.py",
     "repro.dram.framebuffer": "tests/dram/test_framebuffer.py",
-    "repro.soc.dvfs": "tests/soc/test_dvfs.py",
     "repro.soc.interconnect": "tests/soc/test_interconnect.py",
     "repro.video.bitstream": "tests/video/test_bitstream.py",
     "repro.video.codec": "tests/video/test_codec.py",
