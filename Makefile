@@ -43,7 +43,7 @@ golden:
 # duration.  The paired memory gate lives in
 # tests/integration/test_long_trace_memory.py.
 long-trace:
-	python -m repro standby --duration 86400 --update-fps 2
+	python -m repro standby --duration 31536000 --update-fps 2
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; python $$f; done

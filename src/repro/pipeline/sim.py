@@ -14,6 +14,7 @@ import dataclasses
 import enum
 import functools
 import hashlib
+import math
 import operator
 import struct
 from collections import deque
@@ -142,6 +143,13 @@ def frame_content(frame: FrameDescriptor) -> tuple:
     content attributes (never its stream index)."""
     return (frame.frame_type, frame.encoded_bytes, frame.decoded_bytes,
             frame.attributes)
+
+
+def _content_reads(frame: FrameDescriptor) -> tuple[tuple, tuple]:
+    """The ``plan_reads`` of a scheme that declares none: both keys are
+    the whole :func:`frame_content`."""
+    content = frame_content(frame)
+    return content, content
 
 
 def staged_stream_reads(frame: FrameDescriptor) -> tuple[tuple, object]:
@@ -578,66 +586,76 @@ def _new_frame_windows(
         base += _CADENCE_CHUNK
 
 
+def _shown(step: float, window: int) -> int:
+    """The frame window ``window`` shows at ``step`` frames per window:
+    the cadence's own expression (:meth:`RefreshTiming.windows`)."""
+    return int(step * window + 1e-9)
+
+
+def _first_window(step: float, frame: int) -> int:
+    """The window at which ``frame`` first shows: the estimate and
+    fix-up of :meth:`RefreshTiming.new_frame_windows`, for one frame."""
+    first = max(0, math.ceil((frame - 1e-9) / step))
+    while _shown(step, first) < frame:
+        first += 1
+    while first > 0 and _shown(step, first - 1) >= frame:
+        first -= 1
+    return first
+
+
+def _own_windows(step: float, limit: int) -> bool:
+    """Whether every frame shown by window ``limit`` provably gets a
+    window of its own at ``step`` frames per window.
+
+    True at exactly one frame per window.  Below it, the shown frames
+    of two neighbouring windows differ by ``step`` plus the rounding
+    of both ``step * i + 1e-9``, at most ``(step * limit + 1) / 2**51``
+    in all; while ``1 - step`` is twice that, no window skips a frame.
+    A rate a hair over the refresh rate may skip frames.
+    """
+    return step == 1.0 or (
+        step < 1.0 and (1.0 - step) * 2.0**50 > step * limit + 1.0
+    )
+
+
 def _block_end(
     timing: RefreshTiming,
     limit: int,
     frame_end: int,
-    window: int,
     frame: int,
 ) -> tuple[int, tuple[int, int], tuple[int, int]]:
     """How far a block of steady updates reaches from the update that
-    shows ``frame`` at ``window``.
+    first shows ``frame``, in closed form.
 
     An update fits the block when its frame is below ``frame_end`` and
-    the next update starts by window ``limit``.  Reads the same chunked
-    tables as :func:`_new_frame_windows`, a chunk at a time, and returns
-    how many updates fit in a row, the last of them and the one after
-    it, each as ``(window, frame)``.
+    the next update starts by window ``limit``.  Returns how many
+    updates fit in a row, the last of them and the one after it, each
+    as ``(window, frame)``.  Needs the update showing ``frame`` to fit
+    and every frame up to window ``limit`` to have its own window
+    (:func:`_own_windows`): update ``j`` then shows ``frame + j``, and
+    as the shown frame is monotone in the window, its successor starts
+    by ``limit`` exactly when ``limit`` shows frame ``frame + j + 1``.
     """
-    # ``tail`` holds the two updates before the chunk (a placeholder
-    # and the block's first update to begin with): in the chunk
-    # extended by them, entry ``j`` is update ``fitted - 1 + j``.
-    tail_windows = np.array([window, window], dtype=np.int64)
-    tail_frames = np.array([frame, frame], dtype=np.int64)
-    fitted = 0
-    base = frame + 1
-    while True:
-        chunk_windows, chunk_frames = timing.new_frame_windows(
-            _CADENCE_CHUNK, start=base
-        )
-        windows = np.concatenate((tail_windows, chunk_windows))
-        frames = np.concatenate((tail_frames, chunk_frames))
-        count = chunk_windows.size
-        # Entries 1..count are updates whose successor is in the chunk.
-        fit = min(
-            int(np.searchsorted(windows[2:], limit, side="right")),
-            int(np.searchsorted(frames[1:-1], frame_end)),
-        )
-        if fit < count:
-            return (
-                fitted + fit,
-                (int(windows[fit]), int(frames[fit])),
-                (int(windows[fit + 1]), int(frames[fit + 1])),
-            )
-        fitted += count
-        tail_windows = windows[-2:]
-        tail_frames = frames[-2:]
-        base += _CADENCE_CHUNK
+    step = timing.video_fps / timing.refresh_hz
+    updates = min(_shown(step, limit), frame_end) - frame
+    last = frame + updates - 1
+    return (
+        updates,
+        (_first_window(step, last), last),
+        (_first_window(step, last + 1), last + 1),
+    )
 
 
 class _RunCursor:
-    """The walker's place in a source that reports runs of one content
-    (``content_run``).  Frames are pulled by index, so the walker skips
-    a block of a run by moving :attr:`index`, without building the
-    block's descriptors."""
+    """The walker's place in a source with index access (``content_run``
+    and ``__getitem__``).  Frames are pulled by index, so the walker
+    skips a block of frames by moving :attr:`index`, and builds no
+    descriptor for frames that share the last pulled one's content."""
 
-    __slots__ = ("content_run", "index", "run_end")
+    __slots__ = ("source", "index", "run_end")
 
-    def __init__(
-        self,
-        content_run: Callable[[int], "tuple[FrameDescriptor, int] | None"],
-    ) -> None:
-        self.content_run = content_run
+    def __init__(self, source: FrameSource) -> None:
+        self.source = source
         #: The next frame to pull.
         self.index = 0
         #: Frames below this index share the last pulled frame's content.
@@ -645,13 +663,48 @@ class _RunCursor:
 
     def pull(self) -> FrameDescriptor | None:
         """The next frame, or ``None`` when the source has run dry."""
-        found = self.content_run(self.index)
+        found = self.source.content_run(self.index)
         if found is None:
             return None
         frame, run = found
         self.run_end = self.index + run
         self.index += 1
         return frame
+
+    def alike_end(
+        self,
+        reads_fn: Callable[[FrameDescriptor], tuple],
+        reads: tuple,
+        stop: int,
+    ) -> int:
+        """The first frame from :attr:`index` on, and at most ``stop``,
+        whose ``reads_fn`` differs from ``reads``, the last pulled
+        frame's; frames of its content are not looked at."""
+        end = self.run_end
+        if end >= stop:
+            return stop
+        for frame_reads in map(reads_fn, self.source[end:stop]):
+            if frame_reads != reads:
+                break
+            end += 1
+        return end
+
+    def add_staged(
+        self, group: PlanGroup, last: FrameDescriptor, stop: int
+    ) -> None:
+        """Add to ``group.staged_delta`` what the windows showing frames
+        :attr:`index` to ``stop`` stage beyond its planned frame, one
+        frame at a time in frame order, as walking them would.  Frames
+        of ``last``'s content add exactly ``0.0`` when ``last`` stages
+        the planned bytes, and are skipped."""
+        planned = group.frame.encoded_bytes
+        start = self.index
+        if last.encoded_bytes == planned:
+            start = max(start, self.run_end)
+        delta = group.staged_delta
+        for frame in self.source[start:stop]:
+            delta += frame.encoded_bytes - planned
+        group.staged_delta = delta
 
 
 class _CadenceWalker:
@@ -664,19 +717,24 @@ class _CadenceWalker:
     exposes ``plan_key()`` — a window whose group already exists
     replays it without planning, and a repeat run that re-enters its
     own entry state is accounted in O(1).  A summary run of a source
-    that reports runs of one content (:class:`_RunCursor`), without VR
-    work or a streaming observer, goes further once its updates reach
-    a fixed point: when the new-frame group re-enters its own entry
-    state, its frame phase is ``None`` and it staged exactly its
-    planned frame's bytes, and the repeat group at that state
-    re-enters it too, a block of ``K`` same-content updates ending at
-    window ``first[K]`` adds ``K`` windows to the new-frame group and
-    ``first[K] - first[0] - K`` to the repeat group, where ``first`` is
-    the window at which each update shows (:func:`_block_end`).  All
-    but the block's last update are accounted that way, their frames
-    skipped rather than built; the last is walked as usual, so the walk
-    ends on a real descriptor.  A run then costs per content change,
-    not per update.  With the memo off every
+    with index access (:class:`_RunCursor`), without VR work or a
+    streaming observer, goes further once its updates reach a fixed
+    point: when the new-frame group re-enters its own entry state and
+    its frame phase is ``None``, and the repeat group at that state
+    re-enters it too (or the cadence has no repeat windows), a block of
+    ``K`` updates whose frames plan alike (same ``plan_reads``) ending
+    at window ``first[K]`` adds ``K`` windows to the new-frame group
+    and ``first[K] - first[0] - K`` to the repeat group, where
+    ``first`` is the window at which each update shows.  The block's
+    end is found in closed form (:func:`_block_end`) at rates that
+    give every frame its own window (:func:`_own_windows`); other
+    rates walk update by update.  All but the block's last update are
+    accounted that way, and each adds its own frame's staged bytes to
+    the new-frame group one at a time, in frame order, as walking it
+    would; frames that share the last pulled frame's content add
+    exactly nothing and are not built.  The last update is walked as
+    usual, so the walk ends on a real descriptor.  A run then costs per
+    change of plan, not per update.  With the memo off every
     window is planned fresh, in window order, and an active tracer sees
     a ``sim.window`` span per window; accounting still goes through the
     same groups, so the run's stats and summary do not depend on the
@@ -717,8 +775,8 @@ class _CadenceWalker:
         self.duration = self.timing.frame_window
         #: The next frame of the stream, or ``None`` when it has run dry.
         self.pull = pull
-        #: The cursor behind ``pull`` when the source reports runs of
-        #: one content, which lets :meth:`walk` account blocks.
+        #: The cursor behind ``pull`` when the source has index access,
+        #: which lets :meth:`walk` account blocks.
         self.runs = runs
         self.vr_iter = vr_work
         self.retain_full = retain_full
@@ -730,7 +788,7 @@ class _CadenceWalker:
         self.memo = self.tracer is None and self.keyed
         self.plan_key = scheme.plan_key() if self.keyed else None
         self.phase_fn = getattr(scheme, "frame_phase", None)
-        self.reads_fn = getattr(scheme, "plan_reads", None)
+        self.reads_fn = getattr(scheme, "plan_reads", None) or _content_reads
 
         self.starts = _new_frame_windows(self.timing)
         #: Next window to walk.
@@ -764,22 +822,27 @@ class _CadenceWalker:
 
         Each pass of the loop accounts one window to its group — or, on
         a steady repeat run with the memo on, every window up to the
-        next new-frame window at once.  Where the source reports runs of
-        one content (:class:`_RunCursor`) and the run's windows would
-        all replay, a run's updates at their fixed point are accounted
-        as one block (see :class:`_CadenceWalker`).  The walk's state
-        lives in locals and is saved in ``_cursor`` on the way out.
+        next new-frame window at once.  Where the source has index
+        access (:class:`_RunCursor`) and the run's windows would all
+        replay, updates at their fixed point whose frames plan alike
+        are accounted as one block (see :class:`_CadenceWalker`).  The
+        walk's state lives in locals and is saved in ``_cursor`` on the
+        way out.
         """
         runs = self.runs
+        timing = self.timing
+        step = timing.video_fps / timing.refresh_hz
         blocks = (
             runs is not None and self.memo and self.records is None
             and not self.retain_full and self.vr_iter is None
+            and _own_windows(step, limit)
         )
+        # At one frame per window a block holds no repeat window.
+        every_window_new = step == 1.0
         # The new-frame group of the last update when it is at its
-        # fixed point: replayable, re-entering its own entry state,
-        # index-free, and staging exactly its planned frame's bytes.
+        # fixed point: replayable, re-entering its own entry state and
+        # index-free.
         steady: PlanGroup | None = None
-        timing = self.timing
         groups = self.groups
         timeline_plans = self.timeline_plans
         order = self.order
@@ -804,24 +867,32 @@ class _CadenceWalker:
                     steady is not None
                     and steady.final_state is state
                     and next_new <= limit
-                    and frame_index < runs.run_end
                 ):
                     repeat = groups.get((
                         plan_key, WindowKind.REPEAT, "repeat", None,
                         repeat_reads, None, state,
                     ))
-                    if repeat is not None and repeat.final_state is state:
+                    if every_window_new or (
+                        repeat is not None and repeat.final_state is state
+                    ):
+                        # The block's frames plan like the last one.
+                        frame_end = runs.alike_end(
+                            reads_fn, reads_fn(frame), _shown(step, limit)
+                        )
                         updates, last, after = _block_end(
-                            timing, limit, runs.run_end, index,
-                            frame_index,
+                            timing, limit, frame_end, frame_index
                         )
                         if updates > 1:
                             # Every update but the last replays the
                             # same two groups: account them at once and
                             # walk the last one as usual.
                             skipped = updates - 1
+                            runs.add_staged(
+                                steady, frame, frame_index + skipped
+                            )
                             steady.count += skipped
-                            repeat.count += last[0] - index - skipped
+                            if repeat is not None:
+                                repeat.count += last[0] - index - skipped
                             index, frame_index = last
                             next_new, next_frame = after
                             starts = _new_frame_windows(
@@ -849,10 +920,7 @@ class _CadenceWalker:
                 # sources may re-issue the same frame under fresh indices
                 # (e.g. ambient redraws), and schemes plan from content
                 # alone (see DisplayScheme).
-                if reads_fn is None:
-                    reads = repeat_reads = frame_content(frame)
-                else:
-                    reads, repeat_reads = reads_fn(frame)
+                reads, repeat_reads = reads_fn(frame)
                 encoded = frame.encoded_bytes
                 kind = WindowKind.NEW_FRAME
                 effective_kind = (
@@ -898,7 +966,6 @@ class _CadenceWalker:
                         and group.final_state is state
                         and phase is None
                         and effective_kind == "new_frame"
-                        and encoded == group.frame.encoded_bytes
                     ) else None
             count = 1
             if result is not None:
@@ -1197,9 +1264,8 @@ class FrameWindowSimulator:
                 cached = memo.load(key)
                 if cached is not None:
                     return cached
-        content_run = getattr(source, "content_run", None)
-        if content_run is not None:
-            runs = _RunCursor(content_run)
+        if getattr(source, "content_run", None) is not None:
+            runs = _RunCursor(source)
             pull = runs.pull
         else:
             runs = None

@@ -418,6 +418,26 @@ class SegmentClass:
     label: str = ""
     window_kind: str = ""
 
+    def __post_init__(self) -> None:
+        # Every bucket and coefficient lookup hashes the class, so the
+        # hash of its fields is taken once; equality stays field-wise.
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (
+            self.state, self.transition, self.cpu_active, self.gpu_active,
+            self.vd_mode, self.dc_active, self.panel_mode, self.drfb_active,
+            self.edp_active, self.label, self.window_kind,
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Rebuilt through ``__init__``: the hash is the receiving
+        # process's own (enum members hash by identity).
+        return type(self), self._fields()
+
     @classmethod
     def of(cls, segment: Segment, window_kind: str = "") -> "SegmentClass":
         """The class of ``segment``."""

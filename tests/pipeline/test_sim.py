@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.baselines import FrameBufferCompressionScheme
+from repro.baselines.vip import VipScheme
 from repro.config import FHD, skylake_tablet
+from repro.core import BurstLinkScheme
+from repro.core.bursting import FrameBurstingScheme
+from repro.display.timing import RefreshTiming
 from repro.errors import DeadlineMissError, SimulationError
+from repro.pipeline import sim
 from repro.pipeline.builder import TimelineBuilder
 from repro.pipeline.conventional import ConventionalScheme
 from repro.pipeline.sim import (
@@ -12,9 +18,14 @@ from repro.pipeline.sim import (
     VrWork,
     WindowContext,
     WindowResult,
+    install_run_memo,
 )
 from repro.soc.cstates import PackageCState
 from repro.video.source import AnalyticContentModel
+from repro.workloads.standby import (
+    AmbientStandbyWorkload,
+    ambient_standby_run,
+)
 
 
 class BrokenScheme:
@@ -220,3 +231,71 @@ class TestRunStats:
             bypassed_windows=4,
             burst_windows=4,
         )
+
+
+class _CountingGroups(dict):
+    """A walker's group table that counts lookups: every pass of the
+    walker's loop looks its window's group up once."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+class TestBlockCost:
+    """Steady updates cost per block, not per update or per window."""
+
+    @pytest.fixture(autouse=True)
+    def no_memo(self):
+        previous = install_run_memo(None)
+        yield
+        install_run_memo(previous)
+
+    def test_standby_day_reads_few_cadence_tables(self, monkeypatch):
+        """A 24-h 2-Hz session is 172,800 updates; bounding its block
+        in closed form reads the cadence tables only for the updates
+        walked one by one."""
+        tables = []
+        original = RefreshTiming.new_frame_windows
+
+        def spy(self, count, start=0):
+            tables.append(start)
+            return original(self, count, start=start)
+
+        monkeypatch.setattr(RefreshTiming, "new_frame_windows", spy)
+        workload = AmbientStandbyWorkload(duration_s=86_400.0,
+                                          update_fps=2.0)
+        run = ambient_standby_run(workload, ConventionalScheme())
+        assert run.stats.new_frame_windows == 172_800
+        assert len(tables) <= 4
+
+    @pytest.mark.parametrize("fps", [30.0, 60.0])
+    @pytest.mark.parametrize(
+        "factory, drfb",
+        [(ConventionalScheme, False), (BurstLinkScheme, True),
+         (FrameBurstingScheme, False), (VipScheme, False),
+         (FrameBufferCompressionScheme, False)],
+    )
+    def test_unique_clip_walks_in_blocks(
+        self, monkeypatch, factory, drfb, fps
+    ):
+        """A 120-frame unique clip is 240 windows at 30 FPS and 120 at
+        60; frames that plan alike are walked as one block."""
+        walkers = []
+
+        class CountingWalker(sim._CadenceWalker):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.groups = _CountingGroups()
+                walkers.append(self)
+
+        monkeypatch.setattr(sim, "_CadenceWalker", CountingWalker)
+        config = skylake_tablet(FHD)
+        config = config.with_drfb() if drfb else config
+        frames = AnalyticContentModel().frames(FHD, 120, seed=5)
+        FrameWindowSimulator(config, factory()).run(frames, fps)
+        [walker] = walkers
+        assert walker.index == round(120 * 60.0 / fps)
+        assert walker.groups.lookups <= 16

@@ -1,17 +1,20 @@
-"""Property: accounting the steady updates of a run of identical frames
-in blocks changes nothing.
+"""Property: accounting steady updates in blocks changes nothing.
 
-A :class:`RepeatingFrameSource` reports how many of its frames share
-one content, so an untraced summary run accounts the updates at their
-fixed point as one block.  That run must equal, exactly, a traced run
-(every window planned fresh) and a :class:`StreamingSimulator` run with
-the frames pushed in — on stats, summary payload and energy report —
-across schemes (Zhang's index-dependent plans included), update rates
-from 0.2 Hz to the refresh rate, sources shorter than the window bound
-(a clamped tail), bounds that cut a block short, and cadence chunks
-small enough that blocks cross chunk seams.  At the walker level, the
-block walk ends where walking update by update ends: same window, same
-frames pulled, same descriptor in hand.
+A source with index access (``content_run``) lets an untraced summary
+run account the updates at their fixed point as one block, as long as
+their frames plan alike: a :class:`RepeatingFrameSource` of identical
+frames, or a :class:`ListFrameSource` of unique frames whose plans
+share a key and differ only in the encoded bytes they stage.  That run
+must equal, exactly, a traced run (every window planned fresh) and a
+:class:`StreamingSimulator` run with the frames pushed in — on stats,
+summary payload and energy report — across schemes (Zhang's
+index-dependent plans included), update rates from 0.2 Hz to the
+refresh rate, content-aware frames, clips whose decoded size changes
+part-way, sources shorter than the window bound (a clamped tail),
+bounds that cut a block short, and cadence chunks small enough that
+blocks cross chunk seams.  At the walker level, the block walk ends
+where walking update by update ends: same window, same frames pulled,
+same descriptor in hand.
 """
 
 import functools
@@ -21,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import FrameBufferCompressionScheme, ZhangScheme
-from repro.config import FHD, skylake_tablet
+from repro.config import FHD, QHD, skylake_tablet
 from repro.core import BurstLinkScheme, FrameBufferBypassScheme
 from repro.obs.trace import tracing
 from repro.pipeline import (
@@ -34,8 +37,14 @@ from repro.power import PowerModel
 from repro.video.source import (
     AnalyticContentModel,
     ContentClass,
+    ListFrameSource,
     RepeatingFrameSource,
 )
+
+#: How a session's frames come: one frame repeated, a unique-frame
+#: clip, or a unique-frame clip whose decoded size changes part-way
+#: (a block then ends where the plans stop being alike).
+SOURCES = ("repeat", "unique", "switch")
 
 SCHEMES = [
     (ConventionalScheme, False),
@@ -88,6 +97,17 @@ def _frame(seed, apl):
     ).frames(FHD, 1, seed=seed)[0]
 
 
+def _source(kind, frames, seed, apl):
+    if kind == "repeat":
+        return RepeatingFrameSource(_frame(seed, apl), frames)
+    model = AnalyticContentModel(content=ContentClass.SCREEN, apl=apl)
+    clip = model.frames(FHD, frames, seed=seed)
+    if kind == "switch":
+        cut = seed % frames
+        clip = clip[:cut] + model.frames(QHD, frames - cut, seed=seed)
+    return ListFrameSource(tuple(clip))
+
+
 def _config(refresh, needs_drfb):
     config = skylake_tablet(FHD, refresh)
     return config.with_drfb() if needs_drfb else config
@@ -105,15 +125,16 @@ def _assert_same(run, reference):
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=2**16),
     st.sampled_from([0.0, 0.6]),
+    st.sampled_from(SOURCES),
 )
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_block_walk_matches_per_window_and_pushed_runs(
-    spec, session, chunk, seed, apl
+    spec, session, chunk, seed, apl, kind
 ):
     factory, needs_drfb = spec
     refresh, fps, frames, max_windows = session
     config = _config(refresh, needs_drfb)
-    source = RepeatingFrameSource(_frame(seed, apl), frames)
+    source = _source(kind, frames, seed, apl)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_CADENCE_CHUNK", chunk)
         blocked = FrameWindowSimulator(config, factory()).run(
@@ -135,7 +156,7 @@ def test_block_walk_matches_per_window_and_pushed_runs(
 
 def _walker(config, scheme, fps, source, block):
     if block:
-        runs = sim._RunCursor(source.content_run)
+        runs = sim._RunCursor(source)
         pull = runs.pull
     else:
         runs = None
@@ -147,15 +168,18 @@ def _walker(config, scheme, fps, source, block):
     st.sampled_from(SCHEMES[:4]),
     sessions(),
     st.integers(min_value=1, max_value=8),
+    st.sampled_from(SOURCES),
 )
 @settings(max_examples=80, deadline=None)
-def test_block_walk_ends_where_the_update_walk_ends(spec, session, chunk):
+def test_block_walk_ends_where_the_update_walk_ends(
+    spec, session, chunk, kind
+):
     """Same window, cursor and frames pulled (counted from the cadence
     table's frame column), and the same groups counted."""
     factory, needs_drfb = spec
     refresh, fps, frames, max_windows = session
     config = _config(refresh, needs_drfb)
-    source = RepeatingFrameSource(_frame(7, 0.0), frames)
+    source = _source(kind, frames, 7, 0.0)
     limit = max_windows or int(round(frames * refresh / fps))
     walked = []
     with pytest.MonkeyPatch.context() as patch:
@@ -167,8 +191,8 @@ def test_block_walk_ends_where_the_update_walk_ends(spec, session, chunk):
     blocked, stepped = walked
     assert blocked.index == stepped.index == limit
     assert blocked._cursor == stepped._cursor
-    assert [g.count for g in blocked.order] == [
-        g.count for g in stepped.order
+    assert [(g.count, g.staged_delta) for g in blocked.order] == [
+        (g.count, g.staged_delta) for g in stepped.order
     ]
     _assert_same(blocked.finish(), stepped.finish())
 
@@ -219,3 +243,31 @@ def test_index_dependent_and_full_runs_walk_every_update():
         assert calls == []
         FrameWindowSimulator(config, ConventionalScheme()).run(source, 1.0)
     assert calls
+
+
+def test_unique_frame_clips_take_blocks():
+    """The list-source property is not vacuous: at 30 FPS a 60-frame
+    unique clip's steady updates are nearly all one block, and the
+    block stages each frame's own encoded bytes."""
+    config = _config(60.0, True)
+    source = _source("unique", 60, 11, 0.0)
+    assert len({frame.encoded_bytes for frame in source}) == 60
+    ends = []
+    original = sim._block_end
+
+    def spy(*args):
+        result = original(*args)
+        ends.append(result[0])
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sim, "_block_end", spy)
+        blocked = FrameWindowSimulator(config, BurstLinkScheme()).run(
+            source, 30.0
+        )
+    assert ends and max(ends) >= 55
+    with tracing():
+        traced = FrameWindowSimulator(config, BurstLinkScheme()).run(
+            source, 30.0
+        )
+    _assert_same(blocked, traced)

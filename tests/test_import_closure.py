@@ -36,7 +36,6 @@ KEPT_OFF_PATH = {
     "repro.soc.registers": "tests/integration/test_failure_injection.py",
     "repro.workloads.scenario": "benchmarks/bench_scenario.py",
     # The functional device models, each kept for its own tests.
-    "repro.display.composition": "tests/display/test_composition.py",
     "repro.display.controller": "tests/display/test_controller.py",
     "repro.display.edp": "tests/display/test_edp.py",
     "repro.display.panel": "tests/display/test_panel.py",

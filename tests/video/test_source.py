@@ -158,6 +158,33 @@ class TestFrameSources:
         assert source.content_run(5) is None
         assert source.content_run(-1) is None
 
+    def test_list_content_run_claims_one_frame(self):
+        frames = AnalyticContentModel().frames(FHD, 3, seed=2)
+        source = ListFrameSource(frames)
+        assert [source.content_run(i) for i in range(3)] == [
+            (frame, 1) for frame in frames
+        ]
+        assert source.content_run(3) is None
+        assert source.content_run(-1) is None
+
+    @pytest.mark.parametrize("kind", ["list", "repeat"])
+    def test_index_access_matches_iteration(self, kind):
+        """``source[i]`` and ``source[a:b]`` read the iteration's
+        frames, with sequence bounds and negative indices."""
+        frames = AnalyticContentModel().frames(FHD, 5, seed=2)
+        source = (
+            ListFrameSource(frames) if kind == "list"
+            else RepeatingFrameSource(frames[0], 5)
+        )
+        iterated = tuple(source)
+        assert tuple(source[i] for i in range(5)) == iterated
+        assert source[-1] == iterated[-1]
+        assert source[1:4] == iterated[1:4]
+        assert source[3:9] == iterated[3:]
+        assert source[5:9] == ()
+        with pytest.raises(IndexError):
+            source[5]
+
     def test_repeating_fingerprint_is_constant_size(self):
         frame = AnalyticContentModel().frames(FHD, 1)[0]
         small = RepeatingFrameSource(frame, 2).fingerprint_token()
