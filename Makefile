@@ -37,11 +37,11 @@ golden:
 		tests/analysis/test_figures.py tests/fleet/test_golden_fleet.py \
 		tests/analysis/test_work_counts.py -q
 
-# A 24-hour ambient-standby session at 2 Hz, the update rate with the
-# most updates per session, through the summary path (summary retention,
-# plan replay and block walking): O(1) memory and near-O(1) time at any
-# duration.  The paired memory gate lives in
-# tests/integration/test_long_trace_memory.py.
+# A 365-day ambient-standby session at 2 Hz (63M screen updates), the
+# update rate with the most updates per session, through the summary path
+# (summary retention, plan replay and block walking): O(1) memory, and
+# time that follows changes of content, not updates.  The paired memory
+# gate lives in tests/integration/test_long_trace_memory.py.
 long-trace:
 	python -m repro standby --duration 31536000 --update-fps 2
 

@@ -1,28 +1,17 @@
 #!/usr/bin/env python3
-"""VR streaming study: the paper's Fig. 11 plus a look at the actual
-projection path.
+"""VR streaming study: the paper's Fig. 11.
 
-Part 1 reproduces Fig. 11a/b: BurstLink's energy reduction across the
-five head-movement workloads and across per-eye panel resolutions.
-
-Part 2 exercises the *functional* VR path end-to-end on a small frame:
-a synthetic equirectangular sphere is built, a head trace is generated,
-and the GPU model gnomonically projects the moving viewport — the same
-projective transformation the energy model charges for.
+Reproduces Fig. 11a/b: BurstLink's energy reduction across the five
+head-movement workloads and across per-eye panel resolutions.
 
 Run:  python examples/vr_streaming_study.py
 """
 
-import numpy as np
-
 from repro.analysis import fig11a_vr_workloads, fig11b_vr_resolutions
 from repro.analysis.report import render_reductions
-from repro.config import Resolution
-from repro.video.gpu import GpuIP, Viewport
-from repro.workloads import VR_WORKLOADS, generate_head_trace
 
 
-def energy_study() -> None:
+def main() -> None:
     fig11a = fig11a_vr_workloads()
     print(
         render_reductions(
@@ -40,52 +29,6 @@ def energy_study() -> None:
             fig11b.reductions,
         )
     )
-    print()
-
-
-def projection_demo() -> None:
-    # A small synthetic sphere: longitude/latitude bands so the
-    # projected viewport visibly changes with head pose.
-    sphere_h, sphere_w = 180, 360
-    lat = np.linspace(0, 255, sphere_h)[:, None]
-    lon = np.linspace(0, 255, sphere_w)[None, :]
-    sphere = np.stack(
-        [
-            np.broadcast_to(lon, (sphere_h, sphere_w)),
-            np.broadcast_to(lat, (sphere_h, sphere_w)),
-            np.broadcast_to((lon + lat) / 2, (sphere_h, sphere_w)),
-        ],
-        axis=-1,
-    ).astype(np.uint8)
-
-    trace = generate_head_trace(
-        VR_WORKLOADS["Rollercoaster"].head, duration_s=1.0, sample_hz=10
-    )
-    gpu = GpuIP()
-    viewport_resolution = Resolution(96, 96)
-    print("Projecting the Rollercoaster head trace "
-          f"(mean speed {trace.mean_speed:.0f} deg/s):")
-    for i in (0, 4, 9):
-        view = Viewport(
-            yaw=float(trace.yaw[i]), pitch=float(trace.pitch[i])
-        )
-        frame = gpu.project(sphere, view, viewport_resolution)
-        cost = gpu.projection_time(
-            viewport_resolution.pixels,
-            head_velocity_deg_s=float(trace.angular_speed[i]),
-        )
-        print(
-            f"  t={trace.timestamps[i]:.1f}s yaw={view.yaw:7.1f} "
-            f"pitch={view.pitch:6.1f}  mean pixel="
-            f"{frame.mean():6.1f}  projection cost {cost * 1e6:.3f} us"
-        )
-    print(f"GPU projected {gpu.frames_projected} viewports, "
-          f"{gpu.pixels_projected:.0f} pixels total")
-
-
-def main() -> None:
-    energy_study()
-    projection_demo()
 
 
 if __name__ == "__main__":

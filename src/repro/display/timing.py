@@ -10,6 +10,11 @@ Non-integer ratios (e.g. 24 FPS on 60 Hz) are handled with the same
 accumulator a real display driver uses (a 3:2-pulldown-style cadence):
 a window presents a new frame whenever one has become due since the last
 window.
+
+The cadence is in closed form: :meth:`RefreshTiming.shown` is the frame
+a window shows and :meth:`RefreshTiming.first_window` the window at
+which a frame first shows, so a walker steps from one screen update to
+the next and pays for updates, not refresh windows.
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from ..errors import ConfigurationError
 
@@ -81,10 +84,9 @@ class RefreshTiming:
                 f"{self.refresh_hz} Hz panel refresh rate"
             )
         if self.video_fps / self.refresh_hz <= 1e-9:
-            # The cadence's 1e-9 frame epsilon (see windows) must stay
+            # The cadence's 1e-9 frame epsilon (see shown) must stay
             # below one window's step, or it shows frames a window or
-            # more early; this also keeps every frame's first window far
-            # inside int64.
+            # more early.
             raise ConfigurationError(
                 f"video at {self.video_fps} FPS updates at most 1e-9 "
                 f"times per window of the {self.refresh_hz} Hz panel"
@@ -114,15 +116,10 @@ class RefreshTiming:
         """
         if count < 0:
             raise ConfigurationError("window count must be >= 0")
-        step = self.video_fps / self.refresh_hz
         duration = self.frame_window
         last_frame = -1
         for index in range(count):
-            # Frame due in this window: frame k is presented at window
-            # k / step, so window i shows frame floor(i * step).  A tiny
-            # epsilon absorbs float accumulation for exact ratios like
-            # 30/60.
-            frame_index = int(step * index + 1e-9)
+            frame_index = self.shown(index)
             kind = (
                 WindowKind.NEW_FRAME
                 if frame_index > last_frame
@@ -138,53 +135,33 @@ class RefreshTiming:
                 frame_index=last_frame,
             )
 
-    def new_frame_windows(
-        self, count: int, start: int = 0
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The new-frame windows at which frames ``[start, start +
-        count)`` first show, and the frame index each shows (int64).
+    def shown(self, window: int) -> int:
+        """The frame due in window ``window``.
 
-        Computes what :meth:`windows` gives, per frame rather than per
-        window, so a cadence walker pays for screen updates, not refresh
-        windows.  A frame's first window is the least ``i`` whose frame
-        index ``int(step * i + 1e-9)`` has reached it; the estimate
-        ``ceil((k - 1e-9) / step)`` is fixed up against that exact
-        expression.  A frame the cadence skips (a frame rate a hair over
-        the refresh rate) shares its successor's first window, which is
-        listed once, under the earlier frame's call, so chunked calls
-        with increasing ``start`` tile into exactly the single
-        full-length table and the walker keeps memory flat in run
-        length.
+        Frame ``k`` is presented at window ``k / step`` (``step`` frames
+        per window), so window ``i`` shows frame ``floor(i * step)``; a
+        tiny epsilon absorbs float accumulation for exact ratios like
+        30/60.  The expression is monotone in the window.
         """
-        if count < 0:
-            raise ConfigurationError("frame count must be >= 0")
-        if start < 0:
-            raise ConfigurationError("frame start must be >= 0")
+        return int(self.video_fps / self.refresh_hz * window + 1e-9)
+
+    def first_window(self, frame: int) -> int:
+        """The new-frame window at which ``frame`` first shows: the
+        least window whose :meth:`shown` frame has reached it.
+
+        The estimate ``ceil((frame - 1e-9) / step)`` is fixed up against
+        :meth:`shown`, as far into the cadence rounding can put it a
+        window early or late.  A frame the cadence skips (a frame rate
+        a hair over the refresh rate) shares its successor's first
+        window.
+        """
         step = self.video_fps / self.refresh_hz
-        # One extra leading frame so a window shared across the chunk
-        # seam is listed once.
-        lead = 1 if start else 0
-        frames = np.arange(start - lead, start + count)
-        first = np.ceil((frames - 1e-9) / step).astype(np.int64)
-        np.maximum(first, 0, out=first)
-        # Far into the cadence, rounding can put the estimate a window
-        # early or late.
-        while True:
-            shown = (step * first + 1e-9).astype(np.int64)
-            early = shown < frames
-            if early.any():
-                first[early] += 1
-                continue
-            late = (first > 0) & (
-                (step * (first - 1) + 1e-9).astype(np.int64) >= frames
-            )
-            if not late.any():
-                break
-            first[late] -= 1
-        keep = np.ones(first.size, dtype=bool)
-        np.not_equal(first[1:], first[:-1], out=keep[1:])
-        keep[:lead] = False
-        return first[keep], shown[keep]
+        first = max(0, math.ceil((frame - 1e-9) / step))
+        while self.shown(first) < frame:
+            first += 1
+        while first > 0 and self.shown(first - 1) >= frame:
+            first -= 1
+        return first
 
     def cadence_pattern(self, count: int) -> str:
         """A compact cadence string, 'N' for new-frame windows and 'R' for

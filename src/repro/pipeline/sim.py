@@ -14,7 +14,6 @@ import dataclasses
 import enum
 import functools
 import hashlib
-import math
 import operator
 import struct
 from collections import deque
@@ -35,11 +34,6 @@ from .timeline import PanelMode, Segment, Timeline, TimelineSummary
 #: What a run keeps: the full per-segment timeline, or only the online
 #: summary (O(1) memory for hours-long traces).
 RETAIN_MODES = ("full", "summary")
-
-#: Frames per cadence chunk.  The walker never materializes the whole
-#: cadence — chunks keep its memory flat in run length (the long-trace
-#: memory gate pins this).
-_CADENCE_CHUNK = 256
 
 
 def _stamp_content(
@@ -572,37 +566,6 @@ class PlanGroup:
         return self.effective_kind == "new_frame"
 
 
-def _new_frame_windows(
-    timing: RefreshTiming, start: int = 0
-) -> Iterator[tuple[int, int]]:
-    """``(window index, frame index)`` of every new-frame window of the
-    (unbounded) cadence from the one showing frame ``start`` on, read
-    update by update from fixed-size numpy tables, so memory stays flat
-    in run length."""
-    base = start
-    while True:
-        windows, frames = timing.new_frame_windows(_CADENCE_CHUNK, start=base)
-        yield from zip(windows.tolist(), frames.tolist())
-        base += _CADENCE_CHUNK
-
-
-def _shown(step: float, window: int) -> int:
-    """The frame window ``window`` shows at ``step`` frames per window:
-    the cadence's own expression (:meth:`RefreshTiming.windows`)."""
-    return int(step * window + 1e-9)
-
-
-def _first_window(step: float, frame: int) -> int:
-    """The window at which ``frame`` first shows: the estimate and
-    fix-up of :meth:`RefreshTiming.new_frame_windows`, for one frame."""
-    first = max(0, math.ceil((frame - 1e-9) / step))
-    while _shown(step, first) < frame:
-        first += 1
-    while first > 0 and _shown(step, first - 1) >= frame:
-        first -= 1
-    return first
-
-
 def _own_windows(step: float, limit: int) -> bool:
     """Whether every frame shown by window ``limit`` provably gets a
     window of its own at ``step`` frames per window.
@@ -623,27 +586,22 @@ def _block_end(
     limit: int,
     frame_end: int,
     frame: int,
-) -> tuple[int, tuple[int, int], tuple[int, int]]:
+) -> tuple[int, tuple[int, int]]:
     """How far a block of steady updates reaches from the update that
     first shows ``frame``, in closed form.
 
     An update fits the block when its frame is below ``frame_end`` and
     the next update starts by window ``limit``.  Returns how many
-    updates fit in a row, the last of them and the one after it, each
-    as ``(window, frame)``.  Needs the update showing ``frame`` to fit
-    and every frame up to window ``limit`` to have its own window
-    (:func:`_own_windows`): update ``j`` then shows ``frame + j``, and
-    as the shown frame is monotone in the window, its successor starts
-    by ``limit`` exactly when ``limit`` shows frame ``frame + j + 1``.
+    updates fit in a row and the last of them as ``(window, frame)``.
+    Needs the update showing ``frame`` to fit and every frame up to
+    window ``limit`` to have its own window (:func:`_own_windows`):
+    update ``j`` then shows ``frame + j``, and as the shown frame is
+    monotone in the window, its successor starts by ``limit`` exactly
+    when ``limit`` shows frame ``frame + j + 1``.
     """
-    step = timing.video_fps / timing.refresh_hz
-    updates = min(_shown(step, limit), frame_end) - frame
+    updates = min(timing.shown(limit), frame_end) - frame
     last = frame + updates - 1
-    return (
-        updates,
-        (_first_window(step, last), last),
-        (_first_window(step, last + 1), last + 1),
-    )
+    return updates, (timing.first_window(last), last)
 
 
 class _RunCursor:
@@ -713,12 +671,13 @@ class _CadenceWalker:
     Walks refresh windows in order, pulling at most one frame per
     new-frame window (an exhausted stream clamps to its last frame, and
     such windows count as repeats), and files each window under its
-    :class:`PlanGroup`.  With the memo on — untraced, and the scheme
-    exposes ``plan_key()`` — a window whose group already exists
-    replays it without planning, and a repeat run that re-enters its
-    own entry state is accounted in O(1).  A summary run of a source
-    with index access (:class:`_RunCursor`), without VR work or a
-    streaming observer, goes further once its updates reach a fixed
+    :class:`PlanGroup`.  It steps from one update to the next in closed
+    form (:meth:`RefreshTiming.first_window`).  With the memo on —
+    untraced, and the scheme exposes ``plan_key()`` — a window whose
+    group already exists replays it without planning, and a repeat
+    run that re-enters its own entry state is accounted in O(1).  A
+    summary run of a source with index access (:class:`_RunCursor`),
+    without VR work or a streaming observer, goes further once its updates reach a fixed
     point: when the new-frame group re-enters its own entry state and
     its frame phase is ``None``, and the repeat group at that state
     re-enters it too (or the cadence has no repeat windows), a block of
@@ -790,14 +749,13 @@ class _CadenceWalker:
         self.phase_fn = getattr(scheme, "frame_phase", None)
         self.reads_fn = getattr(scheme, "plan_reads", None) or _content_reads
 
-        self.starts = _new_frame_windows(self.timing)
         #: Next window to walk.
         self.index = 0
         #: Where :meth:`walk` resumes: entry state, next new-frame
         #: window and its frame index, current frame and VR work, frames
         #: pulled, current frame index, repeat windows' frame key.
         self._cursor: tuple = (
-            PackageCState.C0, *next(self.starts), None, None, 0, 0, None,
+            PackageCState.C0, 0, 0, None, None, 0, 0, None,
         )
         self.groups: dict[tuple, PlanGroup] = {}
         #: Full retention: ``(group, frame content)`` -> the timeline
@@ -839,6 +797,9 @@ class _CadenceWalker:
         )
         # At one frame per window a block holds no repeat window.
         every_window_new = step == 1.0
+        # The frame window ``limit`` shows: an update's successor starts
+        # by ``limit`` exactly when its frame is below this one.
+        limit_frame = timing.shown(limit)
         # The new-frame group of the last update when it is at its
         # fixed point: replayable, re-entering its own entry state and
         # index-free.
@@ -854,7 +815,6 @@ class _CadenceWalker:
         vr_iter = self.vr_iter
         phase_fn = self.phase_fn
         reads_fn = self.reads_fn
-        starts = self.starts
         plan_key = self.plan_key
         index = self.index
         (state, next_new, next_frame, frame, vr, pulled, frame_index,
@@ -862,11 +822,10 @@ class _CadenceWalker:
         while index < limit:
             if index == next_new:
                 frame_index = next_frame
-                next_new, next_frame = next(starts)
                 if (
                     steady is not None
                     and steady.final_state is state
-                    and next_new <= limit
+                    and frame_index < limit_frame
                 ):
                     repeat = groups.get((
                         plan_key, WindowKind.REPEAT, "repeat", None,
@@ -877,9 +836,9 @@ class _CadenceWalker:
                     ):
                         # The block's frames plan like the last one.
                         frame_end = runs.alike_end(
-                            reads_fn, reads_fn(frame), _shown(step, limit)
+                            reads_fn, reads_fn(frame), limit_frame
                         )
-                        updates, last, after = _block_end(
+                        updates, last = _block_end(
                             timing, limit, frame_end, frame_index
                         )
                         if updates > 1:
@@ -894,11 +853,11 @@ class _CadenceWalker:
                             if repeat is not None:
                                 repeat.count += last[0] - index - skipped
                             index, frame_index = last
-                            next_new, next_frame = after
-                            starts = _new_frame_windows(
-                                timing, next_frame + 1
-                            )
                             runs.index = pulled = frame_index
+                # The next update: the first window showing a later
+                # frame, and the frame it shows.
+                next_new = timing.first_window(frame_index + 1)
+                next_frame = timing.shown(next_new)
                 while pulled <= frame_index:
                     pulled_frame = pull()
                     if pulled_frame is None:
@@ -999,7 +958,6 @@ class _CadenceWalker:
                 # that never replay stay O(1) in memory.
                 self._fold(order.pop())
         self.index = index
-        self.starts = starts
         self._cursor = (state, next_new, next_frame, frame, vr, pulled,
                         frame_index, repeat_reads)
 

@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from ..errors import PowerStateError
-from .components import Component, ComponentPowerState, ComponentSet
+from .components import ComponentSet
 from .cstates import PackageCState
 
 
@@ -88,12 +87,9 @@ class PlatformState:
 
 @dataclass
 class Pmu:
-    """The package C-state resolver plus the BurstLink signalling paths."""
+    """The package C-state resolver and the eDP rate it allows the DC."""
 
     firmware: PmuFirmware = field(default_factory=PmuFirmware.conventional)
-    #: Count of empty/wakeup signal pairs sent to the VD (Fig. 5's
-    #: ``empty``/``wakeup`` wires); each pair is one C7' -> C7 wake.
-    vd_wakeups: int = 0
 
     def resolve(self, platform: PlatformState) -> PackageCState:
         """The package C-state for the given platform snapshot.
@@ -120,37 +116,6 @@ class Pmu:
             if not can_self_refresh:
                 state = PackageCState.C8
         return state
-
-    # -- BurstLink signalling -------------------------------------------------
-
-    def signal_dc_buffer_empty(self, platform: PlatformState) -> bool:
-        """The DC reports its buffer (almost) empty.
-
-        With firmware change 2, the PMU wakes the VD directly (clock-gated
-        C7' -> low-power-active C7) and returns ``True``.  Stock firmware
-        returns ``False`` — a driver interrupt (package C0) would be needed
-        instead.
-        """
-        if not self.firmware.vd_wakeup_on_dc_empty:
-            return False
-        current = platform.components.get(Component.VIDEO_DECODER)
-        if current is ComponentPowerState.POWER_GATED:
-            raise PowerStateError(
-                "cannot wake a power-gated video decoder via the PMU "
-                "fast path"
-            )
-        platform.components.set(
-            Component.VIDEO_DECODER, ComponentPowerState.LOW_POWER_ACTIVE
-        )
-        self.vd_wakeups += 1
-        return True
-
-    def signal_dc_buffer_full(self, platform: PlatformState) -> None:
-        """The DC reports its buffer full: the VD is halted (clock-gated)
-        until the DC drains — the C7 -> C7' edge of Fig. 6."""
-        platform.components.set(
-            Component.VIDEO_DECODER, ComponentPowerState.CLOCK_GATED
-        )
 
     def burst_bandwidth(self, edp_max_bandwidth: float,
                         panel_rate: float) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..config import FHD, Resolution, SystemConfig, skylake_tablet
+from ..display.timing import RefreshTiming
 from ..errors import ConfigurationError
 from ..pipeline.builder import TimelineBuilder
 from ..pipeline.sim import DisplayScheme, FrameWindowSimulator, RunResult
@@ -120,8 +121,8 @@ class AmbientStandbyWorkload:
     @property
     def frame_count(self) -> int:
         """Distinct frame presentations the cadence asks for."""
-        step = self.update_fps / self.refresh_hz
-        return int(step * (self.window_count - 1) + 1e-9) + 1
+        timing = RefreshTiming(self.refresh_hz, self.update_fps)
+        return timing.shown(self.window_count - 1) + 1
 
     def source(self) -> RepeatingFrameSource:
         """The session's frame stream: one static screen-content frame

@@ -95,26 +95,43 @@ class TestCadence:
         assert pattern.count("R") == 1
 
 
+def stepped(timing, frame, count):
+    """``count`` new-frame windows and the frames they show, stepped in
+    closed form from the update that shows ``frame``, as the walker
+    steps."""
+    window = timing.first_window(frame)
+    pairs = []
+    for _ in range(count):
+        frame = timing.shown(window)
+        pairs.append((window, frame))
+        window = timing.first_window(frame + 1)
+    return pairs
+
+
 class TestNewFrameWindows:
     def test_30_on_60(self):
-        windows, frames = RefreshTiming(60, 30).new_frame_windows(4)
-        assert list(windows) == [0, 2, 4, 6]
-        assert list(frames) == [0, 1, 2, 3]
+        assert stepped(RefreshTiming(60, 30), 0, 4) == [
+            (0, 0), (2, 1), (4, 2), (6, 3),
+        ]
 
     def test_skipped_frame_listed_once_across_seams(self):
         # A frame rate a hair over the refresh rate drops a frame near
-        # window 3e10; every split of the table around it tiles.
+        # window 3e10: it shares its successor's first window, which is
+        # listed once, and a walk resumed at any frame around it (as
+        # after a block) joins the single walk.
         timing = RefreshTiming(30, 30 + 1e-9)
         skip = 29_999_940_297
-        windows, frames = timing.new_frame_windows(200, start=skip - 100)
-        assert (frames[1:] - frames[:-1]).max() == 2
-        assert len(windows) == 199
+        assert timing.first_window(skip + 1) == timing.first_window(
+            skip + 2
+        )
+        pairs = stepped(timing, skip - 100, 199)
+        frames = [frame for _, frame in pairs]
+        assert frames[-1] == skip + 99
+        assert max(b - a for a, b in zip(frames, frames[1:])) == 2
         for split in range(98, 103):
-            head = timing.new_frame_windows(split, start=skip - 100)
-            tail = timing.new_frame_windows(200 - split,
-                                            start=skip - 100 + split)
-            assert list(head[0]) + list(tail[0]) == list(windows)
-            assert list(head[1]) + list(tail[1]) == list(frames)
+            frame = skip - 100 + split
+            head = sum(1 for shown in frames if shown < frame)
+            assert stepped(timing, frame, 10) == pairs[head:head + 10]
 
     @pytest.mark.parametrize(
         "refresh, fps, start",
@@ -128,18 +145,12 @@ class TestNewFrameWindows:
     def test_matches_windows_far_into_the_cadence(self, refresh, fps,
                                                   start):
         timing = RefreshTiming(refresh, fps)
-        windows, frames = timing.new_frame_windows(256, start=start)
+        windows, frames = zip(*stepped(timing, start, 256))
         # The reference: where the exact expression of windows() steps.
         step = fps / refresh
-        index = np.arange(int(windows[0]) - 1, int(windows[-1]) + 1)
+        index = np.arange(windows[0] - 1, windows[-1] + 1)
         due = (step * index + 1e-9).astype(np.int64)
         new = np.flatnonzero(due[1:] > due[:-1]) + 1
         assert list(windows) == list(index[new])
         assert list(frames) == list(due[new])
         assert frames[0] == start
-
-    def test_negative_arguments_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RefreshTiming(60, 30).new_frame_windows(-1)
-        with pytest.raises(ConfigurationError):
-            RefreshTiming(60, 30).new_frame_windows(4, start=-1)

@@ -58,8 +58,7 @@ def test_summary_mode_memory_is_flat_in_duration():
 
 def test_low_update_rate_memory_is_flat_in_duration():
     """At 0.2 Hz frames are 300x fewer than windows: a 3-hour session
-    (2,160 updates, past eight cadence chunks) peaks like a 20-minute one
-    (240 updates, inside the first)."""
+    (2,160 updates) peaks like a 20-minute one (240 updates)."""
     previous = install_run_memo(None)
     try:
         _peak_bytes(10.0, update_fps=0.2)
@@ -124,9 +123,7 @@ def test_unreplayed_windows_fold_as_they_go():
     end-of-run fold: its memory is flat in length too."""
     previous = install_run_memo(None)
     try:
-        # Both measured runs are past the first cadence chunk (256
-        # frames), so they read the same chunked tables.
-        _unkeyed_peak_bytes(600)
+        _unkeyed_peak_bytes(600)  # warm-up, not measured
         short = _unkeyed_peak_bytes(1_200)
         long = _unkeyed_peak_bytes(12_000)
     finally:

@@ -253,23 +253,24 @@ class TestBlockCost:
         yield
         install_run_memo(previous)
 
-    def test_standby_day_reads_few_cadence_tables(self, monkeypatch):
-        """A 24-h 2-Hz session is 172,800 updates; bounding its block
-        in closed form reads the cadence tables only for the updates
-        walked one by one."""
-        tables = []
-        original = RefreshTiming.new_frame_windows
+    @pytest.mark.parametrize("days", [1, 365])
+    def test_standby_makes_few_cadence_steps(self, monkeypatch, days):
+        """A 2-Hz session is 172,800 updates a day; bounding its block
+        in closed form steps the cadence only for the updates walked
+        one by one, whatever the session's length."""
+        calls = []
+        original = RefreshTiming.first_window
 
-        def spy(self, count, start=0):
-            tables.append(start)
-            return original(self, count, start=start)
+        def spy(self, frame):
+            calls.append(frame)
+            return original(self, frame)
 
-        monkeypatch.setattr(RefreshTiming, "new_frame_windows", spy)
-        workload = AmbientStandbyWorkload(duration_s=86_400.0,
+        monkeypatch.setattr(RefreshTiming, "first_window", spy)
+        workload = AmbientStandbyWorkload(duration_s=86_400.0 * days,
                                           update_fps=2.0)
         run = ambient_standby_run(workload, ConventionalScheme())
-        assert run.stats.new_frame_windows == 172_800
-        assert len(tables) <= 4
+        assert run.stats.new_frame_windows == 172_800 * days
+        assert len(calls) <= 8
 
     @pytest.mark.parametrize("fps", [30.0, 60.0])
     @pytest.mark.parametrize(

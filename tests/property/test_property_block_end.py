@@ -1,13 +1,16 @@
 """Property: the closed-form bound of a block of steady updates
-(``sim._block_end``) is exactly what scanning the cadence tables chunk
-by chunk finds.
+(``sim._block_end``) is exactly what scanning cadence tables chunk by
+chunk finds.
 
 The scan below is the walker's former bound, kept as the oracle: it
-reads :meth:`RefreshTiming.new_frame_windows` a chunk at a time and
-stops at the first update that no longer fits.  The two are held equal
-at film, NTSC and standby rates on 60 and 144 Hz panels, at frame
-offsets up to ~1e9, with window and frame bounds that cut a block
-short, and with oracle chunks of 1-8 frames so blocks cross seams.
+reads a numpy table of each frame's first window (``cadence_table``,
+the walker's former cadence, kept here so the oracle shares no code
+with ``_block_end`` or :meth:`RefreshTiming.first_window`) a chunk at a
+time and stops at the first update that no longer fits.  The two are
+held equal at film, NTSC and standby rates on 60 and 144 Hz panels, at
+frame offsets up to ~1e9, with window and frame bounds that cut a
+block short, and with oracle chunks of 1-8 frames so blocks cross
+seams.
 """
 
 import numpy as np
@@ -18,11 +21,45 @@ from repro.display.timing import RefreshTiming
 from repro.pipeline import sim
 
 
+def cadence_table(timing, count, start):
+    """The new-frame windows at which frames ``[start, start + count)``
+    first show, and the frame each shows (int64): the least window
+    whose frame index (``step * i + 1e-9``, truncated) has reached the
+    frame, from the estimate ``ceil((k - 1e-9) / step)`` fixed up
+    against that expression.  A frame the cadence skips shares its
+    successor's first window, which is listed once, under the earlier
+    frame's call, so chunked calls with increasing ``start`` tile into
+    one table."""
+    step = timing.video_fps / timing.refresh_hz
+    # One extra leading frame so a window shared across the chunk seam
+    # is listed once.
+    lead = 1 if start else 0
+    frames = np.arange(start - lead, start + count)
+    first = np.ceil((frames - 1e-9) / step).astype(np.int64)
+    np.maximum(first, 0, out=first)
+    while True:
+        shown = (step * first + 1e-9).astype(np.int64)
+        early = shown < frames
+        if early.any():
+            first[early] += 1
+            continue
+        late = (first > 0) & (
+            (step * (first - 1) + 1e-9).astype(np.int64) >= frames
+        )
+        if not late.any():
+            break
+        first[late] -= 1
+    keep = np.ones(first.size, dtype=bool)
+    np.not_equal(first[1:], first[:-1], out=keep[1:])
+    keep[:lead] = False
+    return first[keep], shown[keep]
+
+
 def chunk_scan_block_end(timing, limit, frame_end, window, frame, chunk):
     """How many updates from the one showing ``frame`` at ``window``
-    fit (frame below ``frame_end``, next update by window ``limit``),
-    the last of them and the one after it, read from cadence tables of
-    ``chunk`` frames."""
+    fit (frame below ``frame_end``, next update by window ``limit``)
+    and the last of them, read from cadence tables of ``chunk``
+    frames."""
     # ``tail`` holds the two updates before the chunk (a placeholder
     # and the block's first update to begin with): in the chunk
     # extended by them, entry ``j`` is update ``fitted - 1 + j``.
@@ -31,9 +68,7 @@ def chunk_scan_block_end(timing, limit, frame_end, window, frame, chunk):
     fitted = 0
     base = frame + 1
     while True:
-        chunk_windows, chunk_frames = timing.new_frame_windows(
-            chunk, start=base
-        )
+        chunk_windows, chunk_frames = cadence_table(timing, chunk, base)
         windows = np.concatenate((tail_windows, chunk_windows))
         frames = np.concatenate((tail_frames, chunk_frames))
         count = chunk_windows.size
@@ -43,11 +78,7 @@ def chunk_scan_block_end(timing, limit, frame_end, window, frame, chunk):
             int(np.searchsorted(frames[1:-1], frame_end)),
         )
         if fit < count:
-            return (
-                fitted + fit,
-                (int(windows[fit]), int(frames[fit])),
-                (int(windows[fit + 1]), int(frames[fit + 1])),
-            )
+            return fitted + fit, (int(windows[fit]), int(frames[fit]))
         fitted += count
         tail_windows = windows[-2:]
         tail_frames = frames[-2:]
@@ -69,11 +100,6 @@ def cadences(draw):
     return RefreshTiming(refresh, fps)
 
 
-def first_window(timing, frame):
-    step = timing.video_fps / timing.refresh_hz
-    return sim._first_window(step, frame)
-
-
 @given(
     cadences(),
     st.one_of(st.integers(0, 5_000), st.integers(0, 10**9)),
@@ -89,12 +115,12 @@ def test_closed_form_matches_the_chunk_scan(
     """From an update that fits (its frame below ``frame_end``, the
     next update by ``limit``), as the walker calls it."""
     step = timing.video_fps / timing.refresh_hz
-    window = first_window(timing, frame)
+    window = timing.first_window(frame)
     # A window bound near the ``updates``-th update's window (on it,
     # or a few windows either side), but never before the second's.
     limit = max(
-        first_window(timing, frame + 1),
-        first_window(timing, frame + updates) + offset,
+        timing.first_window(frame + 1),
+        timing.first_window(frame + updates) + offset,
     )
     frame_end = frame + frames
     assert sim._own_windows(step, limit)
@@ -106,9 +132,9 @@ def test_closed_form_matches_the_chunk_scan(
 @given(cadences(), st.integers(0, 10**9))
 @settings(max_examples=200, deadline=None)
 def test_first_window_matches_the_cadence_table(timing, frame):
-    windows, frames = timing.new_frame_windows(2, start=frame)
-    assert (first_window(timing, frame),
-            first_window(timing, frame + 1)) == tuple(windows.tolist())
+    windows, frames = cadence_table(timing, 2, frame)
+    assert (timing.first_window(frame),
+            timing.first_window(frame + 1)) == tuple(windows.tolist())
     assert frames.tolist() == [frame, frame + 1]
 
 

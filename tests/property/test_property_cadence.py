@@ -1,17 +1,14 @@
-"""Property: the cadence walker's new-frame windows, read frame by frame
-from chunked tables, are exactly the ``NEW_FRAME`` windows (and frame
+"""Property: the cadence walker's new-frame windows, stepped in closed
+form from one update to the next (``first_window(f + 1)``, then the
+frame ``shown`` there), are exactly the ``NEW_FRAME`` windows (and frame
 indices) of :meth:`RefreshTiming.windows`, the window-by-window
-reference — across chunk seams, for integer, NTSC-fractional and very
-low update rates."""
-
-import itertools
+reference — for integer, NTSC-fractional and very low update rates."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.display.timing import RefreshTiming
-from repro.pipeline import sim
 
 REFRESH_RATES = (30.0, 48.0, 60.0, 90.0, 120.0, 144.0)
 #: Rates every cadence is tried at, besides arbitrary ones.
@@ -43,24 +40,23 @@ def reference(timing, count):
 
 
 def walked(timing, count):
-    return list(
-        itertools.takewhile(
-            lambda pair: pair[0] < count, sim._new_frame_windows(timing)
-        )
-    )
+    """The walker's steps from window 0 up to window ``count``."""
+    pairs = []
+    window = frame = 0
+    while window < count:
+        pairs.append((window, frame))
+        window = timing.first_window(frame + 1)
+        frame = timing.shown(window)
+    return pairs
 
 
-@given(cadences(), st.integers(min_value=1, max_value=16),
-       st.integers(min_value=2, max_value=6), st.integers(0, 2000))
+@given(cadences(), st.integers(min_value=1, max_value=100),
+       st.integers(0, 2000))
 @settings(max_examples=150, deadline=None)
-def test_walker_new_frames_match_windows(timing, chunk, seams, extra):
-    """With a small chunk, a short cadence crosses several seams."""
-    frames = chunk * seams
+def test_walker_new_frames_match_windows(timing, frames, extra):
     count = int(frames / timing.video_fps * timing.refresh_hz) + extra
     count = min(max(count, 1), 200_000)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_CADENCE_CHUNK", chunk)
-        assert walked(timing, count) == reference(timing, count)
+    assert walked(timing, count) == reference(timing, count)
 
 
 @pytest.mark.parametrize(
@@ -68,19 +64,7 @@ def test_walker_new_frames_match_windows(timing, chunk, seams, extra):
     [(30.0, 30.0), (48.0, 23.976), (60.0, 59.94), (90.0, 29.97),
      (120.0, 119.88), (144.0, 144.0)],
 )
-def test_walker_new_frames_match_windows_at_full_chunk(refresh, fps):
+def test_walker_new_frames_match_windows_at_named_rates(refresh, fps):
     timing = RefreshTiming(refresh, fps)
-    count = int(3.5 * sim._CADENCE_CHUNK * refresh / fps)
+    count = int(896 * refresh / fps)
     assert walked(timing, count) == reference(timing, count)
-
-
-@given(cadences(), st.integers(min_value=0, max_value=5000),
-       st.integers(min_value=1, max_value=300))
-@settings(max_examples=100, deadline=None)
-def test_chunks_tile_the_single_table(timing, start, split):
-    """Chunked calls concatenate into exactly one call's table."""
-    whole_windows, whole_frames = timing.new_frame_windows(start + 600)
-    head = timing.new_frame_windows(start + split)
-    tail = timing.new_frame_windows(600 - split, start=start + split)
-    assert list(head[0]) + list(tail[0]) == list(whole_windows)
-    assert list(head[1]) + list(tail[1]) == list(whole_frames)

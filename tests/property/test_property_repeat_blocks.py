@@ -10,9 +10,8 @@ must equal, exactly, a traced run (every window planned fresh) and a
 summary payload and energy report — across schemes (Zhang's
 index-dependent plans included), update rates from 0.2 Hz to the
 refresh rate, content-aware frames, clips whose decoded size changes
-part-way, sources shorter than the window bound (a clamped tail),
-bounds that cut a block short, and cadence chunks small enough that
-blocks cross chunk seams.  At the walker level, the block walk ends
+part-way, sources shorter than the window bound (a clamped tail), and
+bounds that cut a block short.  At the walker level, the block walk ends
 where walking update by update ends: same window, same frames pulled,
 same descriptor in hand.
 """
@@ -122,34 +121,31 @@ def _assert_same(run, reference):
 @given(
     st.sampled_from(SCHEMES),
     sessions(),
-    st.integers(min_value=1, max_value=8),
     st.integers(min_value=0, max_value=2**16),
     st.sampled_from([0.0, 0.6]),
     st.sampled_from(SOURCES),
 )
 @settings(max_examples=150, deadline=None)
 def test_block_walk_matches_per_window_and_pushed_runs(
-    spec, session, chunk, seed, apl, kind
+    spec, session, seed, apl, kind
 ):
     factory, needs_drfb = spec
     refresh, fps, frames, max_windows = session
     config = _config(refresh, needs_drfb)
     source = _source(kind, frames, seed, apl)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_CADENCE_CHUNK", chunk)
-        blocked = FrameWindowSimulator(config, factory()).run(
+    blocked = FrameWindowSimulator(config, factory()).run(
+        source, fps, max_windows=max_windows
+    )
+    with tracing():
+        traced = FrameWindowSimulator(config, factory()).run(
             source, fps, max_windows=max_windows
         )
-        with tracing():
-            traced = FrameWindowSimulator(config, factory()).run(
-                source, fps, max_windows=max_windows
-            )
-        streaming = StreamingSimulator(
-            config, factory(), fps, max_windows=max_windows
-        )
-        for frame in source:
-            streaming.push(frame)
-        streaming.end()
+    streaming = StreamingSimulator(
+        config, factory(), fps, max_windows=max_windows
+    )
+    for frame in source:
+        streaming.push(frame)
+    streaming.end()
     _assert_same(blocked, traced)
     _assert_same(blocked, streaming.result())
 
@@ -167,27 +163,22 @@ def _walker(config, scheme, fps, source, block):
 @given(
     st.sampled_from(SCHEMES[:4]),
     sessions(),
-    st.integers(min_value=1, max_value=8),
     st.sampled_from(SOURCES),
 )
 @settings(max_examples=80, deadline=None)
-def test_block_walk_ends_where_the_update_walk_ends(
-    spec, session, chunk, kind
-):
-    """Same window, cursor and frames pulled (counted from the cadence
-    table's frame column), and the same groups counted."""
+def test_block_walk_ends_where_the_update_walk_ends(spec, session, kind):
+    """Same window, cursor and frames pulled, and the same groups
+    counted."""
     factory, needs_drfb = spec
     refresh, fps, frames, max_windows = session
     config = _config(refresh, needs_drfb)
     source = _source(kind, frames, 7, 0.0)
     limit = max_windows or int(round(frames * refresh / fps))
     walked = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sim, "_CADENCE_CHUNK", chunk)
-        for block in (True, False):
-            walker = _walker(config, factory(), fps, source, block)
-            walker.walk(limit)
-            walked.append(walker)
+    for block in (True, False):
+        walker = _walker(config, factory(), fps, source, block)
+        walker.walk(limit)
+        walked.append(walker)
     blocked, stepped = walked
     assert blocked.index == stepped.index == limit
     assert blocked._cursor == stepped._cursor
@@ -212,7 +203,6 @@ def test_blocks_account_most_updates_at_low_rates():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sim, "_block_end", spy)
-        patch.setattr(sim, "_CADENCE_CHUNK", 3)
         walker = _walker(config, ConventionalScheme(), 0.2, source, True)
         walker.walk(40 * 300)
     assert ends and max(ends) >= 35

@@ -1,8 +1,7 @@
-"""The PMU: resolution caps, firmware variants, and BurstLink signals."""
+"""The PMU: resolution caps, firmware variants, and the burst rate."""
 
 import pytest
 
-from repro.errors import PowerStateError
 from repro.soc.components import Component, ComponentPowerState
 from repro.soc.cstates import PackageCState
 from repro.soc.pmu import PlatformState, Pmu, PmuFirmware
@@ -74,59 +73,6 @@ class TestResolution:
             Component.CPU, ComponentPowerState.ACTIVE
         )
         assert pmu.resolve(platform) is PackageCState.C0
-
-
-class TestSignals:
-    def test_dc_empty_wakes_vd_with_burstlink_firmware(self):
-        pmu = Pmu(firmware=PmuFirmware.burstlink())
-        platform = idle_platform()
-        platform.components.set(
-            Component.VIDEO_DECODER, ComponentPowerState.CLOCK_GATED
-        )
-        assert pmu.signal_dc_buffer_empty(platform)
-        assert platform.components.get(Component.VIDEO_DECODER) is (
-            ComponentPowerState.LOW_POWER_ACTIVE
-        )
-        assert pmu.vd_wakeups == 1
-
-    def test_dc_empty_does_nothing_on_stock_firmware(self):
-        pmu = Pmu(firmware=PmuFirmware.conventional())
-        platform = idle_platform()
-        platform.components.set(
-            Component.VIDEO_DECODER, ComponentPowerState.CLOCK_GATED
-        )
-        assert not pmu.signal_dc_buffer_empty(platform)
-        assert pmu.vd_wakeups == 0
-
-    def test_cannot_fast_wake_power_gated_vd(self):
-        pmu = Pmu(firmware=PmuFirmware.burstlink())
-        platform = idle_platform()
-        with pytest.raises(PowerStateError):
-            pmu.signal_dc_buffer_empty(platform)
-
-    def test_dc_full_halts_vd(self):
-        pmu = Pmu(firmware=PmuFirmware.burstlink())
-        platform = idle_platform()
-        platform.components.set(
-            Component.VIDEO_DECODER,
-            ComponentPowerState.LOW_POWER_ACTIVE,
-        )
-        pmu.signal_dc_buffer_full(platform)
-        assert platform.components.get(Component.VIDEO_DECODER) is (
-            ComponentPowerState.CLOCK_GATED
-        )
-
-    def test_oscillation_counts_wakes(self):
-        pmu = Pmu(firmware=PmuFirmware.burstlink())
-        platform = idle_platform()
-        platform.components.set(
-            Component.VIDEO_DECODER,
-            ComponentPowerState.LOW_POWER_ACTIVE,
-        )
-        for _ in range(5):
-            pmu.signal_dc_buffer_full(platform)
-            pmu.signal_dc_buffer_empty(platform)
-        assert pmu.vd_wakeups == 5
 
 
 class TestBurstBandwidth:

@@ -47,7 +47,6 @@ KEPT_OFF_PATH = {
     "repro.video.bitstream": "tests/video/test_bitstream.py",
     "repro.video.codec": "tests/video/test_codec.py",
     "repro.video.decoder": "tests/video/test_decoder.py",
-    "repro.video.gpu": "tests/video/test_gpu.py",
     "repro.video.metrics": "tests/video/test_metrics.py",
 }
 
